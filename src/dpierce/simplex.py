@@ -1,4 +1,4 @@
-"""Exact rational simplex for the small LPs behind the fractional solvers.
+"""Exact simplex for the small LPs behind the fractional solvers.
 
 Solves max{c.x : Ax <= b, x >= 0} with b >= 0, so the all-slack basis is
 feasible and no phase one is needed (every covering/matching LP in this
@@ -7,24 +7,23 @@ to Bland's rule after a degenerate stall, which keeps the method anti-cycling
 while staying fast on non-degenerate instances; all tie-breaks are by lowest
 index, so runs are deterministic.
 
-Arithmetic is exact.  Internally gmpy2.mpq is used when available (about an
-order of magnitude faster than fractions.Fraction); results are returned as
-Fraction either way, and both primal and dual solutions are re-verified
-against the input data before returning.
+Arithmetic is exact and fraction-free (Edmonds/Bareiss pivoting, as in
+Avis's lrs).  The tableau holds Python ints over one common denominator D,
+the last pivot element; every division in a pivot is exact by Sylvester's
+identity, so no gcd is ever taken.  Rational data are brought to integers
+by scaling each row of [A | b], and c, by the lcm of its denominators.
+Results are returned as Fraction, and both primal and dual solutions are
+re-verified against the input data before returning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
+# the rational type of the results; perfbench/run.py reads it
+_Q = Fraction
 
 # pivots without strict objective improvement tolerated before switching to
 # Bland's rule (any finite threshold preserves the termination guarantee)
@@ -45,6 +44,13 @@ class LPSolution:
     pivots: int
 
 
+def _integer_row(values) -> tuple[list[int], int]:
+    """`values` times the lcm s of their denominators, as ints, and s."""
+    values = [v if isinstance(v, int) else Fraction(v) for v in values]
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
 def solve_lp_max(A, b, c) -> LPSolution:
     """Maximize c.x subject to Ax <= b, x >= 0 (b >= 0 required).
 
@@ -54,81 +60,89 @@ def solve_lp_max(A, b, c) -> LPSolution:
     """
     m = len(A)
     n = len(c)
-    b = [_Q(v) for v in b]
-    c = [_Q(v) for v in c]
     for i, bi in enumerate(b):
         if bi < 0:
             raise ValueError(f"b[{i}] = {bi} < 0: all-slack start infeasible")
     if n == 0:
         return LPSolution(Fraction(0), (), tuple(Fraction(0) for _ in range(m)), 0)
 
-    width = n + m + 1
-    rows: list[list] = []
+    # row i of the tableau is s_i * [A[i] | b[i]] with its slack column at 1,
+    # and the objective row is s_c * [-c | 0 | 0]; the true tableau is T / D
+    rows: list[list[int]] = []
+    scales: list[int] = []
     for i in range(m):
-        row = [_Q(v) for v in A[i]]
-        if len(row) != n:
-            raise ValueError(f"A[{i}] has {len(row)} entries, expected {n}")
-        row.extend(_ONE if j == i else _ZERO for j in range(m))
-        row.append(b[i])
-        rows.append(row)
-    obj = [-cj for cj in c] + [_ZERO] * m + [_ZERO]
+        if len(A[i]) != n:
+            raise ValueError(f"A[{i}] has {len(A[i])} entries, expected {n}")
+        row, s = _integer_row([*A[i], b[i]])
+        rows.append(row[:n] + [1 if j == i else 0 for j in range(m)] + row[n:])
+        scales.append(s)
+    obj, s_c = _integer_row(c)
+    obj = [-v for v in obj] + [0] * (m + 1)
+    D = 1
 
     basis = list(range(n, n + m))
     pivots = 0
     stall = 0
     bland = False
 
+    # the slack of row i stands for s_i times the slack of the input row, so
+    # its reduced cost is the input's divided by s_i; weighting it back makes
+    # Dantzig's choice that of the unscaled tableau
+    weights = [1] * n + scales
+
     while True:
+        # all reduced costs share the denominator D > 0: compare numerators
         if bland:
             col = next((j for j in range(n + m) if obj[j] < 0), -1)
         else:
             col = -1
-            best = _ZERO
+            best = 0
             for j in range(n + m):
-                v = obj[j]
+                v = obj[j] * weights[j]
                 if v < best:
                     best = v
                     col = j
         if col < 0:
             break
 
-        # ratio test; ties by lowest basic-variable index (Bland-compatible)
+        # ratio test by cross-multiplication; ties by lowest basic-variable
+        # index (Bland-compatible)
         row_idx = -1
-        best_ratio = None
+        num = den = 0
         for i in range(m):
             a = rows[i][col]
             if a > 0:
-                ratio = rows[i][-1] / a
+                rhs = rows[i][-1]
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[row_idx])
+                    row_idx < 0
+                    or rhs * den < num * a
+                    or (rhs * den == num * a and basis[i] < basis[row_idx])
                 ):
-                    best_ratio = ratio
+                    num, den = rhs, a
                     row_idx = i
         if row_idx < 0:
             raise SimplexError("LP is unbounded")
 
-        old_value = obj[-1]
+        # the pivot row stays; every other row becomes (x*p - f*y) / D
         piv_row = rows[row_idx]
-        piv = piv_row[col]
-        if piv != _ONE:
-            inv = _ONE / piv
-            rows[row_idx] = piv_row = [v * inv for v in piv_row]
+        p = piv_row[col]
         for i in range(m):
             if i == row_idx:
                 continue
-            f = rows[i][col]
+            r = rows[i]
+            f = r[col]
             if f:
-                r = rows[i]
-                rows[i] = [x - f * y for x, y in zip(r, piv_row)]
+                rows[i] = [(x * p - f * y) // D for x, y in zip(r, piv_row)]
+            elif p != D:
+                rows[i] = [x * p // D for x in r]
         f = obj[col]
-        if f:
-            obj = [x - f * y for x, y in zip(obj, piv_row)]
+        obj = [(x * p - f * y) // D for x, y in zip(obj, piv_row)]
+        D = p
         basis[row_idx] = col
         pivots += 1
 
-        if obj[-1] == old_value:
+        # the objective moves by -obj[col] * rhs / p, so it stalls iff rhs = 0
+        if piv_row[-1] == 0:
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
@@ -138,9 +152,9 @@ def solve_lp_max(A, b, c) -> LPSolution:
     primal = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            primal[var] = Fraction(rows[i][-1])
-    dual = [Fraction(obj[n + i]) for i in range(m)]
-    value = Fraction(obj[-1])
+            primal[var] = Fraction(rows[i][-1], D)
+    dual = [Fraction(obj[n + i] * scales[i], D * s_c) for i in range(m)]
+    value = Fraction(obj[-1], D * s_c)
 
     _verify(A, b, c, primal, dual, value)
     return LPSolution(value, tuple(primal), tuple(dual), pivots)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's solver paths: continuous
 quantities are computed straight from interval containment, discrete ones
-by plain subset enumeration, so solver bugs cannot hide behind themselves.
+by plain subset enumeration, and LPs by a plain `Fraction` tableau, so
+solver bugs cannot hide behind themselves.
 """
 
 from __future__ import annotations
@@ -83,3 +84,54 @@ def random_abstract_instance(seed: int, max_points: int = 12, max_edges: int = 9
     return HypergraphInstance(
         ground_size=ground, edges=tuple(edges), multiplicity=mult, provenance="abstract"
     )
+
+
+def reference_solve_lp_max(A, b, c, stall_limit: int = 64):
+    """(value, primal, dual, pivots) of max{c.x : Ax <= b, x >= 0}, b >= 0.
+
+    A textbook `Fraction` tableau with the library's pivot rule: Dantzig's
+    rule, switching for good to Bland's after `stall_limit` consecutive
+    pivots that leave the objective unchanged, and ratio-test ties to the
+    lowest basic index.  The library's integer tableau must reproduce it
+    pivot for pivot on integer data.
+    """
+    m, n = len(A), len(c)
+    rows = [
+        [Fraction(v) for v in A[i]]
+        + [Fraction(int(j == i)) for j in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    obj = [-Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    pivots = stall = 0
+    bland = False
+    while True:
+        negative = [j for j in range(n + m) if obj[j] < 0]
+        if not negative:
+            break
+        col = negative[0] if bland else min(negative, key=lambda j: (obj[j], j))
+        candidates = [i for i in range(m) if rows[i][col] > 0]
+        if not candidates:
+            raise ArithmeticError("LP is unbounded")
+        row_idx = min(candidates, key=lambda i: (rows[i][-1] / rows[i][col], basis[i]))
+        old_value = obj[-1]
+        piv_row = rows[row_idx] = [v / rows[row_idx][col] for v in rows[row_idx]]
+        for i in range(m):
+            if i != row_idx and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], piv_row)]
+        f = obj[col]
+        obj = [x - f * y for x, y in zip(obj, piv_row)]
+        basis[row_idx] = col
+        pivots += 1
+        if obj[-1] == old_value:
+            stall += 1
+            bland = bland or stall > stall_limit
+        else:
+            stall = 0
+    primal = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            primal[var] = rows[i][-1]
+    return obj[-1], tuple(primal), tuple(obj[n:n + m]), pivots
