@@ -20,7 +20,6 @@ from .model import (
     HypergraphInstance,
     Interval,
     PQParameters,
-    Rational,
     Subforest,
     SubforestFamily,
     candidate_points,

@@ -231,7 +231,8 @@ def verify_bundle(
     seed: int = 0,
 ) -> list[BoundReport]:
     """Check several bound kinds on one family with a single exact solve."""
-    instance, d, k_eff = _as_instance(family, k)
+    d, k_eff = _d_and_k(family, k)
+    instance = to_incidence(family)
     nu_res, tau_res, cover_sol, matching_sol, r = solve_measures(instance)
     if not verify_cover(instance, tau_res.witness) or not verify_matching(
         instance, nu_res.witness
@@ -255,11 +256,12 @@ def verify_instance(
 ) -> BoundReport:
     """Solve a family exactly and check one bound inequality on it.
 
-    `family` is a DIntervalFamily, SubforestFamily, TwInstance, or a raw
-    HypergraphInstance (the latter only for provenance-agnostic kinds).
-    The hypothesis of `kind` is checked first ((p,q) property, provenance,
-    d = 1 for GALLAI); on mismatch the report is inapplicable and carries
-    the failing p-subset when there is one.
+    `family` is a DIntervalFamily, SubforestFamily or TwInstance; any
+    other type raises TypeError, because d is a property of the family and
+    cannot be read off an incidence instance.  The hypothesis of `kind` is
+    checked first ((p,q) property, provenance, d = 1 for GALLAI); on
+    mismatch the report is inapplicable and carries the failing p-subset
+    when there is one.
     """
     return verify_bundle(family, [kind], params=params, k=k, seed=seed)[0]
 
@@ -346,27 +348,16 @@ def _report_for_kind(
     )
 
 
-def _as_instance(family, k: int | None) -> tuple[HypergraphInstance, int, int | None]:
-    """(incidence instance, d, effective k) for any accepted family form."""
-    if isinstance(family, DIntervalFamily):
-        return to_incidence(family), family.d, k
-    if isinstance(family, SubforestFamily):
-        return to_incidence(family), family.d, k
+def _d_and_k(family, k: int | None) -> tuple[int, int | None]:
+    """(d, effective k) for any accepted family form."""
+    if isinstance(family, (DIntervalFamily, SubforestFamily)):
+        return family.d, k
     if isinstance(family, TwInstance):
-        instance = HypergraphInstance(
-            ground_size=family.graph.n,
-            edges=family.subgraphs,
-            multiplicity=(1,) * len(family.subgraphs),
-            provenance="abstract",
-        )
-        return instance, family.d, family.decomposition.width if k is None else k
-    if isinstance(family, HypergraphInstance):
-        d_guess = max((len(e) for e in family.edges), default=1)
-        return family, d_guess, k
+        return family.d, family.decomposition.width if k is None else k
     raise TypeError(f"cannot verify a {type(family).__name__}")
 
 
-def _hypothesis_problem(kind, instance, params, d, k, pq_cache=None):
+def _hypothesis_problem(kind, instance, params, d, k, pq_cache):
     """None if the kind's hypothesis holds, else (reason, counterexample)."""
     if kind in _INTERVAL_KINDS and instance.provenance != "interval":
         return (f"{kind.value} applies to interval families, got {instance.provenance}", None)
@@ -389,18 +380,39 @@ def _hypothesis_problem(kind, instance, params, d, k, pq_cache=None):
     if kind is BoundKind.KAISER_P2 and params.q != 2:
         raise BadParams(f"KAISER_P2 needs q = 2, got {params.q}")
     key = (params.p, params.q)
-    if pq_cache is not None and key in pq_cache:
-        verdict = pq_cache[key]
-    else:
-        verdict = pq_check(instance, params)
-        if pq_cache is not None:
-            pq_cache[key] = verdict
+    if key not in pq_cache:
+        pq_cache[key] = pq_check(instance, params)
+    verdict = pq_cache[key]
     if not verdict.holds:
         return (
             f"({params.p},{params.q}) property fails",
             tuple(sorted(verdict.counterexample)),
         )
     return None
+
+
+def max_measured_over_bound(reports) -> dict[str, str]:
+    """Largest measured/bound ratio per kind, as 17-digit decimal strings.
+
+    Tightness telemetry over the applicable reports with a positive bound;
+    measured is tau* for the fractional kinds and tau for the others.
+    """
+    best: dict[str, mpf] = {}
+    for report in reports:
+        if not report.applicable:
+            continue
+        bound = mpf(report.bound_value)
+        if bound > 0:
+            measured = (
+                _exact_to_mpf(report.tau_star)
+                if report.kind in _STAR_KINDS
+                else mpf(report.tau)
+            )
+            ratio = measured / bound
+            key = report.kind.value
+            if key not in best or ratio > best[key]:
+                best[key] = ratio
+    return {k: _fmt(v) for k, v in sorted(best.items())}
 
 
 # ---------------------------------------------------------------------------

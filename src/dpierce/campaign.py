@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 import time
-from mpmath import mpf
 
-from .bounds import BoundKind, BoundReport, verify_bundle, _exact_to_mpf, _fmt
+from .bounds import BoundKind, BoundReport, max_measured_over_bound, verify_bundle
 from .generators import (
     GenConfig,
     ProjectiveParams,
@@ -53,9 +52,6 @@ from .model import PQParameters
 
 class CampaignConfigError(ValueError):
     """Malformed campaign configuration."""
-
-
-_STAR = {BoundKind.DPP_STAR, BoundKind.DPQ_STAR, BoundKind.TREE_PP_STAR}
 
 
 def _cfg_int(spec: dict, key: str, default: int | None = None) -> int:
@@ -144,7 +140,6 @@ def run_campaign(config: dict) -> tuple[dict, int]:
 
         reports.sort(key=lambda rf: (rf[0].seed, rf[0].kind.value))
         tallies = {"applicable": 0, "satisfied": 0, "unsatisfied": 0, "inapplicable": 0}
-        max_ratio: dict[str, mpf] = {}
         entries = []
         for report, family in reports:
             entry = report.to_json_dict()
@@ -158,17 +153,6 @@ def run_campaign(config: dict) -> tuple[dict, int]:
                     tallies["unsatisfied"] += 1
                     any_violated = True
                     entry["instance"] = to_json_dict(family)  # full replay payload
-                bound = mpf(report.bound_value)
-                if bound > 0:
-                    measured = (
-                        _exact_to_mpf(report.tau_star)
-                        if report.kind in _STAR
-                        else mpf(report.tau)
-                    )
-                    ratio = measured / bound
-                    key = report.kind.value
-                    if key not in max_ratio or ratio > max_ratio[key]:
-                        max_ratio[key] = ratio
             entries.append(entry)
 
         campaign_reports.append(
@@ -177,7 +161,7 @@ def run_campaign(config: dict) -> tuple[dict, int]:
                 "kinds": [k.value for k in kinds],
                 "reports": entries,
                 "tallies": tallies,
-                "max_measured_over_bound": {k: _fmt(v) for k, v in sorted(max_ratio.items())},
+                "max_measured_over_bound": max_measured_over_bound(r for r, _ in reports),
                 "runtime_seconds": round(time.perf_counter() - t_camp, 3),
             }
         )

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bounds import BadParams, BoundKind, sharpness_probe, verify_instance
+from .bounds import BadParams, BoundKind, sharpness_probe, solve_measures, verify_instance
 from .campaign import CampaignConfigError, run_campaign_file
 from .generators import (
     GenConfig,
@@ -28,8 +28,7 @@ from .generators import (
 )
 from .instance_io import InstanceFormatError, dumps_instance, load_instance
 from .model import PQParameters, to_incidence
-from .solvers import covering_number, fractional_pair, matching_number, max_depth, pq_check
-from .treewidth import TwInstance
+from .solvers import pq_check
 
 
 def _emit(doc, out) -> None:
@@ -39,20 +38,6 @@ def _emit(doc, out) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _load(path):
-    family = load_instance(path)
-    if isinstance(family, TwInstance):
-        from .model import HypergraphInstance
-
-        instance = HypergraphInstance(
-            ground_size=family.graph.n,
-            edges=family.subgraphs,
-            provenance="abstract",
-        )
-        return family, instance
-    return family, to_incidence(family)
 
 
 def _cmd_gen(args) -> int:
@@ -92,11 +77,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _, instance = _load(args.file)
-    nu = matching_number(instance)
-    tau = covering_number(instance)
-    cover_sol, _ = fractional_pair(instance)
-    r, _ = max_depth(instance)
+    nu, tau, cover_sol, _, r = solve_measures(to_incidence(load_instance(args.file)))
     _emit(
         {
             "nu": nu.optimum,
@@ -112,7 +93,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_pq(args) -> int:
-    _, instance = _load(args.file)
+    instance = to_incidence(load_instance(args.file))
     verdict = pq_check(instance, PQParameters(p=args.p, q=args.q))
     _emit(
         {
@@ -127,7 +108,7 @@ def _cmd_check_pq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    family, _ = _load(args.file)
+    family = load_instance(args.file)
     kind = BoundKind(args.kind)
     params = None
     if args.p is not None:

@@ -25,7 +25,6 @@ from .model import (
     Subforest,
     SubforestFamily,
     connected_components,
-    format_rational,
 )
 from .treewidth import Graph, TreeDecomposition, TwInstance, validate_decomposition
 
@@ -194,7 +193,7 @@ def to_json_dict(obj) -> dict:
             "type": "d_intervals",
             "d": obj.d,
             "edges": [
-                [[format_rational(p.lo), format_rational(p.hi)] for p in e.parts]
+                [[str(p.lo), str(p.hi)] for p in e.parts]
                 for e in obj.edges
             ],
         }

@@ -16,13 +16,11 @@ module touches floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-
-Rational = Fraction  # exact arithmetic substrate used throughout the package
 
 
 class EmptyIntersection(ValueError):
@@ -38,11 +36,6 @@ def rational(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def format_rational(x: Fraction) -> str:
-    """Inverse of `rational` for JSON payloads: '5' or '-3/4'."""
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +343,15 @@ class HypergraphInstance:
     """Finite incidence form consumed by every solver.
 
     Edges are point-id sets over ground 0..ground_size-1; `multiplicity[i]`
-    copies of edge i exist for depth/duplication bookkeeping.  For instances
-    discretized from interval families, `right_endpoint_ids` records which
-    ground points are right endpoints: restricting cover search to them is
-    already optimal (see `candidate_points`).
+    copies of edge i exist for depth/duplication bookkeeping.  `provenance`
+    names the family class the instance was built from, which decides the
+    bound kinds that apply to it.
     """
 
     ground_size: int
     edges: tuple[frozenset[int], ...]
     multiplicity: tuple[int, ...] = ()
     provenance: str = "abstract"
-    right_endpoint_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(frozenset(e) for e in self.edges))
@@ -496,40 +487,36 @@ def subset_intersection_point(family: DIntervalFamily, subset) -> Fraction | Non
 # discretization bridge
 # ---------------------------------------------------------------------------
 
-def to_incidence(family: DIntervalFamily | SubforestFamily) -> HypergraphInstance:
+def to_incidence(family) -> HypergraphInstance:
     """Reduce a family to its finite incidence instance.
 
-    Intervals: ground points are the sorted all-endpoint candidates; each
-    edge becomes the id set of candidates it contains, and right-endpoint
-    ids are recorded.  Subforests: ground points are the host vertices.
-    Either way nu, tau, nu*, tau* of the instance equal those of the family:
-    intersections are witnessed at (right) endpoints and optimal covers may
-    be slid onto them.
+    This is the one conversion from a family to the instance every solver
+    consumes.  Intervals: ground points are the sorted all-endpoint
+    candidates, and each edge becomes the ids of the candidates its parts
+    contain, found by bisection.  Subforests: ground points are the host
+    vertices.  Either way nu, tau, nu* and tau* of the instance equal those
+    of the family: intersections are witnessed at endpoints, and optimal
+    covers may be slid onto right endpoints.  A `TwInstance` becomes the
+    "abstract" instance of its subgraphs over the graph's vertices.
     """
     if isinstance(family, DIntervalFamily):
         points = candidate_points(family, "all_endpoints")
-        index = {x: i for i, x in enumerate(points)}
-        rights = sorted(
-            {index[part.hi] for edge in family.edges for part in edge.parts}
-        )
         edges = tuple(
-            frozenset(i for x, i in index.items() if edge.contains(x))
+            frozenset(
+                i
+                for part in edge.parts
+                for i in range(bisect_left(points, part.lo), bisect_right(points, part.hi))
+            )
             for edge in family.edges
         )
         return HypergraphInstance(
-            ground_size=max(1, len(points)),
-            edges=edges,
-            multiplicity=(1,) * len(edges),
-            provenance="interval",
-            right_endpoint_ids=tuple(rights),
+            ground_size=max(1, len(points)), edges=edges, provenance="interval"
         )
     if isinstance(family, SubforestFamily):
         edges = tuple(frozenset(e.vertices) for e in family.edges)
-        return HypergraphInstance(
-            ground_size=family.host.n,
-            edges=edges,
-            multiplicity=(1,) * len(edges),
-            provenance="tree",
-            right_endpoint_ids=None,
-        )
+        return HypergraphInstance(ground_size=family.host.n, edges=edges, provenance="tree")
+    from .treewidth import TwInstance  # treewidth imports this module
+
+    if isinstance(family, TwInstance):
+        return HypergraphInstance(ground_size=family.graph.n, edges=family.subgraphs)
     raise TypeError(f"cannot discretize {type(family).__name__}")

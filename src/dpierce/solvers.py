@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import HypergraphInstance, PQParameters
-from .simplex import solve_lp_max
+from .simplex import LPSolution, solve_lp_max
 
 
 class TooLarge(ValueError):
@@ -92,6 +92,17 @@ def max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
     return best, point
 
 
+def _incidence_lp(edge_sets: list[frozenset[int]]) -> tuple[list[int], LPSolution]:
+    """(points, solution) of max{1.x : Ax <= 1, x >= 0}, A the incidence.
+
+    Rows are the sorted points met by `edge_sets`, columns the edge sets in
+    order; the primal is a fractional matching, the dual a fractional cover.
+    """
+    points = sorted(set().union(*edge_sets))
+    rows = [[1 if pt in e else 0 for e in edge_sets] for pt in points]
+    return points, solve_lp_max(rows, [1] * len(points), [1] * len(edge_sets))
+
+
 # ---------------------------------------------------------------------------
 # integral solvers
 # ---------------------------------------------------------------------------
@@ -137,10 +148,7 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
         return count
 
     def lp_bound(mask: int) -> int:
-        live = [j for j in range(n) if mask >> j & 1]
-        pts = sorted(set().union(*(edge_sets[j] for j in live)))
-        rows = [[1 if pt in edge_sets[j] else 0 for j in live] for pt in pts]
-        sol = solve_lp_max(rows, [1] * len(pts), [1] * len(live))
+        _, sol = _incidence_lp([edge_sets[j] for j in range(n) if mask >> j & 1])
         return -((-sol.value.numerator) // sol.value.denominator)  # ceil
 
     def search(mask: int, chosen: list[int]) -> None:
@@ -209,10 +217,7 @@ def matching_number(instance: HypergraphInstance) -> SolveResult:
     node_count = 0
 
     def lp_bound(mask: int) -> int:
-        live = [j for j in range(n) if mask >> j & 1]
-        pts = sorted(set().union(*(edge_sets[j] for j in live)))
-        rows = [[1 if pt in edge_sets[j] else 0 for j in live] for pt in pts]
-        sol = solve_lp_max(rows, [1] * len(pts), [1] * len(live))
+        _, sol = _incidence_lp([edge_sets[j] for j in range(n) if mask >> j & 1])
         return sol.value.numerator // sol.value.denominator  # floor
 
     def search(mask: int, chosen: list[int]) -> None:
@@ -270,9 +275,7 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
             FractionalSolution(zero, {}, "matching"),
         )
     edge_sets = [e for _, e in reps]
-    points = sorted(set().union(*edge_sets))
-    rows = [[1 if pt in e else 0 for e in edge_sets] for pt in points]
-    sol = solve_lp_max(rows, [1] * len(points), [1] * len(edge_sets))
+    points, sol = _incidence_lp(edge_sets)
 
     matching_weights = {
         reps[j][0]: w for j, w in enumerate(sol.primal) if w

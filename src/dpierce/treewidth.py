@@ -67,10 +67,9 @@ class TreeDecomposition:
 
 @dataclass(frozen=True)
 class LiftedFamily:
-    """Subforest family over the decomposition tree plus its source mapping."""
+    """Subforest family over the decomposition tree; edge j lifts subgraph j."""
 
     family: SubforestFamily
-    origin: tuple[int, ...]  # origin[j] = index of the source subgraph of edge j
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def lift_family(
             )
         edges.append(Subforest(lifted))
     family = SubforestFamily(host=dec.tree, d=d, edges=tuple(edges))
-    return LiftedFamily(family=family, origin=tuple(range(len(edges))))
+    return LiftedFamily(family=family)
 
 
 def lift_cover(dec: TreeDecomposition, cover, subgraphs) -> frozenset[int]:

@@ -48,6 +48,20 @@ def brute_tau_continuous(family: DIntervalFamily) -> int:
     raise AssertionError("unreachable")
 
 
+def reference_interval_incidence(family: DIntervalFamily) -> tuple[int, tuple[frozenset[int], ...]]:
+    """(ground size, edges) of an interval family, point by point.
+
+    Tests every endpoint candidate against every edge by plain containment;
+    `to_incidence` must produce the same ground size and edges.
+    """
+    points = candidate_points(family, "all_endpoints")
+    edges = tuple(
+        frozenset(i for i, x in enumerate(points) if edge.contains(x))
+        for edge in family.edges
+    )
+    return max(1, len(points)), edges
+
+
 def brute_nu_continuous(family: DIntervalFamily) -> int:
     """Maximum number of pairwise disjoint edges, brute force.
 

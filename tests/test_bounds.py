@@ -22,6 +22,7 @@ from dpierce import (
     projective_instance,
     random_d_intervals,
     sharpness_probe,
+    to_incidence,
     verify_instance,
 )
 
@@ -291,3 +292,12 @@ def test_sharpness_k3_q2():
 def test_sharpness_rejects_composite():
     with pytest.raises(NotPrime):
         sharpness_probe(2, [4])
+
+
+def test_verify_instance_rejects_raw_incidence():
+    # d belongs to the family; an incidence instance cannot tell it (its
+    # largest edge here has 5 points while the family has d = 1)
+    inst = to_incidence(fam(1, [(0, 2)], [(1, 3)], [(4, 5)], [(2, 6)]))
+    for kind in (BoundKind.GALLAI, BoundKind.ALON):
+        with pytest.raises(TypeError):
+            verify_instance(inst, kind)

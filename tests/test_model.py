@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,13 @@ from dpierce import (
 )
 from dpierce.generators import GenConfig, random_d_intervals
 
-from helpers import brute_nu_continuous, brute_tau_continuous, fam, iv
+from helpers import (
+    brute_nu_continuous,
+    brute_tau_continuous,
+    fam,
+    iv,
+    reference_interval_incidence,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +277,28 @@ def test_to_incidence_fano_is_projective_incidence():
     assert inst.edges == pf.instance.edges
 
 
+def _crowded_family(rng: random.Random, d: int, n_edges: int):
+    """Parts on a coarse grid: shared endpoints, touching and point parts."""
+    grid = [Fraction(i, 2) for i in range(13)]
+    edges = []
+    while len(edges) < n_edges:
+        values = sorted(rng.choices(grid, k=2 * rng.randint(1, d)))
+        if all(values[i] < values[i + 1] for i in range(1, len(values) - 1, 2)):
+            edges.append(list(zip(values[::2], values[1::2])))
+    return fam(d, *edges)
+
+
+def test_to_incidence_matches_pointwise_reference():
+    rng = random.Random(11)
+    families = [_crowded_family(rng, rng.randint(1, 3), rng.randint(1, 9)) for _ in range(200)]
+    families += [random_d_intervals(GenConfig(seed=s, n_edges=8, d=3)) for s in range(50)]
+    for f in families:
+        inst = to_incidence(f)
+        assert (inst.ground_size, inst.edges) == reference_interval_incidence(f)
+        assert inst.provenance == "interval"
+        assert inst.multiplicity == (1,) * len(f.edges)
+
+
 def test_to_incidence_preserves_nu_and_tau():
     from dpierce import covering_number, matching_number
 
@@ -289,7 +318,8 @@ def test_cover_restricted_to_right_endpoints_is_optimal():
         f = random_d_intervals(GenConfig(seed=seed, n_edges=6, d=2))
         inst = to_incidence(f)
         tau = covering_number(inst).optimum
-        rights = set(inst.right_endpoint_ids)
+        points = candidate_points(f, "all_endpoints")
+        rights = {points.index(x) for x in candidate_points(f, "right_endpoints")}
         best_restricted = None
         for k in range(len(rights) + 1):
             for combo in itertools.combinations(sorted(rights), k):

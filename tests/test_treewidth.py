@@ -108,7 +108,6 @@ def test_lift_full_bag_and_everything():
     lifted = lift_family(square(), square_dec(), [{0, 1, 2}, {0, 1, 2, 3}], d=1)
     assert lifted.family.edges[0].vertices >= frozenset({0})
     assert lifted.family.edges[1].vertices == frozenset({0, 1})
-    assert lifted.origin == (0, 1)
 
 
 def test_lift_rejects_invalid_decomposition():
@@ -183,4 +182,5 @@ def test_lift_chain_end_to_end():
         source_inst = HypergraphInstance(
             ground_size=tw.graph.n, edges=tw.subgraphs, provenance="abstract"
         )
+        assert to_incidence(tw) == source_inst
         assert covering_number(source_inst).optimum <= len(cover)
