@@ -215,10 +215,14 @@ def _exact_to_mpf(x: Fraction) -> mpf:
 
 
 def solve_measures(instance: HypergraphInstance):
-    """(nu result, tau result, tau* as Fraction, matching weights, r)."""
-    nu_res = matching_number(instance)
-    tau_res = covering_number(instance)
+    """(nu result, tau result, fractional cover, fractional matching, r).
+
+    The root LP is solved once: `fractional_pair` solves it, and its exact
+    value is the root bound of both branch-and-bounds.
+    """
     cover_sol, matching_sol = fractional_pair(instance)
+    nu_res = matching_number(instance, root_value=cover_sol.value)
+    tau_res = covering_number(instance, root_value=cover_sol.value)
     r, _ = max_depth(instance)
     return nu_res, tau_res, cover_sol, matching_sol, r
 

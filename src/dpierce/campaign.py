@@ -23,7 +23,9 @@ A campaign config is one JSON document:
 Generators: random_intervals, planted_intervals, random_subforests,
 planted_subforests, tw, projective (the latter takes "dimension" and
 "field_order" instead of count/seed).  Instance i of a counted source uses
-seed + i.  The aggregate report records pass/fail tallies, the largest
+seed + i.  Reports follow the source's instance order, sorted by kind
+within each instance; each report of a "files" source names its file.
+The aggregate report records pass/fail tallies, the largest
 measured/bound ratio per kind (tightness telemetry), and total runtime;
 any unsatisfied applicable report makes the exit status 1 and embeds the
 full instance for replay.
@@ -133,16 +135,20 @@ def run_campaign(config: dict) -> tuple[dict, int]:
             raise CampaignConfigError(f"campaigns[{idx}].source: expected an object")
 
         t_camp = time.perf_counter()
-        reports: list[tuple[BoundReport, object]] = []
-        for seed, family in _instances(source, params):
-            for report in verify_bundle(family, kinds, params=params, seed=seed):
-                reports.append((report, family))
+        # instances in source order, each one's reports sorted by kind
+        files = source.get("files")
+        reports: list[tuple[BoundReport, object, str | None]] = []
+        for i, (seed, family) in enumerate(_instances(source, params)):
+            bundle = verify_bundle(family, kinds, params=params, seed=seed)
+            for report in sorted(bundle, key=lambda r: r.kind.value):
+                reports.append((report, family, files[i] if files else None))
 
-        reports.sort(key=lambda rf: (rf[0].seed, rf[0].kind.value))
         tallies = {"applicable": 0, "satisfied": 0, "unsatisfied": 0, "inapplicable": 0}
         entries = []
-        for report, family in reports:
+        for report, family, path in reports:
             entry = report.to_json_dict()
+            if path is not None:
+                entry["file"] = path
             if not report.applicable:
                 tallies["inapplicable"] += 1
             else:
@@ -161,7 +167,7 @@ def run_campaign(config: dict) -> tuple[dict, int]:
                 "kinds": [k.value for k in kinds],
                 "reports": entries,
                 "tallies": tallies,
-                "max_measured_over_bound": max_measured_over_bound(r for r, _ in reports),
+                "max_measured_over_bound": max_measured_over_bound(r for r, _, _ in reports),
                 "runtime_seconds": round(time.perf_counter() - t_camp, 3),
             }
         )

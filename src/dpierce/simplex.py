@@ -12,8 +12,11 @@ Avis's lrs).  The tableau holds Python ints over one common denominator D,
 the last pivot element; every division in a pivot is exact by Sylvester's
 identity, so no gcd is ever taken.  Rational data are brought to integers
 by scaling each row of [A | b], and c, by the lcm of its denominators.
-Results are returned as Fraction, and both primal and dual solutions are
-re-verified against the input data before returning.
+
+Before returning, the primal and dual solutions are re-verified against the
+input data, in integers too: each check is the rational inequality
+multiplied through by the positive row scales and by D, so it is exact
+without a single Fraction.  Results are returned as Fraction.
 """
 
 from __future__ import annotations
@@ -67,17 +70,20 @@ def solve_lp_max(A, b, c) -> LPSolution:
         return LPSolution(Fraction(0), (), tuple(Fraction(0) for _ in range(m)), 0)
 
     # row i of the tableau is s_i * [A[i] | b[i]] with its slack column at 1,
-    # and the objective row is s_c * [-c | 0 | 0]; the true tableau is T / D
+    # and the objective row is s_c * [-c | 0 | 0]; the true tableau is T / D.
+    # _verify checks the result against the unpivoted inputs and c_row
+    inputs: list[list[int]] = []
     rows: list[list[int]] = []
     scales: list[int] = []
     for i in range(m):
         if len(A[i]) != n:
             raise ValueError(f"A[{i}] has {len(A[i])} entries, expected {n}")
         row, s = _integer_row([*A[i], b[i]])
+        inputs.append(row)
         rows.append(row[:n] + [1 if j == i else 0 for j in range(m)] + row[n:])
         scales.append(s)
-    obj, s_c = _integer_row(c)
-    obj = [-v for v in obj] + [0] * (m + 1)
+    c_row, s_c = _integer_row(c)
+    obj = [-v for v in c_row] + [0] * (m + 1)
     D = 1
 
     basis = list(range(n, n + m))
@@ -149,30 +155,42 @@ def solve_lp_max(A, b, c) -> LPSolution:
         else:
             stall = 0
 
-    primal = [Fraction(0)] * n
+    P = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            primal[var] = Fraction(rows[i][-1], D)
-    dual = [Fraction(obj[n + i] * scales[i], D * s_c) for i in range(m)]
-    value = Fraction(obj[-1], D * s_c)
+            P[var] = rows[i][-1]
+    Y = obj[n:n + m]
+    V = obj[-1]
+    _verify(inputs, c_row, D, P, Y, V)
 
-    _verify(A, b, c, primal, dual, value)
-    return LPSolution(value, tuple(primal), tuple(dual), pivots)
+    primal = tuple(Fraction(v, D) for v in P)
+    dual = tuple(Fraction(Y[i] * scales[i], D * s_c) for i in range(m))
+    return LPSolution(Fraction(V, D * s_c), primal, dual, pivots)
 
 
-def _verify(A, b, c, primal, dual, value) -> None:
-    m, n = len(A), len(primal)
-    if any(x < 0 for x in primal) or any(y < 0 for y in dual):
+def _verify(inputs, c_row, D, P, Y, V) -> None:
+    """Certify x = P/D and y = Y*s/(D*s_c), of value V/(D*s_c), in integers.
+
+    `inputs[i]` is s_i * [A[i] | b[i]] and `c_row` is s_c * c.  Every scale
+    and D is positive, so multiplying a check on the rational solution
+    through by them gives one of these, with the same truth value:
+    x, y >= 0 is P, Y >= 0; A[i].x <= b[i] is sum_j inputs[i][j]*P[j] <=
+    inputs[i][-1]*D; y.A[:, j] >= c[j] is sum_i Y[i]*inputs[i][j] >=
+    c_row[j]*D; and c.x == y.b == value is c_row.P == Y.inputs[:, -1] == V.
+    """
+    if D <= 0:
+        raise SimplexError(f"common denominator {D} is not positive")
+    if any(v < 0 for v in P) or any(v < 0 for v in Y):
         raise SimplexError("negative component in returned solution")
-    for i in range(m):
-        lhs = sum(Fraction(A[i][j]) * primal[j] for j in range(n))
-        if lhs > Fraction(b[i]):
+    basic = [(j, v) for j, v in enumerate(P) if v]
+    for i, row in enumerate(inputs):
+        if sum(row[j] * v for j, v in basic) > row[-1] * D:
             raise SimplexError(f"primal violates constraint {i}")
-    for j in range(n):
-        lhs = sum(dual[i] * Fraction(A[i][j]) for i in range(m))
-        if lhs < Fraction(c[j]):
+    priced = [(inputs[i], v) for i, v in enumerate(Y) if v]
+    for j, cj in enumerate(c_row):
+        if sum(row[j] * v for row, v in priced) < cj * D:
             raise SimplexError(f"dual violates constraint {j}")
-    cx = sum(Fraction(c[j]) * primal[j] for j in range(n))
-    yb = sum(dual[i] * Fraction(b[i]) for i in range(m))
-    if not (cx == yb == value):
-        raise SimplexError(f"duality gap: c.x={cx}, y.b={yb}, value={value}")
+    cx = sum(c_row[j] * v for j, v in basic)
+    yb = sum(row[-1] * v for row, v in priced)
+    if not (cx == yb == V):
+        raise SimplexError(f"duality gap: c.x={cx}, y.b={yb}, value={V} (all over D*s_c)")

@@ -103,16 +103,33 @@ def _incidence_lp(edge_sets: list[frozenset[int]]) -> tuple[list[int], LPSolutio
     return points, solve_lp_max(rows, [1] * len(points), [1] * len(edge_sets))
 
 
+def _lp_value(edge_sets: list[frozenset[int]], mask: int, root_value: Fraction | None) -> Fraction:
+    """The incidence LP optimum of the edge sets whose bits are set in `mask`.
+
+    `root_value`, when given, is that optimum for all of `edge_sets`, the
+    LP `fractional_pair` solves, and stands in for solving it again.
+    """
+    n = len(edge_sets)
+    if root_value is not None and mask == (1 << n) - 1:
+        return root_value
+    _, sol = _incidence_lp([edge_sets[j] for j in range(n) if mask >> j & 1])
+    return sol.value
+
+
 # ---------------------------------------------------------------------------
 # integral solvers
 # ---------------------------------------------------------------------------
 
-def covering_number(instance: HypergraphInstance) -> SolveResult:
+def covering_number(
+    instance: HypergraphInstance, *, root_value: Fraction | None = None
+) -> SolveResult:
     """Minimum point set meeting every edge, exactly.
 
     Branch and bound: greedy cover for the initial upper bound, a disjoint
     -edge packing and then the exact fractional optimum as lower bounds,
     branching on an uncovered edge with fewest points, all ties to lowest id.
+    `root_value`, if given, must be the instance's exact tau* (as from
+    `fractional_pair`); the root node then uses it instead of its own LP.
     """
     reps = distinct_edges(instance)
     if not reps:
@@ -148,8 +165,8 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
         return count
 
     def lp_bound(mask: int) -> int:
-        _, sol = _incidence_lp([edge_sets[j] for j in range(n) if mask >> j & 1])
-        return -((-sol.value.numerator) // sol.value.denominator)  # ceil
+        value = _lp_value(edge_sets, mask, root_value)
+        return -((-value.numerator) // value.denominator)  # ceil
 
     def search(mask: int, chosen: list[int]) -> None:
         nonlocal best, best_size, node_count
@@ -180,11 +197,15 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
     return SolveResult(best_size, witness, node_count)
 
 
-def matching_number(instance: HypergraphInstance) -> SolveResult:
+def matching_number(
+    instance: HypergraphInstance, *, root_value: Fraction | None = None
+) -> SolveResult:
     """Maximum set of pairwise disjoint distinct edges, exactly.
 
     Branch and bound over distinct edges, branching on a point of highest
     degree among the still-available edges (take one of its edges, or none).
+    `root_value`, if given, must be the instance's exact nu* (as from
+    `fractional_pair`); the root node then uses it instead of its own LP.
     """
     reps = distinct_edges(instance)
     if not reps:
@@ -217,8 +238,8 @@ def matching_number(instance: HypergraphInstance) -> SolveResult:
     node_count = 0
 
     def lp_bound(mask: int) -> int:
-        _, sol = _incidence_lp([edge_sets[j] for j in range(n) if mask >> j & 1])
-        return sol.value.numerator // sol.value.denominator  # floor
+        value = _lp_value(edge_sets, mask, root_value)
+        return value.numerator // value.denominator  # floor
 
     def search(mask: int, chosen: list[int]) -> None:
         nonlocal best, best_size, node_count
@@ -328,11 +349,12 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
         return PQVerdict(True, None, r, vacuous=True)
     rep_ids = [i for i, _ in reps]
     sets = {i: e for i, e in reps}
-    cores: list[frozenset[int]] = []
+    # each core is a sorted q-tuple; combos are sorted, so a core lies in a
+    # combo iff it is one of the combo's C(p, q) sorted q-subsets
+    cores: set[tuple[int, ...]] = set()
 
     for combo in itertools.combinations(rep_ids, params.p):
-        combo_set = frozenset(combo)
-        if any(core <= combo_set for core in cores):
+        if any(sub in cores for sub in itertools.combinations(combo, params.q)):
             continue
         counts: dict[int, int] = {}
         for i in combo:
@@ -340,10 +362,9 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
                 counts[pt] = counts.get(pt, 0) + 1
         deep = [pt for pt, v in counts.items() if v >= params.q]
         if not deep:
-            return PQVerdict(False, combo_set, r)
+            return PQVerdict(False, frozenset(combo), r)
         pt = min(deep)
-        core = [i for i in combo if pt in sets[i]][: params.q]
-        cores.append(frozenset(core))
+        cores.add(tuple([i for i in combo if pt in sets[i]][: params.q]))
     return PQVerdict(True, None, r)
 
 

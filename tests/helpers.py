@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's solver paths: continuous
 quantities are computed straight from interval containment, discrete ones
-by plain subset enumeration, and LPs by a plain `Fraction` tableau, so
-solver bugs cannot hide behind themselves.
+by plain subset enumeration, and LPs by a plain `Fraction` tableau and a
+plain `Fraction` certificate check, so solver bugs cannot hide behind
+themselves.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dpierce import (
     candidate_points,
     make_family,
 )
+from dpierce.simplex import SimplexError
 
 
 def iv(lo, hi) -> Interval:
@@ -149,3 +151,49 @@ def reference_solve_lp_max(A, b, c, stall_limit: int = 64):
         if var < n:
             primal[var] = rows[i][-1]
     return obj[-1], tuple(primal), tuple(obj[n:n + m]), pivots
+
+
+def reference_verify(A, b, c, primal, dual, value) -> None:
+    """Raise SimplexError unless (primal, dual, value) certify optimality.
+
+    Checks x, y >= 0, Ax <= b, yA >= c and c.x == y.b == value in plain
+    `Fraction` arithmetic on the input data; the library's integer check
+    must accept and reject exactly the same solutions.
+    """
+    m, n = len(A), len(primal)
+    if any(x < 0 for x in primal) or any(y < 0 for y in dual):
+        raise SimplexError("negative component in returned solution")
+    for i in range(m):
+        lhs = sum(Fraction(A[i][j]) * primal[j] for j in range(n))
+        if lhs > Fraction(b[i]):
+            raise SimplexError(f"primal violates constraint {i}")
+    for j in range(n):
+        lhs = sum(dual[i] * Fraction(A[i][j]) for i in range(m))
+        if lhs < Fraction(c[j]):
+            raise SimplexError(f"dual violates constraint {j}")
+    cx = sum(Fraction(c[j]) * primal[j] for j in range(n))
+    yb = sum(dual[i] * Fraction(b[i]) for i in range(m))
+    if not (cx == yb == value):
+        raise SimplexError(f"duality gap: c.x={cx}, y.b={yb}, value={value}")
+
+
+def reference_pq_check(
+    instance: HypergraphInstance, p: int, q: int
+) -> tuple[bool, frozenset[int] | None]:
+    """(holds, counterexample) of the (p,q) property, by unpruned enumeration.
+
+    Edges are the first occurrences of the distinct edge sets.  Every p-subset
+    of them is tried in lexicographic order, and the first one in which no q
+    edges share a point is the counterexample.
+    """
+    firsts: dict[frozenset[int], int] = {}
+    for i, e in enumerate(instance.edges):
+        firsts.setdefault(e, i)
+    ids = sorted(firsts.values())
+    for combo in itertools.combinations(ids, p):
+        if not any(
+            frozenset.intersection(*(instance.edges[i] for i in sub))
+            for sub in itertools.combinations(combo, q)
+        ):
+            return False, frozenset(combo)
+    return True, None

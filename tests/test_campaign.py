@@ -87,6 +87,26 @@ def test_files_source(tmp_path):
     assert report["campaigns"][0]["tallies"]["satisfied"] == 1
 
 
+def test_files_source_keeps_instance_order(tmp_path):
+    # each file's reports stay together, in file order, sorted by kind, and
+    # say which file they came from
+    paths = []
+    for name, seed in (("b.json", 3), ("a.json", 4)):
+        paths.append(str(tmp_path / name))
+        dump_instance(random_d_intervals(GenConfig(seed=seed, n_edges=6, d=1)), paths[-1])
+    report, code = run_campaign(
+        {"campaigns": [{"kinds": ["GALLAI", "ALON"], "source": {"files": paths}}]}
+    )
+    assert code == 0
+    entries = report["campaigns"][0]["reports"]
+    assert [(r["file"], r["kind"]) for r in entries] == [
+        (paths[0], "ALON"),
+        (paths[0], "GALLAI"),
+        (paths[1], "ALON"),
+        (paths[1], "GALLAI"),
+    ]
+
+
 def test_tw_campaign():
     report, code = run_campaign(
         {

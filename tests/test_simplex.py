@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dpierce import ProjectiveParams, projective_instance, simplex
 from dpierce.simplex import SimplexError, solve_lp_max
 
-from helpers import reference_solve_lp_max
+from helpers import reference_solve_lp_max, reference_verify
 
 BEALE = (
     [
@@ -49,6 +50,51 @@ def _random_lps(seed, count=200):
         c = [rng.randint(-3, 5) for _ in range(n)]
         lps.append((A, b, c))
     return lps
+
+
+def _random_rational_lps(seed, count=200):
+    """Seeded LPs with rational entries, so most row scales s_i exceed 1."""
+    rng = random.Random(seed)
+
+    def entry(*numerators):
+        return Fraction(rng.choice(numerators), rng.choice((1, 2, 3, 4, 6)))
+
+    lps = []
+    for _ in range(count):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        A = [[entry(0, 0, 1, 2, 3, 5) for _ in range(n)] for _ in range(m)]
+        for j in range(n):  # keep every column bounded
+            if all(A[i][j] == 0 for i in range(m)):
+                A[rng.randrange(m)][j] = entry(1, 2)
+        b = [entry(0, 1, 2, 5, 7) for _ in range(m)]
+        c = [entry(-2, 0, 1, 3, 5) for _ in range(n)]
+        lps.append((A, b, c))
+    return lps
+
+
+def _integer_certificate(A, b, c, sol):
+    """`_verify`'s arguments (inputs, c_row, D, P, Y, V) for a returned
+    solution, with D the least common denominator that makes them integral,
+    plus the row scales and s_c that map them back to rationals."""
+    rows = [simplex._integer_row([*A[i], b[i]]) for i in range(len(A))]
+    inputs = [row for row, _ in rows]
+    scales = [s for _, s in rows]
+    c_row, s_c = simplex._integer_row(c)
+    scaled = [*sol.primal, sol.value * s_c]
+    scaled += [y * s_c / s for y, s in zip(sol.dual, scales)]
+    D = lcm(*(v.denominator for v in scaled))
+    P = [int(x * D) for x in sol.primal]
+    Y = [int(y * D * s_c / s) for y, s in zip(sol.dual, scales)]
+    return (inputs, c_row, D, P, Y, int(sol.value * D * s_c)), scales, s_c
+
+
+def _rejects(check, *args):
+    try:
+        check(*args)
+    except SimplexError:
+        return True
+    return False
 
 
 def _as_tuple(sol):
@@ -131,3 +177,52 @@ def test_matches_reference_under_blands_rule(monkeypatch):
     for A, b, c in [BEALE] + _random_lps(11):
         expected = reference_solve_lp_max(A, b, c, stall_limit=0)
         assert _as_tuple(solve_lp_max(A, b, c)) == expected
+
+
+def test_integer_verify_agrees_with_reference():
+    # the genuine solution, and every solution whose integer P, Y or V is
+    # one away from it in a single entry: the integer check must accept
+    # exactly those that the Fraction check accepts
+    rational = _random_rational_lps(5)
+    scaled = sum(
+        any(simplex._integer_row([*row, bi])[1] > 1 for row, bi in zip(A, b))
+        for A, b, _ in rational
+    )
+    assert scaled > 150  # LPs with some row scale s_i > 1
+    accepted = rejected = 0  # tampered solutions, by the integer check
+    for A, b, c in [BEALE, _c5_lp()] + rational + _random_lps(3, count=50):
+        certificate, scales, s_c = _integer_certificate(A, b, c, solve_lp_max(A, b, c))
+        inputs, c_row, D, P, Y, V = certificate
+        variants = [(P, Y, V)]
+        for delta in (-1, 1):
+            variants += [(P[:j] + [P[j] + delta] + P[j + 1:], Y, V) for j in range(len(P))]
+            variants += [(P, Y[:i] + [Y[i] + delta] + Y[i + 1:], V) for i in range(len(Y))]
+            variants.append((P, Y, V + delta))
+        for k, (P2, Y2, V2) in enumerate(variants):
+            primal = [Fraction(v, D) for v in P2]
+            dual = [Fraction(v * s, D * s_c) for v, s in zip(Y2, scales)]
+            value = Fraction(V2, D * s_c)
+            verdict = _rejects(simplex._verify, inputs, c_row, D, P2, Y2, V2)
+            assert verdict == _rejects(reference_verify, A, b, c, primal, dual, value)
+            assert k > 0 or not verdict  # the genuine solution passes
+            rejected += verdict
+            accepted += k > 0 and not verdict
+    # both outcomes occur among the tampered solutions (another optimal
+    # vertex, or slack left in a constraint, keeps some of them valid)
+    assert rejected > 1000 and accepted > 100
+
+
+def test_integer_verify_rejects_tampered_solutions():
+    # max x + y, x + 2y <= 4, 3x + y <= 6: x = (8, 6)/5, y = (2, 1)/5, 14/5
+    inputs, c_row = [[1, 2, 4], [3, 1, 6]], [1, 1]
+    simplex._verify(inputs, c_row, 5, [8, 6], [2, 1], 14)
+    tampered = {
+        "negative": (5, [8, 6], [2, -1], 14),
+        "primal violates constraint 0": (5, [9, 6], [2, 1], 14),
+        "dual violates constraint 0": (5, [8, 6], [1, 1], 14),
+        "duality gap": (5, [8, 6], [2, 1], 15),
+        "not positive": (-5, [8, 6], [2, 1], 14),
+    }
+    for message, (D, P, Y, V) in tampered.items():
+        with pytest.raises(SimplexError, match=message):
+            simplex._verify(inputs, c_row, D, P, Y, V)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,21 @@ from dpierce import (
     naive_oracle,
     pq_check,
     projective_instance,
+    solvers,
     to_incidence,
     verify_cover,
     verify_matching,
 )
-from dpierce.generators import GenConfig, random_d_intervals, random_subforests, random_tree
+from dpierce.bounds import solve_measures
+from dpierce.generators import (
+    GenConfig,
+    planted_pq_family,
+    random_d_intervals,
+    random_subforests,
+    random_tree,
+)
 
-from helpers import fam, random_abstract_instance
+from helpers import fam, random_abstract_instance, reference_pq_check
 
 
 def inst(*edges, mult=None, ground=None):
@@ -84,6 +93,46 @@ def test_solver_determinism():
     b = covering_number(i)
     assert a == b
     assert matching_number(i) == matching_number(i)
+
+
+def _root_families():
+    """Planted (3,2) and random 2-interval families, and random hypergraphs."""
+    for seed in range(12):
+        cfg = GenConfig(seed=seed, n_edges=9, d=2)
+        yield to_incidence(planted_pq_family(cfg, PQParameters(3, 2)))
+        yield to_incidence(random_d_intervals(cfg))
+        yield random_abstract_instance(seed + 300)
+
+
+def _root_lp(instance):
+    """(A, b, c) of the incidence LP of all distinct edges, built by hand."""
+    edge_sets = list(dict.fromkeys(instance.edges))
+    points = sorted(set().union(*edge_sets))
+    A = tuple(tuple(1 if pt in e else 0 for e in edge_sets) for pt in points)
+    return A, (1,) * len(points), (1,) * len(edge_sets)
+
+
+def test_solve_measures_solves_root_lp_once(monkeypatch):
+    real = solvers.solve_lp_max
+    solved = []
+
+    def recording(A, b, c):
+        solved.append((tuple(map(tuple, A)), tuple(b), tuple(c)))
+        return real(A, b, c)
+
+    monkeypatch.setattr(solvers, "solve_lp_max", recording)
+    for instance in _root_families():
+        solved.clear()
+        solve_measures(instance)
+        assert solved.count(_root_lp(instance)) == 1
+
+
+def test_root_value_leaves_results_identical():
+    # same optimum, witness and node count with the root LP solved or given
+    for instance in _root_families():
+        root = fractional_pair(instance)[0].value
+        assert matching_number(instance, root_value=root) == matching_number(instance)
+        assert covering_number(instance, root_value=root) == covering_number(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +229,32 @@ def test_pq_monotonicity_spot_checks():
                 assert pq_check(i, PQParameters(p + 1, q)).holds
                 if q > 2:
                     assert pq_check(i, PQParameters(p, q - 1)).holds
+
+
+def _random_pq_instance(seed):
+    """Up to 11 random edges, repeats allowed, on 3 to 8 points."""
+    rng = random.Random(seed)
+    ground = rng.randint(3, 8)
+    edges = tuple(
+        frozenset(rng.sample(range(ground), rng.randint(1, ground - 1)))
+        for _ in range(rng.randint(3, 11))
+    )
+    return HypergraphInstance(
+        ground_size=ground, edges=edges, multiplicity=(), provenance="abstract"
+    )
+
+
+def test_pq_check_matches_unpruned_enumeration():
+    outcomes = set()
+    for seed in range(240):
+        instance = _random_pq_instance(seed)
+        for p, q in ((3, 2), (4, 3), (5, 3)):
+            verdict = pq_check(instance, PQParameters(p, q))
+            expected = reference_pq_check(instance, p, q)
+            assert (verdict.holds, verdict.counterexample) == expected
+            outcomes.add((p, q, verdict.holds, verdict.vacuous))
+    # every pair sees holding, failing and vacuous instances
+    assert len(outcomes) == 9
 
 
 # ---------------------------------------------------------------------------
