@@ -133,10 +133,16 @@ def run_campaign(config: dict) -> tuple[dict, int]:
         source = camp.get("source")
         if not isinstance(source, dict):
             raise CampaignConfigError(f"campaigns[{idx}].source: expected an object")
+        files = source.get("files")
+        if "files" in source and not (
+            isinstance(files, list) and all(isinstance(path, str) for path in files)
+        ):
+            raise CampaignConfigError(
+                f"campaigns[{idx}].source.files: expected a list of strings, got {files!r}"
+            )
 
         t_camp = time.perf_counter()
         # instances in source order, each one's reports sorted by kind
-        files = source.get("files")
         reports: list[tuple[BoundReport, object, str | None]] = []
         for i, (seed, family) in enumerate(_instances(source, params)):
             bundle = verify_bundle(family, kinds, params=params, seed=seed)

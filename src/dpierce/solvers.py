@@ -3,8 +3,13 @@
 All solvers consume a `HypergraphInstance`.  Integral solvers are
 branch-and-bound with deterministic tie-breaks (reproducible node counts);
 the fractional solver is an exact rational LP whose primal and dual sides
-certify each other.  `naive_oracle` is a deliberately unpruned enumeration
-used by the test suite to certify the main solvers on small instances.
+certify each other.  Every incidence LP (tau* and each node bound of the
+branch-and-bounds) is solved on its dominance kernel: a point whose set of
+edges is contained in another point's adds only a redundant row, so it is
+left out, and the optimum is unchanged.  `fractional_pair` then certifies
+its weights on every point and edge of the original instance.
+`naive_oracle` is a deliberately unpruned enumeration used by the test
+suite to certify the main solvers on small instances.
 
 Multiplicity semantics: nu, tau and the (p,q) check operate on distinct
 edges (copies of an edge are never disjoint and never enrich a p-subset);
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import HypergraphInstance, PQParameters
-from .simplex import LPSolution, solve_lp_max
+from .simplex import LPSolution, _integer_row, solve_lp_max
 
 
 class TooLarge(ValueError):
@@ -93,14 +98,32 @@ def max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
 
 
 def _incidence_lp(edge_sets: list[frozenset[int]]) -> tuple[list[int], LPSolution]:
-    """(points, solution) of max{1.x : Ax <= 1, x >= 0}, A the incidence.
+    """(points, solution) of max{1.x : Ax <= 1, x >= 0}, A the kernel incidence.
 
-    Rows are the sorted points met by `edge_sets`, columns the edge sets in
-    order; the primal is a fractional matching, the dual a fractional cover.
+    Columns are the edge sets in order; the primal is a fractional matching,
+    the dual a fractional cover on `points`.  Rows are the dominance kernel
+    of the points met by `edge_sets`, in increasing point id: the lowest id
+    of each distinct set of edges through a point, minus every such set
+    strictly contained in another.  A dropped row is implied by the row
+    that contains it (for x >= 0 its load is at most that row's), so the
+    primal polytope, and with it the LP value, is that of the full incidence.
     """
-    points = sorted(set().union(*edge_sets))
-    rows = [[1 if pt in e else 0 for e in edge_sets] for pt in points]
-    return points, solve_lp_max(rows, [1] * len(points), [1] * len(edge_sets))
+    masks: dict[int, int] = {}
+    for j, e in enumerate(edge_sets):
+        for pt in e:
+            masks[pt] = masks.get(pt, 0) | 1 << j
+    lowest: dict[int, int] = {}
+    for pt in sorted(masks):
+        lowest.setdefault(masks[pt], pt)
+    # a strict superset has more bits, so it is kept before it is needed
+    kept: list[int] = []
+    for m in sorted(lowest, key=int.bit_count, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    points = sorted(lowest[m] for m in kept)
+    n = len(edge_sets)
+    rows = [[masks[pt] >> j & 1 for j in range(n)] for pt in points]
+    return points, solve_lp_max(rows, [1] * len(points), [1] * n)
 
 
 def _lp_value(edge_sets: list[frozenset[int]], mask: int, root_value: Fraction | None) -> Fraction:
@@ -284,9 +307,12 @@ def matching_number(
 def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, FractionalSolution]:
     """Exact optimal fractional cover and fractional matching.
 
-    One simplex run yields the matching side as the primal and the cover
-    side as the dual; feasibility of both and equality of their values are
-    re-verified (strong duality as an executable certificate).
+    One simplex run on the kernel LP yields the matching side as the primal
+    and the cover side as the dual.  Non-negativity and feasibility of both
+    on the whole instance (every edge covered, no point of any edge
+    overloaded) and equality of their values are re-verified (strong
+    duality as an executable certificate); cover weights sit on kernel
+    points only.
     """
     reps = distinct_edges(instance)
     if not reps:
@@ -303,17 +329,24 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
     }
     cover_weights = {points[i]: w for i, w in enumerate(sol.dual) if w}
 
+    # certified on the whole instance, not only on the kernel rows, and in
+    # integers: each side's weights are scaled by the lcm of their denominators
+    cover, cover_den = _integer_row(cover_weights.values())
+    packing, packing_den = _integer_row(matching_weights.values())
+    if any(w < 0 for w in cover) or any(w < 0 for w in packing):
+        raise RuntimeError("fractional solution has a negative weight")
+    cover_items = list(zip(cover_weights, cover))
     for e in edge_sets:
-        if sum(cover_weights.get(pt, Fraction(0)) for pt in e) < 1:
+        if sum(w for pt, w in cover_items if pt in e) < cover_den:
             raise RuntimeError("fractional cover misses an edge constraint")
-    for pt in points:
-        total = sum(
-            w for i, w in matching_weights.items() if pt in instance.edges[i]
-        )
-        if total > 1:
-            raise RuntimeError("fractional matching overloads a point")
-    cover_value = sum(cover_weights.values(), Fraction(0))
-    matching_value = sum(matching_weights.values(), Fraction(0))
+    load: dict[int, int] = {}
+    for i, w in zip(matching_weights, packing):
+        for pt in instance.edges[i]:
+            load[pt] = load.get(pt, 0) + w
+    if any(v > packing_den for v in load.values()):
+        raise RuntimeError("fractional matching overloads a point")
+    cover_value = Fraction(sum(cover), cover_den)
+    matching_value = Fraction(sum(packing), packing_den)
     if not (cover_value == matching_value == sol.value):
         raise RuntimeError("LP duality certificate failed")
 

@@ -102,6 +102,37 @@ def random_abstract_instance(seed: int, max_points: int = 12, max_edges: int = 9
     )
 
 
+def crowded_family(rng: random.Random, d: int, n_edges: int) -> DIntervalFamily:
+    """Parts on a coarse grid: shared endpoints, touching and point parts."""
+    grid = [Fraction(i, 2) for i in range(13)]
+    edges = []
+    while len(edges) < n_edges:
+        values = sorted(rng.choices(grid, k=2 * rng.randint(1, d)))
+        if all(values[i] < values[i + 1] for i in range(1, len(values) - 1, 2)):
+            edges.append(list(zip(values[::2], values[1::2])))
+    return fam(d, *edges)
+
+
+def reference_kernel(edge_sets) -> list[int]:
+    """Sorted points of the incidence LP's dominance kernel, pair by pair.
+
+    A point is dropped when the set of edges through it is a strict subset
+    of another point's, or equals another point's with a lower id.
+    """
+    points = sorted(set().union(*edge_sets))
+    through = {
+        pt: frozenset(j for j, e in enumerate(edge_sets) if pt in e) for pt in points
+    }
+    return [
+        a
+        for a in points
+        if not any(
+            through[a] < through[b] or (through[a] == through[b] and b < a)
+            for b in points
+        )
+    ]
+
+
 def reference_solve_lp_max(A, b, c, stall_limit: int = 64):
     """(value, primal, dual, pivots) of max{c.x : Ax <= b, x >= 0}, b >= 0.
 

@@ -170,6 +170,13 @@ def test_config_errors():
         )
 
 
+@pytest.mark.parametrize("files", ["x.json", None, [1], ["a.json", ["b.json"]]])
+def test_files_must_be_a_list_of_strings(files):
+    config = {"campaigns": [{"kinds": ["ALON"], "source": {"files": files}}]}
+    with pytest.raises(CampaignConfigError, match="source.files"):
+        run_campaign(config)
+
+
 def test_violation_reporting_and_exit_code(monkeypatch):
     # the checked bounds all hold, so force an unsatisfied report to exercise the
     # failure path: exit code 1 and an embedded instance for replay

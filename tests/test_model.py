@@ -31,6 +31,7 @@ from dpierce.generators import GenConfig, random_d_intervals
 from helpers import (
     brute_nu_continuous,
     brute_tau_continuous,
+    crowded_family,
     fam,
     iv,
     reference_interval_incidence,
@@ -277,20 +278,9 @@ def test_to_incidence_fano_is_projective_incidence():
     assert inst.edges == pf.instance.edges
 
 
-def _crowded_family(rng: random.Random, d: int, n_edges: int):
-    """Parts on a coarse grid: shared endpoints, touching and point parts."""
-    grid = [Fraction(i, 2) for i in range(13)]
-    edges = []
-    while len(edges) < n_edges:
-        values = sorted(rng.choices(grid, k=2 * rng.randint(1, d)))
-        if all(values[i] < values[i + 1] for i in range(1, len(values) - 1, 2)):
-            edges.append(list(zip(values[::2], values[1::2])))
-    return fam(d, *edges)
-
-
 def test_to_incidence_matches_pointwise_reference():
     rng = random.Random(11)
-    families = [_crowded_family(rng, rng.randint(1, 3), rng.randint(1, 9)) for _ in range(200)]
+    families = [crowded_family(rng, rng.randint(1, 3), rng.randint(1, 9)) for _ in range(200)]
     families += [random_d_intervals(GenConfig(seed=s, n_edges=8, d=3)) for s in range(50)]
     for f in families:
         inst = to_incidence(f)

@@ -6,6 +6,7 @@ import pytest
 
 from dpierce import (
     HypergraphInstance,
+    LPSolution,
     PQParameters,
     ProjectiveParams,
     TooLarge,
@@ -31,7 +32,14 @@ from dpierce.generators import (
     random_tree,
 )
 
-from helpers import fam, random_abstract_instance, reference_pq_check
+from helpers import (
+    crowded_family,
+    fam,
+    random_abstract_instance,
+    reference_kernel,
+    reference_pq_check,
+    reference_solve_lp_max,
+)
 
 
 def inst(*edges, mult=None, ground=None):
@@ -105,9 +113,9 @@ def _root_families():
 
 
 def _root_lp(instance):
-    """(A, b, c) of the incidence LP of all distinct edges, built by hand."""
+    """(A, b, c) of the kernel incidence LP of all distinct edges, by hand."""
     edge_sets = list(dict.fromkeys(instance.edges))
-    points = sorted(set().union(*edge_sets))
+    points = reference_kernel(edge_sets)
     A = tuple(tuple(1 if pt in e else 0 for e in edge_sets) for pt in points)
     return A, (1,) * len(points), (1,) * len(edge_sets)
 
@@ -168,6 +176,72 @@ def test_fractional_sides_equal_and_feasible():
         for pt in used:
             load = sum(w for j, w in matching.weights.items() if pt in i.edges[j])
             assert load <= 1
+
+
+def _kernel_families():
+    """Interval families (d = 1-4, shared endpoints or general position),
+    subforests and random hypergraphs: 320 instances in all."""
+    rng = random.Random(5)
+    for seed in range(80):
+        d = seed % 4 + 1
+        yield to_incidence(crowded_family(rng, d, rng.randint(1, 10)))
+        yield to_incidence(random_d_intervals(GenConfig(seed=seed, n_edges=8, d=d)))
+        cfg = GenConfig(seed=seed, n_edges=8, d=seed % 3 + 1)
+        yield to_incidence(random_subforests(random_tree(cfg), cfg))
+        yield random_abstract_instance(seed + 500)
+
+
+def test_kernel_matches_pairwise_reference_and_keeps_lp_value():
+    rng = random.Random(6)
+    lps = shrunk = 0
+    for instance in _kernel_families():
+        edge_sets = [e for _, e in solvers.distinct_edges(instance)]
+        n = len(edge_sets)
+        masks = [(1 << n) - 1] + [rng.randrange(1, 1 << n) for _ in range(3)]
+        for mask in masks:
+            sub = [edge_sets[j] for j in range(n) if mask >> j & 1]
+            points, sol = solvers._incidence_lp(sub)
+            assert points == reference_kernel(sub)
+            everything = sorted(set().union(*sub))
+            A = [[1 if pt in e else 0 for e in sub] for pt in everything]
+            value = reference_solve_lp_max(A, [1] * len(A), [1] * len(sub))[0]
+            assert sol.value == value
+            lps += 1
+            shrunk += len(points) < len(everything)
+    assert lps == 4 * 320
+    assert shrunk > lps // 2
+
+
+def test_kernel_keeps_every_point_of_pg23():
+    pg = projective_instance(ProjectiveParams(2, 3)).instance
+    points, sol = solvers._incidence_lp(list(pg.edges))
+    assert points == list(range(pg.ground_size)) == list(range(13))
+    assert sol.value == Fraction(13, 4)
+
+
+# edges {0}, {0,1}, {1}: tau* = 2, points 0 and 1 both in the kernel
+_PATH = inst({0}, {0, 1}, {1})
+
+
+@pytest.mark.parametrize(
+    "value, primal, dual, reason",
+    [
+        # a negative matching weight, with every sum and value in order
+        (3, (2, -1, 2), (1, 2), "negative weight"),
+        (2, (1, 0, 1), (2, 0), "misses an edge"),  # nothing on edge {1}
+        (2, (1, 1, 0), (1, 1), "overloads a point"),  # point 0 carries 2
+        (3, (1, 0, 1), (1, 1), "duality"),  # both sides sum to 2, not 3
+    ],
+)
+def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, dual, reason):
+    def forged(A, b, c):
+        return LPSolution(
+            Fraction(value), tuple(map(Fraction, primal)), tuple(map(Fraction, dual)), 0
+        )
+
+    monkeypatch.setattr(solvers, "solve_lp_max", forged)
+    with pytest.raises(RuntimeError, match=reason):
+        fractional_pair(_PATH)
 
 
 def test_fractional_bad_side():
