@@ -8,6 +8,8 @@ branch-and-bounds) is solved on its dominance kernel: a point whose set of
 edges is contained in another point's adds only a redundant row, so it is
 left out, and the optimum is unchanged.  `fractional_pair` then certifies
 its weights on every point and edge of the original instance.
+`pq_check` decides the (p,q) property by a depth-first search for p
+distinct edges that load no point q times, the shape of a counterexample.
 `naive_oracle` is a deliberately unpruned enumeration used by the test
 suite to certify the main solvers on small instances.
 
@@ -214,6 +216,7 @@ def covering_number(
             chosen.pop()
 
     search(full, [])
+    del search  # the closure refers to itself; break the cycle
     witness = frozenset(best)
     if len(witness) != best_size or not verify_cover(instance, witness):
         raise RuntimeError("covering_number produced an infeasible witness")
@@ -294,6 +297,7 @@ def matching_number(
         search(mask & ~through, chosen)
 
     search(full, [])
+    del search  # the closure refers to itself; break the cycle
     witness = frozenset(rep_index[j] for j in best)
     if len(witness) != best_size or not verify_matching(instance, witness):
         raise RuntimeError("matching_number produced an infeasible witness")
@@ -371,34 +375,51 @@ def fractional_optimum(instance: HypergraphInstance, side: str) -> FractionalSol
 def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     """Decide whether among every p distinct edges some q share a point.
 
-    Enumerates p-subsets of distinct edges in lexicographic order, skipping
-    any subset containing an already-found q-wise intersecting core; the
-    first failing subset is returned as the counterexample.  Fewer than p
-    distinct edges satisfy the property vacuously.
+    The property fails exactly when some p distinct edges form a
+    (q-1)-packing: no point lies in q of them.  An include-first depth-first
+    search over the distinct edges, in first-occurrence order, looks for one.
+    It extends a packing by an edge only if the edge misses every point that
+    is already loaded q-1 times, and drops a prefix once fewer edges are left
+    than it still needs.  Include-first order meets p-subsets
+    lexicographically, so the first packing found is the lexicographically
+    first failing p-subset; it is the counterexample.  Fewer than p distinct
+    edges satisfy the property vacuously.
     """
     r, _ = max_depth(instance)
     reps = distinct_edges(instance)
-    if len(reps) < params.p:
+    p, n = params.p, len(reps)
+    if n < p:
         return PQVerdict(True, None, r, vacuous=True)
-    rep_ids = [i for i, _ in reps]
-    sets = {i: e for i, e in reps}
-    # each core is a sorted q-tuple; combos are sorted, so a core lies in a
-    # combo iff it is one of the combo's C(p, q) sorted q-subsets
-    cores: set[tuple[int, ...]] = set()
-
-    for combo in itertools.combinations(rep_ids, params.p):
-        if any(sub in cores for sub in itertools.combinations(combo, params.q)):
+    # point bitmask of each edge, built the first time the search reaches it;
+    # the search first reaches the edges in increasing order
+    masks: list[int] = []
+    # layers[k] holds the points loaded at least k+1 times by the chosen edges
+    layers = [0] * (params.q - 1)
+    chosen: list[int] = []
+    saved: list[list[int]] = []  # the layers before each chosen edge
+    j = 0
+    while len(chosen) < p:
+        if n - j < p - len(chosen):
+            if not chosen:
+                return PQVerdict(True, None, r)
+            j = chosen.pop() + 1
+            layers = saved.pop()
             continue
-        counts: dict[int, int] = {}
-        for i in combo:
-            for pt in sets[i]:
-                counts[pt] = counts.get(pt, 0) + 1
-        deep = [pt for pt, v in counts.items() if v >= params.q]
-        if not deep:
-            return PQVerdict(False, frozenset(combo), r)
-        pt = min(deep)
-        cores.add(tuple([i for i in combo if pt in sets[i]][: params.q]))
-    return PQVerdict(True, None, r)
+        if j == len(masks):
+            m = 0
+            for pt in reps[j][1]:
+                m |= 1 << pt
+            masks.append(m)
+        m = masks[j]
+        if not m & layers[-1]:
+            saved.append(layers)
+            # adding the edge carries each of its points up one layer
+            layers = [layers[0] | m] + [
+                hi | lo & m for lo, hi in zip(layers, layers[1:])
+            ]
+            chosen.append(j)
+        j += 1
+    return PQVerdict(False, frozenset(reps[k][0] for k in chosen), r)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from dpierce.generators import anchor_count, planted_pq_family, planted_pq_subfo
 from dpierce.instance_io import dumps_instance
 from dpierce.model import connected_components, general_position_violations, induced_components
 
+from helpers import reference_pq_check
+
 
 # ---------------------------------------------------------------------------
 # random interval families
@@ -85,6 +87,22 @@ def test_planted_families_always_pass_pq_check():
             )
             assert pq_check(to_incidence(f), PQParameters(p, q)).holds
             assert f.general_position
+
+
+def test_planted_53_and_63_families_with_30_edges_hold():
+    for seed in range(3):
+        for p, q in ((5, 3), (6, 3)):
+            params = PQParameters(p, q)
+            f = planted_pq_family(GenConfig(seed=seed + 40, n_edges=30, d=2), params)
+            assert pq_check(to_incidence(f), params).holds
+
+
+def test_planted_53_verdict_matches_unpruned_enumeration():
+    f = planted_pq_family(GenConfig(seed=7, n_edges=22, d=2), PQParameters(5, 3))
+    instance = to_incidence(f)
+    verdict = pq_check(instance, PQParameters(5, 3))
+    assert (verdict.holds, verdict.counterexample) == reference_pq_check(instance, 5, 3)
+    assert verdict.holds
 
 
 def test_planted_deterministic():

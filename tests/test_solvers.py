@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -141,6 +142,24 @@ def test_root_value_leaves_results_identical():
         root = fractional_pair(instance)[0].value
         assert matching_number(instance, root_value=root) == matching_number(instance)
         assert covering_number(instance, root_value=root) == covering_number(instance)
+
+
+def test_solvers_leave_no_reference_cycles():
+    # a cycle would keep the instance's edge sets alive until the cyclic GC ran
+    instance = to_incidence(random_d_intervals(GenConfig(seed=3, n_edges=20, d=2)))
+    calls = (
+        lambda: pq_check(instance, PQParameters(3, 2)),
+        lambda: covering_number(instance),
+        lambda: matching_number(instance),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +337,41 @@ def _random_pq_instance(seed):
     )
 
 
-def test_pq_check_matches_unpruned_enumeration():
-    outcomes = set()
+def _pq_corpus():
+    """Random hypergraphs, crowded interval families, subforests and repeats."""
     for seed in range(240):
-        instance = _random_pq_instance(seed)
-        for p, q in ((3, 2), (4, 3), (5, 3)):
+        yield _random_pq_instance(seed)
+    for seed in range(60):
+        rng = random.Random(seed + 4100)
+        yield to_incidence(crowded_family(rng, rng.randint(1, 3), rng.randint(3, 11)))
+    for seed in range(60):
+        cfg = GenConfig(seed=seed + 4200, n_edges=4 + seed % 8, d=1 + seed % 3, host_size=9)
+        yield to_incidence(random_subforests(random_tree(cfg), cfg))
+    for seed in range(60):
+        rng = random.Random(seed + 4300)
+        base = _random_pq_instance(seed + 4300).edges[: rng.randint(1, 11)]
+        edges = tuple(rng.choice(base) for _ in range(len(base) + rng.randint(1, 6)))
+        yield HypergraphInstance(
+            ground_size=max(set().union(*edges)) + 1, edges=edges, provenance="abstract"
+        )
+
+
+def test_pq_check_matches_unpruned_enumeration():
+    pairs = ((2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 3), (6, 3))
+    outcomes = set()
+    for instance in _pq_corpus():
+        first = {}
+        for i, e in enumerate(instance.edges):
+            first.setdefault(e, i)
+        for p, q in pairs:
             verdict = pq_check(instance, PQParameters(p, q))
             expected = reference_pq_check(instance, p, q)
             assert (verdict.holds, verdict.counterexample) == expected
+            if verdict.counterexample is not None:
+                assert all(first[instance.edges[i]] == i for i in verdict.counterexample)
             outcomes.add((p, q, verdict.holds, verdict.vacuous))
     # every pair sees holding, failing and vacuous instances
-    assert len(outcomes) == 9
+    assert len(outcomes) == 3 * len(pairs)
 
 
 # ---------------------------------------------------------------------------
