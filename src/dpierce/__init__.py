@@ -40,7 +40,6 @@ from .solvers import (
     SolveResult,
     TooLarge,
     covering_number,
-    fractional_optimum,
     fractional_pair,
     matching_number,
     max_depth,

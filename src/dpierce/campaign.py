@@ -78,6 +78,8 @@ def _instances(spec: dict, params: PQParameters | None):
         yield 0, projective_instance(p).realization
         return
     count = _cfg_int(spec, "count")
+    if count < 0:
+        raise CampaignConfigError(f"source.count: expected at least 0, got {count}")
     base_seed = _cfg_int(spec, "seed")
     for i in range(count):
         cfg = GenConfig(
@@ -120,9 +122,14 @@ def run_campaign(config: dict) -> tuple[dict, int]:
         if not isinstance(camp, dict):
             raise CampaignConfigError(f"campaigns[{idx}]: expected an object")
         name = camp.get("name", f"campaign-{idx}")
+        names = camp.get("kinds")
+        if not (isinstance(names, list) and all(isinstance(k, str) for k in names)):
+            raise CampaignConfigError(
+                f"campaigns[{idx}].kinds: expected a list of strings, got {names!r}"
+            )
         try:
-            kinds = [BoundKind(k) for k in camp["kinds"]]
-        except (KeyError, ValueError) as exc:
+            kinds = [BoundKind(k) for k in names]
+        except ValueError as exc:
             raise CampaignConfigError(f"campaigns[{idx}].kinds: {exc}") from None
         params = None
         if "p" in camp or "q" in camp:

@@ -213,7 +213,6 @@ def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
     instance = HypergraphInstance(
         ground_size=len(pts),
         edges=tuple(edges),
-        multiplicity=(1,) * len(edges),
         provenance="abstract",
     )
     d = (q**k - 1) // (q - 1)

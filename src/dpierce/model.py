@@ -58,9 +58,6 @@ class Interval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
 
 @dataclass(frozen=True)
 class DInterval:
@@ -342,25 +339,20 @@ class PQParameters:
 class HypergraphInstance:
     """Finite incidence form consumed by every solver.
 
-    Edges are point-id sets over ground 0..ground_size-1; `multiplicity[i]`
-    copies of edge i exist for depth/duplication bookkeeping.  `provenance`
-    names the family class the instance was built from, which decides the
-    bound kinds that apply to it.
+    Edges are point-id sets over ground 0..ground_size-1, one per member of
+    the family: a family is a multiset, and a repeated member is a repeated
+    edge.  `provenance` names the family class the instance was built from,
+    which decides the bound kinds that apply to it.
     """
 
     ground_size: int
     edges: tuple[frozenset[int], ...]
-    multiplicity: tuple[int, ...] = ()
     provenance: str = "abstract"
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(frozenset(e) for e in self.edges))
-        if not self.multiplicity:
-            object.__setattr__(self, "multiplicity", (1,) * len(self.edges))
         if self.ground_size < 1:
             raise ValueError(f"ground_size must be positive, got {self.ground_size}")
-        if len(self.multiplicity) != len(self.edges):
-            raise ValueError("multiplicity list must parallel edges")
         if self.provenance not in ("interval", "tree", "abstract"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         for i, e in enumerate(self.edges):
@@ -369,13 +361,6 @@ class HypergraphInstance:
             for pt in e:
                 if not (0 <= pt < self.ground_size):
                     raise ValueError(f"edges[{i}]: point {pt} outside ground 0..{self.ground_size - 1}")
-        for i, m in enumerate(self.multiplicity):
-            if m < 1:
-                raise ValueError(f"multiplicity[{i}] must be positive, got {m}")
-
-    def total_edges(self) -> int:
-        """Number of edges counted with multiplicity (the proofs' m)."""
-        return sum(self.multiplicity)
 
 
 # ---------------------------------------------------------------------------

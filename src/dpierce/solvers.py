@@ -13,14 +13,17 @@ distinct edges that load no point q times, the shape of a counterexample.
 `naive_oracle` is a deliberately unpruned enumeration used by the test
 suite to certify the main solvers on small instances.
 
-Multiplicity semantics: nu, tau and the (p,q) check operate on distinct
-edges (copies of an edge are never disjoint and never enrich a p-subset);
-max_depth counts copies.
+Copies: a family is a multiset, and a repeated member is a repeated edge.
+nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
+edge are never disjoint and never enrich a p-subset); max_depth counts
+every copy.  The LP kernel and both branch-and-bounds read one point->edge
+bitmask per instance, built by `_point_masks`, bit j for distinct edge j.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,11 +44,10 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Optimal LP value and weights for one side of the covering/matching LP."""
+    """Optimal LP value and weights (on points for a cover, on edge ids for a matching)."""
 
     value: Fraction
     weights: dict
-    side: str  # 'cover' (weights on points) or 'matching' (weights on edge ids)
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,8 @@ def verify_matching(instance: HypergraphInstance, edge_ids) -> bool:
 
 
 def max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
-    """(r, point) with r the largest multiplicity-weighted point degree."""
-    load: dict[int, int] = {}
-    for e, mult in zip(instance.edges, instance.multiplicity):
-        for pt in e:
-            load[pt] = load.get(pt, 0) + mult
+    """(r, point): r the most edges, copies counted, through one point; the lowest such point."""
+    load = Counter(itertools.chain.from_iterable(instance.edges))
     if not load:
         return 0, None
     best = max(load.values())
@@ -99,46 +98,56 @@ def max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
     return best, point
 
 
-def _incidence_lp(edge_sets: list[frozenset[int]]) -> tuple[list[int], LPSolution]:
-    """(points, solution) of max{1.x : Ax <= 1, x >= 0}, A the kernel incidence.
+def _point_masks(edge_sets: list[frozenset[int]]) -> dict[int, int]:
+    """{point: bitmask of the edges through it}, bit j for `edge_sets[j]`.
 
-    Columns are the edge sets in order; the primal is a fractional matching,
-    the dual a fractional cover on `points`.  Rows are the dominance kernel
-    of the points met by `edge_sets`, in increasing point id: the lowest id
-    of each distinct set of edges through a point, minus every such set
-    strictly contained in another.  A dropped row is implied by the row
-    that contains it (for x >= 0 its load is at most that row's), so the
-    primal polytope, and with it the LP value, is that of the full incidence.
+    Keys are the points met by `edge_sets`, in increasing id.
     """
     masks: dict[int, int] = {}
     for j, e in enumerate(edge_sets):
+        bit = 1 << j
         for pt in e:
-            masks[pt] = masks.get(pt, 0) | 1 << j
+            masks[pt] = masks.get(pt, 0) | bit
+    return {pt: masks[pt] for pt in sorted(masks)}
+
+
+def _incidence_lp(masks: dict[int, int], cols: int) -> tuple[list[int], LPSolution]:
+    """(points, solution) of max{1.x : Ax <= 1, x >= 0}, A the kernel incidence.
+
+    `masks` is `_point_masks` of the edges; the columns are the edges whose
+    bits are set in `cols`, in increasing index.  The primal is a fractional
+    matching, the dual a fractional cover on `points`.  Rows are the
+    dominance kernel of the points those edges meet, in increasing point id:
+    the lowest id of each distinct set of edges through a point, minus every
+    such set strictly contained in another.  A dropped row is implied by the
+    row that contains it (for x >= 0 its load is at most that row's), so the
+    primal polytope, and with it the LP value, is that of the full incidence.
+    """
     lowest: dict[int, int] = {}
-    for pt in sorted(masks):
-        lowest.setdefault(masks[pt], pt)
+    for pt, m in masks.items():
+        m &= cols
+        if m:
+            lowest.setdefault(m, pt)
     # a strict superset has more bits, so it is kept before it is needed
     kept: list[int] = []
     for m in sorted(lowest, key=int.bit_count, reverse=True):
         if not any(m & k == m for k in kept):
             kept.append(m)
     points = sorted(lowest[m] for m in kept)
-    n = len(edge_sets)
-    rows = [[masks[pt] >> j & 1 for j in range(n)] for pt in points]
-    return points, solve_lp_max(rows, [1] * len(points), [1] * n)
+    columns = [j for j in range(cols.bit_length()) if cols >> j & 1]
+    rows = [[masks[pt] >> j & 1 for j in columns] for pt in points]
+    return points, solve_lp_max(rows, [1] * len(points), [1] * len(columns))
 
 
-def _lp_value(edge_sets: list[frozenset[int]], mask: int, root_value: Fraction | None) -> Fraction:
-    """The incidence LP optimum of the edge sets whose bits are set in `mask`.
+def _lp_value(masks: dict[int, int], cols: int, full: int, root_value: Fraction | None) -> Fraction:
+    """The incidence LP optimum of the edges whose bits are set in `cols`.
 
-    `root_value`, when given, is that optimum for all of `edge_sets`, the
-    LP `fractional_pair` solves, and stands in for solving it again.
+    `root_value`, when given, is that optimum for all the edges (`cols ==
+    full`), the LP `fractional_pair` solves, and stands in for solving it again.
     """
-    n = len(edge_sets)
-    if root_value is not None and mask == (1 << n) - 1:
+    if root_value is not None and cols == full:
         return root_value
-    _, sol = _incidence_lp([edge_sets[j] for j in range(n) if mask >> j & 1])
-    return sol.value
+    return _incidence_lp(masks, cols)[1].value
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +171,13 @@ def covering_number(
     n = len(reps)
     edge_sets = [e for _, e in reps]
     full = (1 << n) - 1
-    points = sorted(set().union(*edge_sets))
-    covers: dict[int, int] = {pt: 0 for pt in points}
-    for j, e in enumerate(edge_sets):
-        for pt in e:
-            covers[pt] |= 1 << j
+    covers = _point_masks(edge_sets)
 
     # greedy upper bound
     best: list[int] = []
     uncovered = full
     while uncovered:
-        pt = max(points, key=lambda p: ((covers[p] & uncovered).bit_count(), -p))
+        pt = max(covers, key=lambda p: ((covers[p] & uncovered).bit_count(), -p))
         best.append(pt)
         uncovered &= ~covers[pt]
     best_size = len(best)
@@ -190,7 +195,7 @@ def covering_number(
         return count
 
     def lp_bound(mask: int) -> int:
-        value = _lp_value(edge_sets, mask, root_value)
+        value = _lp_value(covers, mask, full, root_value)
         return -((-value.numerator) // value.denominator)  # ceil
 
     def search(mask: int, chosen: list[int]) -> None:
@@ -240,31 +245,28 @@ def matching_number(
     edge_sets = [e for _, e in reps]
     rep_index = [i for i, _ in reps]
     full = (1 << n) - 1
+    member = _point_masks(edge_sets)
+    # the edges meeting edge j, j itself included
     conflict = []
-    for j in range(n):
+    for e in edge_sets:
         mask = 0
-        for k in range(n):
-            if edge_sets[j] & edge_sets[k]:
-                mask |= 1 << k
-        conflict.append(mask)
-    member: dict[int, int] = {}
-    for j, e in enumerate(edge_sets):
         for pt in e:
-            member[pt] = member.get(pt, 0) | 1 << j
+            mask |= member[pt]
+        conflict.append(mask)
 
     # greedy matching as the initial lower bound
     best: list[int] = []
     avail = full
-    while avail:
-        j = (avail & -avail).bit_length() - 1
-        best.append(j)
-        avail &= ~conflict[j]
+    for j in range(n):
+        if avail >> j & 1:
+            best.append(j)
+            avail &= ~conflict[j]
     best_size = len(best)
 
     node_count = 0
 
     def lp_bound(mask: int) -> int:
-        value = _lp_value(edge_sets, mask, root_value)
+        value = _lp_value(member, mask, full, root_value)
         return value.numerator // value.denominator  # floor
 
     def search(mask: int, chosen: list[int]) -> None:
@@ -279,13 +281,7 @@ def matching_number(
             return
         if len(chosen) + lp_bound(mask) <= best_size:
             return
-        live_points: dict[int, int] = {}
-        for j in range(n):
-            if mask >> j & 1:
-                for pt in edge_sets[j]:
-                    live_points[pt] = live_points.get(pt, 0) + 1
-        degree = max(live_points.values())
-        pt = min(p for p, v in live_points.items() if v == degree)
+        pt = max(member, key=lambda p: ((member[p] & mask).bit_count(), -p))
         through = member[pt] & mask
         k = through
         while k:
@@ -321,12 +317,9 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
     reps = distinct_edges(instance)
     if not reps:
         zero = Fraction(0)
-        return (
-            FractionalSolution(zero, {}, "cover"),
-            FractionalSolution(zero, {}, "matching"),
-        )
+        return FractionalSolution(zero, {}), FractionalSolution(zero, {})
     edge_sets = [e for _, e in reps]
-    points, sol = _incidence_lp(edge_sets)
+    points, sol = _incidence_lp(_point_masks(edge_sets), (1 << len(edge_sets)) - 1)
 
     matching_weights = {
         reps[j][0]: w for j, w in enumerate(sol.primal) if w
@@ -355,17 +348,9 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
         raise RuntimeError("LP duality certificate failed")
 
     return (
-        FractionalSolution(sol.value, cover_weights, "cover"),
-        FractionalSolution(sol.value, matching_weights, "matching"),
+        FractionalSolution(sol.value, cover_weights),
+        FractionalSolution(sol.value, matching_weights),
     )
-
-
-def fractional_optimum(instance: HypergraphInstance, side: str) -> FractionalSolution:
-    """Exact tau* (side='cover') or nu* (side='matching'); equal by duality."""
-    if side not in ("cover", "matching"):
-        raise ValueError(f"unknown side {side!r}")
-    cover, matching = fractional_pair(instance)
-    return cover if side == "cover" else matching
 
 
 # ---------------------------------------------------------------------------

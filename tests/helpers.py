@@ -96,10 +96,7 @@ def random_abstract_instance(seed: int, max_points: int = 12, max_edges: int = 9
     for _ in range(n_edges):
         size = rng.randint(1, max(1, ground // 2))
         edges.append(frozenset(rng.sample(range(ground), size)))
-    mult = tuple(rng.randint(1, 3) for _ in range(n_edges))
-    return HypergraphInstance(
-        ground_size=ground, edges=tuple(edges), multiplicity=mult, provenance="abstract"
-    )
+    return HypergraphInstance(ground_size=ground, edges=tuple(edges), provenance="abstract")
 
 
 def crowded_family(rng: random.Random, d: int, n_edges: int) -> DIntervalFamily:
@@ -228,3 +225,54 @@ def reference_pq_check(
         ):
             return False, frozenset(combo)
     return True, None
+
+
+def reference_matching_number(instance: HypergraphInstance) -> tuple[int, frozenset[int], int]:
+    """(nu, witness, node count) of `matching_number`'s search, over plain sets.
+
+    The same documented search without bitmasks: first-fit greedy matching in
+    index order as the incumbent; at each node, prune by the number of live
+    edges and by the floor of the unreduced incidence LP; branch on the
+    lowest point of highest degree among the live edges, taking each of its
+    live edges in index order and then none of them.  Edges are the first
+    occurrences of the distinct edge sets.
+    """
+    firsts: dict[frozenset[int], int] = {}
+    for i, e in enumerate(instance.edges):
+        firsts.setdefault(e, i)
+    ids = sorted(firsts.values())
+    edges = [instance.edges[i] for i in ids]
+    best: list[int] = []
+    for j, e in enumerate(edges):
+        if not any(e & edges[k] for k in best):
+            best.append(j)
+    nodes = 0
+
+    def lp_floor(live: list[int]) -> int:
+        points = sorted(set().union(*(edges[j] for j in live)))
+        A = [[1 if pt in edges[j] else 0 for j in live] for pt in points]
+        value = reference_solve_lp_max(A, [1] * len(points), [1] * len(live))[0]
+        return value.numerator // value.denominator
+
+    def search(live: list[int], chosen: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if not live:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + len(live) <= len(best) or len(chosen) + lp_floor(live) <= len(best):
+            return
+        degree: dict[int, int] = {}
+        for j in live:
+            for pt in edges[j]:
+                degree[pt] = degree.get(pt, 0) + 1
+        top = max(degree.values())
+        pt = min(p for p, v in degree.items() if v == top)
+        through = [j for j in live if pt in edges[j]]
+        for j in through:
+            search([k for k in live if not edges[k] & edges[j]], chosen + [j])
+        search([k for k in live if k not in through], chosen)
+
+    search(list(range(len(edges))), [])
+    return len(best), frozenset(ids[j] for j in best), nodes

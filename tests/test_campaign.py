@@ -177,6 +177,19 @@ def test_files_must_be_a_list_of_strings(files):
         run_campaign(config)
 
 
+@pytest.mark.parametrize("kinds", [{"GALLAI": 1}, "ALON", None, ["ALON", 3]])
+def test_kinds_must_be_a_list_of_strings(kinds):
+    config = {"campaigns": [{"kinds": kinds, "source": {"files": []}}]}
+    with pytest.raises(CampaignConfigError, match="kinds: expected a list of strings"):
+        run_campaign(config)
+
+
+def test_negative_count_is_rejected():
+    source = {"generator": "random_intervals", "count": -3, "seed": 1}
+    with pytest.raises(CampaignConfigError, match="source.count"):
+        run_campaign({"campaigns": [{"kinds": ["GALLAI"], "source": source}]})
+
+
 def test_violation_reporting_and_exit_code(monkeypatch):
     # the checked bounds all hold, so force an unsatisfied report to exercise the
     # failure path: exit code 1 and an embedded instance for replay

@@ -255,7 +255,6 @@ def test_to_incidence_interval_example():
     assert inst.ground_size == 4
     assert inst.edges == (frozenset({0, 1, 2}), frozenset({1, 2, 3}))
     assert inst.provenance == "interval"
-    assert inst.multiplicity == (1, 1)
 
 
 def test_to_incidence_subforest_example():
@@ -286,7 +285,6 @@ def test_to_incidence_matches_pointwise_reference():
         inst = to_incidence(f)
         assert (inst.ground_size, inst.edges) == reference_interval_incidence(f)
         assert inst.provenance == "interval"
-        assert inst.multiplicity == (1,) * len(f.edges)
 
 
 def test_to_incidence_preserves_nu_and_tau():
@@ -366,8 +364,7 @@ def test_hypergraph_instance_validation():
     with pytest.raises(ValueError):
         HypergraphInstance(ground_size=2, edges=(frozenset({5}),))
     with pytest.raises(ValueError):
-        HypergraphInstance(ground_size=2, edges=(frozenset({0}),), multiplicity=(0,))
-    with pytest.raises(ValueError):
         HypergraphInstance(ground_size=2, edges=(frozenset({0}),), provenance="nope")
-    inst = HypergraphInstance(ground_size=2, edges=(frozenset({0}),), multiplicity=(4,))
-    assert inst.total_edges() == 4
+    # a repeated member is a repeated edge
+    inst = HypergraphInstance(ground_size=2, edges=(frozenset({0}),) * 4)
+    assert inst.edges == (frozenset({0}),) * 4

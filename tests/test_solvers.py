@@ -12,7 +12,6 @@ from dpierce import (
     ProjectiveParams,
     TooLarge,
     covering_number,
-    fractional_optimum,
     fractional_pair,
     matching_number,
     max_depth,
@@ -38,19 +37,17 @@ from helpers import (
     fam,
     random_abstract_instance,
     reference_kernel,
+    reference_matching_number,
     reference_pq_check,
     reference_solve_lp_max,
 )
 
 
-def inst(*edges, mult=None, ground=None):
+def inst(*edges, ground=None):
     pts = set().union(*edges) if edges else {0}
     g = ground if ground is not None else max(pts) + 1
     return HypergraphInstance(
-        ground_size=g,
-        edges=tuple(frozenset(e) for e in edges),
-        multiplicity=tuple(mult) if mult else (),
-        provenance="abstract",
+        ground_size=g, edges=tuple(frozenset(e) for e in edges), provenance="abstract"
     )
 
 
@@ -144,6 +141,22 @@ def test_root_value_leaves_results_identical():
         assert covering_number(instance, root_value=root) == covering_number(instance)
 
 
+def test_matching_number_matches_plain_reference():
+    # optimum, witness and node count of the bitmask search against the
+    # same search over plain sets, on instances where it branches
+    branched = 0
+    for seed in range(40):
+        cases = [random_abstract_instance(seed + 2000)]
+        cases.append(to_incidence(random_d_intervals(GenConfig(seed=seed, n_edges=10, d=2))))
+        cfg = GenConfig(seed=seed, n_edges=9, d=2, host_size=12)
+        cases.append(to_incidence(random_subforests(random_tree(cfg), cfg)))
+        for instance in cases:
+            res = matching_number(instance)
+            assert (res.optimum, res.witness, res.node_count) == reference_matching_number(instance)
+            branched += res.node_count > 1
+    assert branched > 20
+
+
 def test_solvers_leave_no_reference_cycles():
     # a cycle would keep the instance's edge sets alive until the cyclic GC ran
     instance = to_incidence(random_d_intervals(GenConfig(seed=3, n_edges=20, d=2)))
@@ -169,7 +182,7 @@ def test_solvers_leave_no_reference_cycles():
 def test_fano_fractional_cover():
     # the uniform weighting 1/3-per-point attains 7/3; the LP must match that
     # value exactly (though it may return a different optimal vertex)
-    sol = fractional_optimum(FANO, "cover")
+    sol = fractional_pair(FANO)[0]
     assert sol.value == Fraction(7, 3)
     assert sum(sol.weights.values()) == Fraction(7, 3)
     for e in FANO.edges:
@@ -177,11 +190,11 @@ def test_fano_fractional_cover():
 
 
 def test_single_edge_fractional():
-    assert fractional_optimum(inst({0, 1}), "cover").value == 1
+    assert fractional_pair(inst({0, 1}))[0].value == 1
 
 
 def test_pg32_fractional():
-    assert fractional_optimum(PG32, "cover").value == Fraction(15, 7)
+    assert fractional_pair(PG32)[0].value == Fraction(15, 7)
 
 
 def test_fractional_sides_equal_and_feasible():
@@ -210,17 +223,30 @@ def _kernel_families():
         yield random_abstract_instance(seed + 500)
 
 
-def test_kernel_matches_pairwise_reference_and_keeps_lp_value():
+def test_kernel_matches_pairwise_reference_and_keeps_lp_value(monkeypatch):
+    real = solvers.solve_lp_max
+    solved = []
+
+    def recording(A, b, c):
+        solved.append((A, b, c))
+        return real(A, b, c)
+
+    monkeypatch.setattr(solvers, "solve_lp_max", recording)
     rng = random.Random(6)
     lps = shrunk = 0
     for instance in _kernel_families():
         edge_sets = [e for _, e in solvers.distinct_edges(instance)]
         n = len(edge_sets)
+        point_masks = solvers._point_masks(edge_sets)
         masks = [(1 << n) - 1] + [rng.randrange(1, 1 << n) for _ in range(3)]
         for mask in masks:
             sub = [edge_sets[j] for j in range(n) if mask >> j & 1]
-            points, sol = solvers._incidence_lp(sub)
+            solved.clear()
+            points, sol = solvers._incidence_lp(point_masks, mask)
             assert points == reference_kernel(sub)
+            # one LP: the kernel points by the sub-mask's edges in increasing index
+            rows = [[1 if pt in e else 0 for e in sub] for pt in points]
+            assert solved == [(rows, [1] * len(points), [1] * len(sub))]
             everything = sorted(set().union(*sub))
             A = [[1 if pt in e else 0 for e in sub] for pt in everything]
             value = reference_solve_lp_max(A, [1] * len(A), [1] * len(sub))[0]
@@ -233,7 +259,8 @@ def test_kernel_matches_pairwise_reference_and_keeps_lp_value():
 
 def test_kernel_keeps_every_point_of_pg23():
     pg = projective_instance(ProjectiveParams(2, 3)).instance
-    points, sol = solvers._incidence_lp(list(pg.edges))
+    n = len(pg.edges)
+    points, sol = solvers._incidence_lp(solvers._point_masks(list(pg.edges)), (1 << n) - 1)
     assert points == list(range(pg.ground_size)) == list(range(13))
     assert sol.value == Fraction(13, 4)
 
@@ -263,17 +290,12 @@ def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, d
         fractional_pair(_PATH)
 
 
-def test_fractional_bad_side():
-    with pytest.raises(ValueError):
-        fractional_optimum(FANO, "diagonal")
-
-
 def test_sandwich_nu_le_fractional_le_tau():
     for seed in range(30):
         i = random_abstract_instance(seed + 1000)
         nu = matching_number(i).optimum
         tau = covering_number(i).optimum
-        frac = fractional_optimum(i, "cover").value
+        frac = fractional_pair(i)[0].value
         assert Fraction(nu) <= frac <= Fraction(tau)
 
 
@@ -332,9 +354,7 @@ def _random_pq_instance(seed):
         frozenset(rng.sample(range(ground), rng.randint(1, ground - 1)))
         for _ in range(rng.randint(3, 11))
     )
-    return HypergraphInstance(
-        ground_size=ground, edges=edges, multiplicity=(), provenance="abstract"
-    )
+    return HypergraphInstance(ground_size=ground, edges=edges, provenance="abstract")
 
 
 def _pq_corpus():
@@ -382,8 +402,7 @@ def test_max_depth_examples():
     assert max_depth(FANO) == (3, 0)
     r, _ = max_depth(inst({0}, {1}, {2}))
     assert r == 1
-    r, _ = max_depth(inst({0, 1}, mult=[5]))
-    assert r == 5
+    assert max_depth(inst(*[{0, 1}] * 5)) == (5, 0)  # copies count
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +450,12 @@ def test_solvers_match_oracle_on_mixed_instances():
 
 def test_multiplicity_does_not_change_nu_tau():
     base = inst({0, 1}, {1, 2}, {3})
-    copied = inst({0, 1}, {1, 2}, {3}, mult=[4, 1, 2])
+    # copies are repeated edges: four of {0, 1} and two of {3}
+    copied = inst({0, 1}, {3}, {0, 1}, {1, 2}, {0, 1}, {3}, {0, 1})
     assert covering_number(base).optimum == covering_number(copied).optimum
     assert matching_number(base).optimum == matching_number(copied).optimum
-    assert fractional_optimum(base, "cover").value == fractional_optimum(copied, "cover").value
+    assert fractional_pair(base)[0].value == fractional_pair(copied)[0].value
+    assert max_depth(copied) == (5, 1)
 
 
 def test_witnesses_reverify():
