@@ -114,6 +114,8 @@ def run_campaign(config: dict) -> tuple[dict, int]:
     """
     if not isinstance(config, dict) or "campaigns" not in config:
         raise CampaignConfigError('config must be an object with a "campaigns" array')
+    if not isinstance(config["campaigns"], list):
+        raise CampaignConfigError(f"campaigns: expected a list, got {config['campaigns']!r}")
     t0 = time.perf_counter()
     campaign_reports = []
     any_violated = False

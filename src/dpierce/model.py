@@ -9,17 +9,19 @@ Two continuous/combinatorial families are supported:
 
 Both reduce, without changing any of the four optimization quantities
 (matching number, piercing number and their fractional relaxations), to a
-`HypergraphInstance`: ground points, edges as point sets, multiplicities.
-All coordinates are exact rationals (`fractions.Fraction`); nothing in this
-module touches floating point.
+`HypergraphInstance`: ground points and edges as point sets, a repeated
+member as a repeated edge.  All coordinates are exact rationals
+(`fractions.Fraction`), and interval endpoints are ranked as integers;
+nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import lcm
 
 
@@ -342,7 +344,9 @@ class HypergraphInstance:
     Edges are point-id sets over ground 0..ground_size-1, one per member of
     the family: a family is a multiset, and a repeated member is a repeated
     edge.  `provenance` names the family class the instance was built from,
-    which decides the bound kinds that apply to it.
+    which decides the bound kinds that apply to it.  `max_depth` is counted
+    the first time it is read and kept on the instance; it is not a field,
+    so equality, hashing, repr and pickling see only the three fields.
     """
 
     ground_size: int
@@ -361,6 +365,25 @@ class HypergraphInstance:
             for pt in e:
                 if not (0 <= pt < self.ground_size):
                     raise ValueError(f"edges[{i}]: point {pt} outside ground 0..{self.ground_size - 1}")
+
+    @cached_property
+    def max_depth(self) -> tuple[int, int | None]:
+        """(r, point): r the most edges, copies counted, through one point; the lowest such point."""
+        return _deepest_point(self.edges)
+
+    def __getstate__(self):
+        # the fields only: a cached depth is counted again after unpickling
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _deepest_point(edges) -> tuple[int, int | None]:
+    """(r, point) of `HypergraphInstance.max_depth`, by one count of the point loads."""
+    load = Counter(chain.from_iterable(edges))
+    if not load:
+        return 0, None
+    best = max(load.values())
+    point = min(pt for pt, v in load.items() if v == best)
+    return best, point
 
 
 # ---------------------------------------------------------------------------
@@ -478,25 +501,39 @@ def to_incidence(family) -> HypergraphInstance:
     This is the one conversion from a family to the instance every solver
     consumes.  Intervals: ground points are the sorted all-endpoint
     candidates, and each edge becomes the ids of the candidates its parts
-    contain, found by bisection.  Subforests: ground points are the host
-    vertices.  Either way nu, tau, nu* and tau* of the instance equal those
-    of the family: intersections are witnessed at endpoints, and optimal
-    covers may be slid onto right endpoints.  A `TwInstance` becomes the
-    "abstract" instance of its subgraphs over the graph's vertices.
+    contain.  The endpoints are ranked once, exactly, in integers: each x
+    is scaled to x * L, L the lcm of all endpoint denominators, a strictly
+    increasing map, so the sorted distinct integers give the ids of
+    `candidate_points(family, "all_endpoints")`.  A part [lo, hi] then holds
+    exactly the ids rank(lo)..rank(hi), and an edge is the union of its
+    parts' id ranges.  Subforests: ground points are the host vertices.
+    Either way nu, tau, nu* and tau* of the instance equal those of the
+    family: intersections are witnessed at endpoints, and optimal covers may
+    be slid onto right endpoints.  A `TwInstance` becomes the "abstract"
+    instance of its subgraphs over the graph's vertices.
     """
     if isinstance(family, DIntervalFamily):
-        points = candidate_points(family, "all_endpoints")
-        edges = tuple(
-            frozenset(
-                i
+        denominators = {
+            x.denominator for edge in family.edges for part in edge.parts for x in (part.lo, part.hi)
+        }
+        scale = lcm(*denominators)
+        factor = {den: scale // den for den in denominators}
+        spans = [
+            [
+                (
+                    part.lo.numerator * factor[part.lo.denominator],
+                    part.hi.numerator * factor[part.hi.denominator],
+                )
                 for part in edge.parts
-                for i in range(bisect_left(points, part.lo), bisect_right(points, part.hi))
-            )
+            ]
             for edge in family.edges
+        ]
+        values = sorted({v for span in spans for pair in span for v in pair})
+        rank = {v: i for i, v in enumerate(values)}
+        edges = tuple(
+            frozenset().union(*[range(rank[lo], rank[hi] + 1) for lo, hi in span]) for span in spans
         )
-        return HypergraphInstance(
-            ground_size=max(1, len(points)), edges=edges, provenance="interval"
-        )
+        return HypergraphInstance(ground_size=max(1, len(rank)), edges=edges, provenance="interval")
     if isinstance(family, SubforestFamily):
         edges = tuple(frozenset(e.vertices) for e in family.edges)
         return HypergraphInstance(ground_size=family.host.n, edges=edges, provenance="tree")
@@ -505,3 +542,4 @@ def to_incidence(family) -> HypergraphInstance:
     if isinstance(family, TwInstance):
         return HypergraphInstance(ground_size=family.graph.n, edges=family.subgraphs)
     raise TypeError(f"cannot discretize {type(family).__name__}")
+

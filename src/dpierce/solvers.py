@@ -23,7 +23,6 @@ bitmask per instance, built by `_point_masks`, bit j for distinct edge j.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,13 +88,12 @@ def verify_matching(instance: HypergraphInstance, edge_ids) -> bool:
 
 
 def max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
-    """(r, point): r the most edges, copies counted, through one point; the lowest such point."""
-    load = Counter(itertools.chain.from_iterable(instance.edges))
-    if not load:
-        return 0, None
-    best = max(load.values())
-    point = min(pt for pt, v in load.items() if v == best)
-    return best, point
+    """(r, point): r the most edges, copies counted, through one point; the lowest such point.
+
+    Counted once per instance: this reads `instance.max_depth`, which is
+    kept on the instance after the first read.
+    """
+    return instance.max_depth
 
 
 def _point_masks(edge_sets: list[frozenset[int]]) -> dict[int, int]:

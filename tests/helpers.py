@@ -99,9 +99,13 @@ def random_abstract_instance(seed: int, max_points: int = 12, max_edges: int = 9
     return HypergraphInstance(ground_size=ground, edges=tuple(edges), provenance="abstract")
 
 
-def crowded_family(rng: random.Random, d: int, n_edges: int) -> DIntervalFamily:
-    """Parts on a coarse grid: shared endpoints, touching and point parts."""
-    grid = [Fraction(i, 2) for i in range(13)]
+def crowded_family(rng: random.Random, d: int, n_edges: int, grid=None) -> DIntervalFamily:
+    """Parts on a coarse grid: shared endpoints, touching and point parts.
+
+    The grid defaults to the half-integers 0..6.
+    """
+    if grid is None:
+        grid = [Fraction(i, 2) for i in range(13)]
     edges = []
     while len(edges) < n_edges:
         values = sorted(rng.choices(grid, k=2 * rng.randint(1, d)))

@@ -177,6 +177,12 @@ def test_files_must_be_a_list_of_strings(files):
         run_campaign(config)
 
 
+@pytest.mark.parametrize("campaigns", [5, None, {"x": 1}, "pp-bounds"])
+def test_campaigns_must_be_a_list(campaigns):
+    with pytest.raises(CampaignConfigError, match="^campaigns: expected a list"):
+        run_campaign({"campaigns": campaigns})
+
+
 @pytest.mark.parametrize("kinds", [{"GALLAI": 1}, "ALON", None, ["ALON", 3]])
 def test_kinds_must_be_a_list_of_strings(kinds):
     config = {"campaigns": [{"kinds": kinds, "source": {"files": []}}]}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dpierce import (
     DInterval,
+    DIntervalFamily,
     EmptyIntersection,
     HostTree,
     HypergraphInstance,
@@ -279,8 +280,35 @@ def test_to_incidence_fano_is_projective_incidence():
 
 def test_to_incidence_matches_pointwise_reference():
     rng = random.Random(11)
-    families = [crowded_family(rng, rng.randint(1, 3), rng.randint(1, 9)) for _ in range(200)]
+    tiny = Fraction(1, 10**30)
+    grids = [
+        [Fraction(i, 2) for i in range(13)],
+        [Fraction(i, 2) for i in range(-12, 7)],  # negative coordinates
+        sorted({Fraction(k, den) for den in (3, 7, 10) for k in range(-2 * den, 2 * den + 1)}),
+        # endpoints closer together than float resolution
+        [x + j * tiny for x in (Fraction(-5, 3), Fraction(1, 7), Fraction(10**6, 3)) for j in range(3)],
+    ]
+    assert len({float(x) for x in grids[-1]}) == 3
+    families = [
+        crowded_family(rng, rng.randint(1, 3), rng.randint(1, 9), grid)
+        for grid in grids
+        for _ in range(100)
+    ]
     families += [random_d_intervals(GenConfig(seed=s, n_edges=8, d=3)) for s in range(50)]
+    families += [
+        random_d_intervals(GenConfig(seed=s, n_edges=8, d=2, coord_denominator=den))
+        for den in (3, 7, 10)
+        for s in range(10)
+    ]
+    # point parts and repeated identical members
+    x = Fraction(1, 3)
+    families.append(
+        fam(2, [(x, x)], [(x, x + tiny)], [(x, x)], [(x + tiny, 1), (2, 2)], [(x + tiny, 1), (2, 2)])
+    )
+    families += [DIntervalFamily(f.d, f.edges + f.edges[::2]) for f in families[:50]]
+    empty = DIntervalFamily(d=1, edges=())
+    assert reference_interval_incidence(empty) == (1, ())
+    families.append(empty)
     for f in families:
         inst = to_incidence(f)
         assert (inst.ground_size, inst.edges) == reference_interval_incidence(f)

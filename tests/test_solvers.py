@@ -1,11 +1,13 @@
 import gc
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from dpierce import (
+    BoundKind,
     HypergraphInstance,
     LPSolution,
     PQParameters,
@@ -15,6 +17,7 @@ from dpierce import (
     fractional_pair,
     matching_number,
     max_depth,
+    model,
     naive_oracle,
     pq_check,
     projective_instance,
@@ -23,7 +26,7 @@ from dpierce import (
     verify_cover,
     verify_matching,
 )
-from dpierce.bounds import solve_measures
+from dpierce.bounds import solve_measures, verify_bundle
 from dpierce.generators import (
     GenConfig,
     planted_pq_family,
@@ -403,6 +406,54 @@ def test_max_depth_examples():
     r, _ = max_depth(inst({0}, {1}, {2}))
     assert r == 1
     assert max_depth(inst(*[{0, 1}] * 5)) == (5, 0)  # copies count
+
+
+def _record_depth_counts(monkeypatch) -> list:
+    """Record every count of point loads from here on."""
+    calls = []
+    original = model._deepest_point
+
+    def counting(edges):
+        calls.append(edges)
+        return original(edges)
+
+    monkeypatch.setattr(model, "_deepest_point", counting)
+    return calls
+
+
+def test_max_depth_is_counted_once_per_instance(monkeypatch):
+    calls = _record_depth_counts(monkeypatch)
+    i = to_incidence(random_d_intervals(GenConfig(seed=3, n_edges=8, d=2)))
+    verdict = pq_check(i, PQParameters(3, 2))
+    assert verdict.max_depth == max_depth(i)[0]
+    assert max_depth(i) == max_depth(i)
+    assert len(calls) == 1
+    fresh = to_incidence(random_d_intervals(GenConfig(seed=3, n_edges=8, d=2)))
+    assert max_depth(fresh) == max_depth(i)
+    assert len(calls) == 2
+
+
+def test_verify_bundle_counts_depth_once(monkeypatch):
+    params = PQParameters(2, 2)
+    family = planted_pq_family(GenConfig(seed=5, n_edges=8, d=2), params)
+    calls = _record_depth_counts(monkeypatch)
+    kinds = [BoundKind.DPP_STAR, BoundKind.DPP_TAU, BoundKind.ALON]
+    reports = verify_bundle(family, kinds, params=params)
+    assert len(calls) == 1
+    assert {rep.r for rep in reports} == {max_depth(to_incidence(family))[0]}
+
+
+def test_read_depth_leaves_equality_hash_and_pickle_alone():
+    read = inst({0, 1}, {1, 2}, {1})
+    assert max_depth(read) == (3, 1)
+    fresh = inst({0, 1}, {1, 2}, {1})
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert pickle.dumps(read) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(read))
+    assert back == fresh
+    assert max_depth(back) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
