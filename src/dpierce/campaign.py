@@ -56,6 +56,16 @@ class CampaignConfigError(ValueError):
     """Malformed campaign configuration."""
 
 
+# generators of a counted source, which takes "count" and "seed"
+_COUNTED_GENERATORS = (
+    "random_intervals",
+    "planted_intervals",
+    "random_subforests",
+    "planted_subforests",
+    "tw",
+)
+
+
 def _cfg_int(spec: dict, key: str, default: int | None = None) -> int:
     value = spec.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -77,6 +87,10 @@ def _instances(spec: dict, params: PQParameters | None):
         )
         yield 0, projective_instance(p).realization
         return
+    if generator not in _COUNTED_GENERATORS:
+        raise CampaignConfigError(f"source.generator: unknown generator {generator!r}")
+    if generator.startswith("planted_") and params is None:
+        raise CampaignConfigError(f"p, q: source.generator {generator} needs p and q")
     count = _cfg_int(spec, "count")
     if count < 0:
         raise CampaignConfigError(f"source.count: expected at least 0, got {count}")
@@ -92,19 +106,13 @@ def _instances(spec: dict, params: PQParameters | None):
         if generator == "random_intervals":
             yield cfg.seed, random_d_intervals(cfg)
         elif generator == "planted_intervals":
-            if params is None:
-                raise CampaignConfigError("planted_intervals needs p and q")
             yield cfg.seed, planted_pq_family(cfg, params)
         elif generator == "random_subforests":
             yield cfg.seed, random_subforests(random_tree(cfg), cfg)
         elif generator == "planted_subforests":
-            if params is None:
-                raise CampaignConfigError("planted_subforests needs p and q")
             yield cfg.seed, planted_pq_subforests(cfg, params)
-        elif generator == "tw":
+        else:  # tw
             yield cfg.seed, random_tw_graph(cfg, _cfg_int(spec, "width", 1))
-        else:
-            raise CampaignConfigError(f"unknown generator {generator!r}")
 
 
 def run_campaign(config: dict) -> tuple[dict, int]:

@@ -13,6 +13,18 @@ the last pivot element; every division in a pivot is exact by Sylvester's
 identity, so no gcd is ever taken.  Rational data are brought to integers
 by scaling each row of [A | b], and c, by the lcm of its denominators.
 
+The tableau is condensed, like lrs's dictionary: m rows of one column per
+nonbasic variable plus the rhs, with two index lists naming each row's
+basic variable and each column's nonbasic one.  A basic variable's column
+is always D times a unit vector, so it is not stored.  A pivot on row r and
+column s gives every entry outside row r and column s the Bareiss update
+(x*p - f*y) / D, keeps row r, and hands column s to the leaving variable:
+the old D in row r, -f in every other row (f the row's old entry in column
+s) and minus the old reduced cost in the objective.  Those are the entries
+the full m x (n+m+1) tableau holds in its nonbasic columns.  The pivot
+rules read variable indices, never column positions, so they pick the same
+pivots as the full tableau and reach the same D and solutions.
+
 Before returning, the primal and dual solutions are re-verified against the
 input data, in integers too: each check is the rational inequality
 multiplied through by the positive row scales and by D, so it is exact
@@ -69,24 +81,27 @@ def solve_lp_max(A, b, c) -> LPSolution:
     if n == 0:
         return LPSolution(Fraction(0), (), tuple(Fraction(0) for _ in range(m)), 0)
 
-    # row i of the tableau is s_i * [A[i] | b[i]] with its slack column at 1,
-    # and the objective row is s_c * [-c | 0 | 0]; the true tableau is T / D.
-    # _verify checks the result against the unpivoted inputs and c_row
+    # variables 0..n-1 are structural and n+i is the slack of row i.  Row i
+    # of the condensed tableau starts as s_i * [A[i] | b[i]], one column per
+    # nonbasic variable plus the rhs, and the objective row as s_c * [-c | 0];
+    # the true tableau is T / D.  A basic variable's column is D * e_i, so it
+    # is not stored.  _verify checks the result against the unpivoted inputs
+    # and c_row
     inputs: list[list[int]] = []
-    rows: list[list[int]] = []
     scales: list[int] = []
     for i in range(m):
         if len(A[i]) != n:
             raise ValueError(f"A[{i}] has {len(A[i])} entries, expected {n}")
         row, s = _integer_row([*A[i], b[i]])
         inputs.append(row)
-        rows.append(row[:n] + [1 if j == i else 0 for j in range(m)] + row[n:])
         scales.append(s)
+    rows = [list(row) for row in inputs]
     c_row, s_c = _integer_row(c)
-    obj = [-v for v in c_row] + [0] * (m + 1)
+    obj = [-v for v in c_row] + [0]
     D = 1
 
-    basis = list(range(n, n + m))
+    basis = list(range(n, n + m))  # basic variable of each row
+    nonbasic = list(range(n))  # nonbasic variable of each column
     pivots = 0
     stall = 0
     bland = False
@@ -97,15 +112,20 @@ def solve_lp_max(A, b, c) -> LPSolution:
     weights = [1] * n + scales
 
     while True:
-        # all reduced costs share the denominator D > 0: compare numerators
+        # all reduced costs share the denominator D > 0: compare numerators.
+        # Bland's rule takes the lowest variable with a negative reduced cost,
+        # and Dantzig's breaks ties by lowest variable: variable indices,
+        # never column positions
+        col = -1
         if bland:
-            col = next((j for j in range(n + m) if obj[j] < 0), -1)
+            for j in range(n):
+                if obj[j] < 0 and (col < 0 or nonbasic[j] < nonbasic[col]):
+                    col = j
         else:
-            col = -1
             best = 0
-            for j in range(n + m):
-                v = obj[j] * weights[j]
-                if v < best:
+            for j in range(n):
+                v = obj[j] * weights[nonbasic[j]]
+                if v < best or (v == best < 0 and nonbasic[j] < nonbasic[col]):
                     best = v
                     col = j
         if col < 0:
@@ -129,7 +149,10 @@ def solve_lp_max(A, b, c) -> LPSolution:
         if row_idx < 0:
             raise SimplexError("LP is unbounded")
 
-        # the pivot row stays; every other row becomes (x*p - f*y) / D
+        # every entry outside the pivot row and column becomes (x*p - f*y) / D
+        # and the pivot row stays.  The pivot column becomes the leaving
+        # variable's, whose D * e_r pivots to the old D in the pivot row and
+        # to -f elsewhere, f being the row's old entry in the pivot column
         piv_row = rows[row_idx]
         p = piv_row[col]
         for i in range(m):
@@ -138,16 +161,19 @@ def solve_lp_max(A, b, c) -> LPSolution:
             r = rows[i]
             f = r[col]
             if f:
-                rows[i] = [(x * p - f * y) // D for x, y in zip(r, piv_row)]
+                r = rows[i] = [(x * p - f * y) // D for x, y in zip(r, piv_row)]
+                r[col] = -f
             elif p != D:
                 rows[i] = [x * p // D for x in r]
         f = obj[col]
         obj = [(x * p - f * y) // D for x, y in zip(obj, piv_row)]
+        obj[col] = -f
+        piv_row[col] = D
         D = p
-        basis[row_idx] = col
+        nonbasic[col], basis[row_idx] = basis[row_idx], nonbasic[col]
         pivots += 1
 
-        # the objective moves by -obj[col] * rhs / p, so it stalls iff rhs = 0
+        # the objective moves by -f * rhs / p, so it stalls iff rhs = 0
         if piv_row[-1] == 0:
             stall += 1
             if stall > _STALL_LIMIT:
@@ -159,7 +185,11 @@ def solve_lp_max(A, b, c) -> LPSolution:
     for i, var in enumerate(basis):
         if var < n:
             P[var] = rows[i][-1]
-    Y = obj[n:n + m]
+    # a basic slack's reduced cost is 0
+    Y = [0] * m
+    for j, var in enumerate(nonbasic):
+        if var >= n:
+            Y[var - n] = obj[j]
     V = obj[-1]
     _verify(inputs, c_row, D, P, Y, V)
 

@@ -140,8 +140,8 @@ def reference_solve_lp_max(A, b, c, stall_limit: int = 64):
     A textbook `Fraction` tableau with the library's pivot rule: Dantzig's
     rule, switching for good to Bland's after `stall_limit` consecutive
     pivots that leave the objective unchanged, and ratio-test ties to the
-    lowest basic index.  The library's integer tableau must reproduce it
-    pivot for pivot on integer data.
+    lowest basic index.  The library's condensed integer tableau, which
+    keeps only the nonbasic columns, must reproduce it pivot for pivot.
     """
     m, n = len(A), len(c)
     rows = [

@@ -196,6 +196,22 @@ def test_negative_count_is_rejected():
         run_campaign({"campaigns": [{"kinds": ["GALLAI"], "source": source}]})
 
 
+@pytest.mark.parametrize(
+    "source, field",
+    [
+        ({"generator": "bogus", "count": 0, "seed": 1}, "source.generator"),
+        ({"count": 0, "seed": 1}, "source.generator"),
+        ({"generator": "planted_intervals", "count": 0, "seed": 1}, "p, q"),
+        ({"generator": "planted_subforests", "count": 0, "seed": 1}, "p, q"),
+    ],
+)
+def test_generator_is_checked_even_without_instances(source, field):
+    # an empty source runs no instance, so a bad generator or a planted
+    # generator without p and q must be caught before any is generated
+    with pytest.raises(CampaignConfigError, match=f"^{field}"):
+        run_campaign({"campaigns": [{"kinds": ["ALON"], "source": source}]})
+
+
 def test_violation_reporting_and_exit_code(monkeypatch):
     # the checked bounds all hold, so force an unsatisfied report to exercise the
     # failure path: exit code 1 and an embedded instance for replay

@@ -73,6 +73,39 @@ def _random_rational_lps(seed, count=200):
     return lps
 
 
+def _tied_rational_lps(seed, count=240):
+    """Seeded LPs built for reduced-cost ties between variables.
+
+    The rows are the cyclic shifts of one base row, each divided by 1, 2 or
+    3, so rows repeat one another up to rotation and most row scales s_i
+    exceed 1; every objective coefficient is 1, and half of the LPs get a
+    copy of one column at a random position.  In some of them a slack that
+    has left the basis ties in reduced cost with a structural variable at a
+    higher column position, or two variables tie in the reverse of their
+    column order.
+    """
+    rng = random.Random(seed)
+    lps = []
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        base = [rng.choice((0, 1, 1, 2)) for _ in range(n)]
+        base[0] = base[0] or 1
+        A, b = [], []
+        for i in range(n):
+            row = base[-i:] + base[:-i]
+            k = rng.choice((1, 2, 3))
+            A.append([Fraction(v, k) for v in row])
+            b.append(Fraction(rng.choice((1, 2)) * (row[0] or 1), k))
+        c = [1] * n
+        if rng.random() < 0.5:
+            j, k = rng.randrange(n), rng.randint(0, n)
+            for row in A:
+                row.insert(k, row[j])
+            c.insert(k, 1)
+        lps.append((A, b, c))
+    return lps
+
+
 def _integer_certificate(A, b, c, sol):
     """`_verify`'s arguments (inputs, c_row, D, P, Y, V) for a returned
     solution, with D the least common denominator that makes them integral,
@@ -177,6 +210,18 @@ def test_matches_reference_under_blands_rule(monkeypatch):
     for A, b, c in [BEALE] + _random_lps(11):
         expected = reference_solve_lp_max(A, b, c, stall_limit=0)
         assert _as_tuple(solve_lp_max(A, b, c)) == expected
+
+
+def test_matches_reference_on_ties_and_rational_rows(monkeypatch):
+    # Dantzig's rule breaks reduced-cost ties, and Bland's rule chooses, by
+    # lowest variable index, which is not the lowest column position once
+    # slacks and structural variables have traded places
+    lps = _tied_rational_lps(13)
+    for limit in (simplex._STALL_LIMIT, 0):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", limit)
+        for A, b, c in lps:
+            expected = reference_solve_lp_max(A, b, c, stall_limit=limit)
+            assert _as_tuple(solve_lp_max(A, b, c)) == expected
 
 
 def test_integer_verify_agrees_with_reference():
