@@ -17,11 +17,10 @@ nothing in this module touches floating point.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import lcm
 
 
@@ -343,10 +342,12 @@ class HypergraphInstance:
 
     Edges are point-id sets over ground 0..ground_size-1, one per member of
     the family: a family is a multiset, and a repeated member is a repeated
-    edge.  `provenance` names the family class the instance was built from,
-    which decides the bound kinds that apply to it.  `max_depth` is counted
-    the first time it is read and kept on the instance; it is not a field,
-    so equality, hashing, repr and pickling see only the three fields.
+    edge.  Point ids are ints (bool is rejected).  `provenance` names the
+    family class the instance was built from, which decides the bound kinds
+    that apply to it.  `edge_masks`, one point bitmask per edge, and
+    `max_depth`, counted on those masks, are computed the first time they
+    are read and kept on the instance; neither is a field, so equality,
+    hashing, repr and pickling see only the three fields.
     """
 
     ground_size: int
@@ -359,31 +360,70 @@ class HypergraphInstance:
             raise ValueError(f"ground_size must be positive, got {self.ground_size}")
         if self.provenance not in ("interval", "tree", "abstract"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
+        # checked on the distinct points, so the cost follows the points used;
+        # the loop below only names the first bad edge and point
+        points = frozenset().union(*self.edges)
+        if (
+            all(self.edges)
+            and set(map(type, points)) <= {int}
+            and (not points or (min(points) >= 0 and max(points) < self.ground_size))
+        ):
+            return
         for i, e in enumerate(self.edges):
             if not e:
                 raise ValueError(f"edges[{i}] is empty")
             for pt in e:
+                if type(pt) is not int:
+                    raise ValueError(f"edges[{i}]: point {pt!r} is not an int")
                 if not (0 <= pt < self.ground_size):
                     raise ValueError(f"edges[{i}]: point {pt} outside ground 0..{self.ground_size - 1}")
 
     @cached_property
+    def edge_masks(self) -> tuple[int, ...]:
+        """The point bitmask of each edge, in edge order: bit pt for point pt."""
+        masks = []
+        for e in self.edges:
+            m = 0
+            for pt in e:
+                m |= 1 << pt
+            masks.append(m)
+        return tuple(masks)
+
+    @cached_property
     def max_depth(self) -> tuple[int, int | None]:
         """(r, point): r the most edges, copies counted, through one point; the lowest such point."""
-        return _deepest_point(self.edges)
+        return _deepest_point(self.edge_masks)
 
     def __getstate__(self):
-        # the fields only: a cached depth is counted again after unpickling
+        # the fields only: cached masks and depth are computed again after unpickling
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _deepest_point(edges) -> tuple[int, int | None]:
-    """(r, point) of `HypergraphInstance.max_depth`, by one count of the point loads."""
-    load = Counter(chain.from_iterable(edges))
-    if not load:
+def _deepest_point(masks) -> tuple[int, int | None]:
+    """(r, point) of `HypergraphInstance.max_depth`, from the edges' point bitmasks.
+
+    A bit-sliced counter: layer k holds bit k of every point's load, and
+    each mask is added to it with a ripple carry.  r is read from the top
+    layer down, keeping the points that reach each bit of the maximum; the
+    lowest of the points left is the deepest point.
+    """
+    layers: list[int] = []
+    for carry in masks:
+        k = 0
+        while carry:
+            if k == len(layers):
+                layers.append(carry)
+                break
+            layers[k], carry = layers[k] ^ carry, layers[k] & carry
+            k += 1
+    if not layers:
         return 0, None
-    best = max(load.values())
-    point = min(pt for pt, v in load.items() if v == best)
-    return best, point
+    r, deepest = 0, -1
+    for k in reversed(range(len(layers))):
+        if deepest & layers[k]:
+            deepest &= layers[k]
+            r |= 1 << k
+    return r, (deepest & -deepest).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +546,9 @@ def to_incidence(family) -> HypergraphInstance:
     increasing map, so the sorted distinct integers give the ids of
     `candidate_points(family, "all_endpoints")`.  A part [lo, hi] then holds
     exactly the ids rank(lo)..rank(hi), and an edge is the union of its
-    parts' id ranges.  Subforests: ground points are the host vertices.
+    parts' id ranges; its `edge_masks` entry is built from the same ranges,
+    one run of bits per part, and kept on the instance.  Subforests: ground
+    points are the host vertices.
     Either way nu, tau, nu* and tau* of the instance equal those of the
     family: intersections are witnessed at endpoints, and optimal covers may
     be slid onto right endpoints.  A `TwInstance` becomes the "abstract"
@@ -530,10 +572,15 @@ def to_incidence(family) -> HypergraphInstance:
         ]
         values = sorted({v for span in spans for pair in span for v in pair})
         rank = {v: i for i, v in enumerate(values)}
+        ranges = [[(rank[lo], rank[hi]) for lo, hi in span] for span in spans]
         edges = tuple(
-            frozenset().union(*[range(rank[lo], rank[hi] + 1) for lo, hi in span]) for span in spans
+            frozenset().union(*[range(lo, hi + 1) for lo, hi in parts]) for parts in ranges
         )
-        return HypergraphInstance(ground_size=max(1, len(rank)), edges=edges, provenance="interval")
+        instance = HypergraphInstance(ground_size=max(1, len(rank)), edges=edges, provenance="interval")
+        # a part's ids are one run of bits, and the parts of an edge are disjoint
+        masks = tuple(sum((1 << hi + 1) - (1 << lo) for lo, hi in parts) for parts in ranges)
+        object.__setattr__(instance, "edge_masks", masks)
+        return instance
     if isinstance(family, SubforestFamily):
         edges = tuple(frozenset(e.vertices) for e in family.edges)
         return HypergraphInstance(ground_size=family.host.n, edges=edges, provenance="tree")

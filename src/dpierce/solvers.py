@@ -9,15 +9,20 @@ edges is contained in another point's adds only a redundant row, so it is
 left out, and the optimum is unchanged.  `fractional_pair` then certifies
 its weights on every point and edge of the original instance.
 `pq_check` decides the (p,q) property by a depth-first search for p
-distinct edges that load no point q times, the shape of a counterexample.
+distinct edges that load no point q times, the shape of a counterexample;
+it reads each edge's point bitmask from the instance (`edge_masks`).
 `naive_oracle` is a deliberately unpruned enumeration used by the test
 suite to certify the main solvers on small instances.
 
 Copies: a family is a multiset, and a repeated member is a repeated edge.
 nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
-every copy.  The LP kernel and both branch-and-bounds read one point->edge
-bitmask per instance, built by `_point_masks`, bit j for distinct edge j.
+every copy.  The LP kernel and both branch-and-bounds read point->edge
+bitmasks, bit j for distinct edge j, built by `_point_masks` once per
+solver call, so each of `fractional_pair`, `covering_number` and
+`matching_number` builds its own.  `max_depth` and `pq_check` read the other
+orientation, one point bitmask per edge, kept on the instance as
+`edge_masks`.
 """
 
 from __future__ import annotations
@@ -360,8 +365,8 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
 
     The property fails exactly when some p distinct edges form a
     (q-1)-packing: no point lies in q of them.  An include-first depth-first
-    search over the distinct edges, in first-occurrence order, looks for one.
-    It extends a packing by an edge only if the edge misses every point that
+    search over the distinct edges, in first-occurrence order, looks for one;
+    edges are told apart, and loads kept, on `instance.edge_masks`.  It extends a packing by an edge only if the edge misses every point that
     is already loaded q-1 times, and drops a prefix once fewer edges are left
     than it still needs.  Include-first order meets p-subsets
     lexicographically, so the first packing found is the lexicographically
@@ -369,30 +374,28 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     edges satisfy the property vacuously.
     """
     r, _ = max_depth(instance)
-    reps = distinct_edges(instance)
-    p, n = params.p, len(reps)
+    # the first occurrence of each distinct edge, by its point bitmask
+    firsts: dict[int, int] = {}
+    for i, m in enumerate(instance.edge_masks):
+        firsts.setdefault(m, i)
+    p, n = params.p, len(firsts)
     if n < p:
         return PQVerdict(True, None, r, vacuous=True)
-    # point bitmask of each edge, built the first time the search reaches it;
-    # the search first reaches the edges in increasing order
-    masks: list[int] = []
+    masks, ids = list(firsts), list(firsts.values())
     # layers[k] holds the points loaded at least k+1 times by the chosen edges
     layers = [0] * (params.q - 1)
     chosen: list[int] = []
     saved: list[list[int]] = []  # the layers before each chosen edge
+    need = p  # p - len(chosen)
     j = 0
-    while len(chosen) < p:
-        if n - j < p - len(chosen):
+    while need:
+        if n - j < need:
             if not chosen:
                 return PQVerdict(True, None, r)
             j = chosen.pop() + 1
             layers = saved.pop()
+            need += 1
             continue
-        if j == len(masks):
-            m = 0
-            for pt in reps[j][1]:
-                m |= 1 << pt
-            masks.append(m)
         m = masks[j]
         if not m & layers[-1]:
             saved.append(layers)
@@ -401,8 +404,9 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
                 hi | lo & m for lo, hi in zip(layers, layers[1:])
             ]
             chosen.append(j)
+            need -= 1
         j += 1
-    return PQVerdict(False, frozenset(reps[k][0] for k in chosen), r)
+    return PQVerdict(False, frozenset(ids[k] for k in chosen), r)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from dpierce import (
@@ -207,6 +208,19 @@ def reference_verify(A, b, c, primal, dual, value) -> None:
     yb = sum(dual[i] * Fraction(b[i]) for i in range(m))
     if not (cx == yb == value):
         raise SimplexError(f"duality gap: c.x={cx}, y.b={yb}, value={value}")
+
+
+def reference_max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
+    """(r, point) of `max_depth`, by counting every incidence of every edge.
+
+    r is the largest number of edges, copies counted, through one point, and
+    the point is the lowest one that deep; (0, None) without edges.
+    """
+    load = Counter(pt for e in instance.edges for pt in e)
+    if not load:
+        return 0, None
+    best = max(load.values())
+    return best, min(pt for pt, v in load.items() if v == best)
 
 
 def reference_pq_check(

@@ -396,3 +396,25 @@ def test_hypergraph_instance_validation():
     # a repeated member is a repeated edge
     inst = HypergraphInstance(ground_size=2, edges=(frozenset({0}),) * 4)
     assert inst.edges == (frozenset({0}),) * 4
+
+
+def test_hypergraph_instance_validation_names_the_first_bad_edge():
+    def message(ground, *edges):
+        with pytest.raises(ValueError) as info:
+            HypergraphInstance(ground_size=ground, edges=tuple(frozenset(e) for e in edges))
+        return str(info.value)
+
+    assert message(3, {0, 1}, {-1, 2}) == "edges[1]: point -1 outside ground 0..2"
+    assert message(3, {0, 1}, {1}, {1, 3}) == "edges[2]: point 3 outside ground 0..2"
+    assert message(3, {0, 1}, set(), {5}) == "edges[1] is empty"
+    assert message(3, {0, 1}, {7}, set()) == "edges[1]: point 7 outside ground 0..2"
+
+
+@pytest.mark.parametrize(
+    "edge, bad",
+    [({0, 1.5}, 1.5), ({0.0, 1}, 0.0), ({True, 2}, True), ({Fraction(1), 2}, Fraction(1))],
+)
+def test_hypergraph_instance_rejects_points_that_are_not_ints(edge, bad):
+    with pytest.raises(ValueError) as info:
+        HypergraphInstance(ground_size=3, edges=(frozenset({2}), frozenset(edge)))
+    assert str(info.value) == f"edges[1]: point {bad!r} is not an int"

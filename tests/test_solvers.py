@@ -15,6 +15,7 @@ from dpierce import (
     TooLarge,
     covering_number,
     fractional_pair,
+    make_family,
     matching_number,
     max_depth,
     model,
@@ -41,6 +42,7 @@ from helpers import (
     random_abstract_instance,
     reference_kernel,
     reference_matching_number,
+    reference_max_depth,
     reference_pq_check,
     reference_solve_lp_max,
 )
@@ -406,6 +408,41 @@ def test_max_depth_examples():
     r, _ = max_depth(inst({0}, {1}, {2}))
     assert r == 1
     assert max_depth(inst(*[{0, 1}] * 5)) == (5, 0)  # copies count
+
+
+def test_max_depth_matches_incidence_count():
+    ties = inst({0, 3}, {1, 3}, {0, 1}, {2})  # 0, 1 and 3 tie: the lowest wins
+    empty = to_incidence(make_family(1, []))
+    instances = list(_pq_corpus()) + [
+        ties,
+        inst({0, 1}, {1, 2}, {0, 1}, {2}),  # a copy decides the depth
+        inst({2, 5}, {5, 7}, {2, 7}, ground=9),  # the tie misses point 0
+        inst({0}, {0}, {0}),  # one-point ground
+        empty,
+        to_incidence(random_d_intervals(GenConfig(seed=17, n_edges=200, d=4))),
+    ]
+    for instance in instances:
+        assert max_depth(instance) == reference_max_depth(instance)
+    assert max_depth(ties) == (2, 0)
+    assert max_depth(empty) == (0, None)
+
+
+def test_interval_edge_masks_match_the_generic_build():
+    families = [
+        fam(2, [(-3, -1), (2, 5)], [(-2, 0)], [(-3, -1), (2, 5)], [(5, 5)]),
+        fam(2, [("1/3", "1/2"), ("5/7", "6/7")], [("2/5", "5/7")], [("1/2", "1/2")]),
+        fam(1, [(0, 0)], [(0, 0)], [(0, 1)], [("-1/9", 0)]),
+    ]
+    for seed in range(20):
+        rng = random.Random(seed + 4400)
+        families.append(crowded_family(rng, rng.randint(1, 4), rng.randint(1, 12)))
+    families.append(random_d_intervals(GenConfig(seed=18, n_edges=60, d=4)))
+    for family in families:
+        built = to_incidence(family)
+        fresh = HypergraphInstance(built.ground_size, built.edges, "interval")
+        assert built.edge_masks == fresh.edge_masks
+        assert built.edge_masks == tuple(sum(1 << pt for pt in e) for e in built.edges)
+        assert built == fresh and max_depth(built) == max_depth(fresh)
 
 
 def _record_depth_counts(monkeypatch) -> list:
