@@ -217,12 +217,12 @@ def _exact_to_mpf(x: Fraction) -> mpf:
 def solve_measures(instance: HypergraphInstance):
     """(nu result, tau result, fractional cover, fractional matching, r).
 
-    The root LP is solved once: `fractional_pair` solves it, and its exact
-    value is the root bound of both branch-and-bounds.
+    Every LP is solved once per instance: the root LP `fractional_pair`
+    solves is the root bound of both branch-and-bounds.
     """
     cover_sol, matching_sol = fractional_pair(instance)
-    nu_res = matching_number(instance, root_value=cover_sol.value)
-    tau_res = covering_number(instance, root_value=cover_sol.value)
+    nu_res = matching_number(instance)
+    tau_res = covering_number(instance)
     r, _ = max_depth(instance)
     return nu_res, tau_res, cover_sol, matching_sol, r
 

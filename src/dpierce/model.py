@@ -346,8 +346,9 @@ class HypergraphInstance:
     family class the instance was built from, which decides the bound kinds
     that apply to it.  `edge_masks`, one point bitmask per edge, and
     `max_depth`, counted on those masks, are computed the first time they
-    are read and kept on the instance; neither is a field, so equality,
-    hashing, repr and pickling see only the three fields.
+    are read and kept on the instance, and so is the solvers' context (their
+    distinct edges, point->edge masks and solved LPs); none is a field, so
+    equality, hashing, repr and pickling see only the three fields.
     """
 
     ground_size: int
@@ -360,12 +361,15 @@ class HypergraphInstance:
             raise ValueError(f"ground_size must be positive, got {self.ground_size}")
         if self.provenance not in ("interval", "tree", "abstract"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        # checked on the distinct points, so the cost follows the points used;
-        # the loop below only names the first bad edge and point
+        # checked on the distinct points, which keep the first of equal points:
+        # a later equal float or Fraction turns the sum of all points into one,
+        # and a bool can only equal 0 or 1.  The loop names the first bad point
         points = frozenset().union(*self.edges)
         if (
             all(self.edges)
             and set(map(type, points)) <= {int}
+            and type(sum(map(sum, self.edges))) is int
+            and not any(type(pt) is bool for e in self.edges if 0 in e or 1 in e for pt in e)
             and (not points or (min(points) >= 0 and max(points) < self.ground_size))
         ):
             return
@@ -395,7 +399,7 @@ class HypergraphInstance:
         return _deepest_point(self.edge_masks)
 
     def __getstate__(self):
-        # the fields only: cached masks and depth are computed again after unpickling
+        # the fields only: cached masks, depth and solve context are rebuilt after unpickling
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

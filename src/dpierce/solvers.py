@@ -10,19 +10,17 @@ left out, and the optimum is unchanged.  `fractional_pair` then certifies
 its weights on every point and edge of the original instance.
 `pq_check` decides the (p,q) property by a depth-first search for p
 distinct edges that load no point q times, the shape of a counterexample;
-it reads each edge's point bitmask from the instance (`edge_masks`).
+it reads the distinct edges' point bitmasks from the solve context below.
 `naive_oracle` is a deliberately unpruned enumeration used by the test
 suite to certify the main solvers on small instances.
 
 Copies: a family is a multiset, and a repeated member is a repeated edge.
 nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
-every copy.  The LP kernel and both branch-and-bounds read point->edge
-bitmasks, bit j for distinct edge j, built by `_point_masks` once per
-solver call, so each of `fractional_pair`, `covering_number` and
-`matching_number` builds its own.  `max_depth` and `pq_check` read the other
-orientation, one point bitmask per edge, kept on the instance as
-`edge_masks`.
+every copy.  The solvers share one solve context per instance (`_context`):
+the distinct edges, the point->edge bitmasks that the LP kernel and both
+branch-and-bounds read, and every LP solved, so that no LP is solved twice
+and the root LP of `fractional_pair` is the root bound of both searches.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .model import HypergraphInstance, PQParameters
 from .simplex import LPSolution, _integer_row, solve_lp_max
@@ -62,17 +61,6 @@ class PQVerdict:
     vacuous: bool = False
 
 
-def distinct_edges(instance: HypergraphInstance) -> list[tuple[int, frozenset[int]]]:
-    """(first-occurrence index, point set) for each distinct edge, in index order."""
-    seen: set[frozenset[int]] = set()
-    out = []
-    for i, e in enumerate(instance.edges):
-        if e not in seen:
-            seen.add(e)
-            out.append((i, e))
-    return out
-
-
 def verify_cover(instance: HypergraphInstance, points) -> bool:
     """Containment check, independent of any solver internals."""
     pts = set(points)
@@ -101,31 +89,57 @@ def max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
     return instance.max_depth
 
 
-def _point_masks(edge_sets: list[frozenset[int]]) -> dict[int, int]:
-    """{point: bitmask of the edges through it}, bit j for `edge_sets[j]`.
+class _SolveContext:
+    """What the solvers of one instance share, kept on it by `_context`.
 
-    Keys are the points met by `edge_sets`, in increasing id.
+    Distinct edge j has its first occurrence at `firsts[j]`, in index order,
+    and point mask `masks[j]`.  `point_masks`: {point: bit j for each
+    distinct edge j through it}, keys in increasing id, built on first use.
+    `lps`: the solution of each LP matrix solved for the instance.
     """
-    masks: dict[int, int] = {}
-    for j, e in enumerate(edge_sets):
-        bit = 1 << j
-        for pt in e:
-            masks[pt] = masks.get(pt, 0) | bit
-    return {pt: masks[pt] for pt in sorted(masks)}
+
+    def __init__(self, instance: HypergraphInstance):
+        firsts: dict[int, int] = {}
+        for i, m in enumerate(instance.edge_masks):
+            firsts.setdefault(m, i)
+        self.masks = list(firsts)
+        self.firsts = list(firsts.values())
+        self.lps: dict[tuple, LPSolution] = {}
+        self._sets = instance.edges
+
+    @cached_property
+    def point_masks(self) -> dict[int, int]:
+        masks: dict[int, int] = {}
+        for j, i in enumerate(self.firsts):
+            bit = 1 << j
+            for pt in self._sets[i]:
+                masks[pt] = masks.get(pt, 0) | bit
+        return {pt: masks[pt] for pt in sorted(masks)}
 
 
-def _incidence_lp(masks: dict[int, int], cols: int) -> tuple[list[int], LPSolution]:
+def _context(instance: HypergraphInstance) -> _SolveContext:
+    """The instance's solve context, built on first use; not a field, like `edge_masks`."""
+    ctx = vars(instance).get("_solve_context")
+    if ctx is None:
+        ctx = _SolveContext(instance)
+        object.__setattr__(instance, "_solve_context", ctx)
+    return ctx
+
+
+def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]:
     """(points, solution) of max{1.x : Ax <= 1, x >= 0}, A the kernel incidence.
 
-    `masks` is `_point_masks` of the edges; the columns are the edges whose
-    bits are set in `cols`, in increasing index.  The primal is a fractional
-    matching, the dual a fractional cover on `points`.  Rows are the
-    dominance kernel of the points those edges meet, in increasing point id:
-    the lowest id of each distinct set of edges through a point, minus every
-    such set strictly contained in another.  A dropped row is implied by the
-    row that contains it (for x >= 0 its load is at most that row's), so the
-    primal polytope, and with it the LP value, is that of the full incidence.
+    The columns are the distinct edges whose bits are set in `cols`, in
+    increasing index.  The primal is a fractional matching, the dual a
+    fractional cover on `points`.  Rows are the dominance kernel of the
+    points those edges meet, in increasing point id: the lowest id of each
+    distinct set of edges through a point, minus every such set strictly
+    contained in another.  A dropped row is implied by the row that contains
+    it (for x >= 0 its load is at most that row's), so the primal polytope,
+    and with it the LP value, is that of the full incidence.  An LP whose
+    matrix the instance has solved before is not solved again.
     """
+    masks = ctx.point_masks
     lowest: dict[int, int] = {}
     for pt, m in masks.items():
         m &= cols
@@ -139,42 +153,32 @@ def _incidence_lp(masks: dict[int, int], cols: int) -> tuple[list[int], LPSoluti
     points = sorted(lowest[m] for m in kept)
     columns = [j for j in range(cols.bit_length()) if cols >> j & 1]
     rows = [[masks[pt] >> j & 1 for j in columns] for pt in points]
-    return points, solve_lp_max(rows, [1] * len(points), [1] * len(columns))
-
-
-def _lp_value(masks: dict[int, int], cols: int, full: int, root_value: Fraction | None) -> Fraction:
-    """The incidence LP optimum of the edges whose bits are set in `cols`.
-
-    `root_value`, when given, is that optimum for all the edges (`cols ==
-    full`), the LP `fractional_pair` solves, and stands in for solving it again.
-    """
-    if root_value is not None and cols == full:
-        return root_value
-    return _incidence_lp(masks, cols)[1].value
+    # the matrix fixes b and c, both all ones
+    key = tuple(map(tuple, rows))
+    sol = ctx.lps.get(key)
+    if sol is None:
+        sol = ctx.lps[key] = solve_lp_max(rows, [1] * len(points), [1] * len(columns))
+    return points, sol
 
 
 # ---------------------------------------------------------------------------
 # integral solvers
 # ---------------------------------------------------------------------------
 
-def covering_number(
-    instance: HypergraphInstance, *, root_value: Fraction | None = None
-) -> SolveResult:
+def covering_number(instance: HypergraphInstance) -> SolveResult:
     """Minimum point set meeting every edge, exactly.
 
     Branch and bound: greedy cover for the initial upper bound, a disjoint
     -edge packing and then the exact fractional optimum as lower bounds,
     branching on an uncovered edge with fewest points, all ties to lowest id.
-    `root_value`, if given, must be the instance's exact tau* (as from
-    `fractional_pair`); the root node then uses it instead of its own LP.
     """
-    reps = distinct_edges(instance)
-    if not reps:
+    ctx = _context(instance)
+    masks = ctx.masks
+    if not masks:
         return SolveResult(0, frozenset(), 0)
-    n = len(reps)
-    edge_sets = [e for _, e in reps]
+    n = len(masks)
     full = (1 << n) - 1
-    covers = _point_masks(edge_sets)
+    covers = ctx.point_masks
 
     # greedy upper bound
     best: list[int] = []
@@ -185,20 +189,19 @@ def covering_number(
         uncovered &= ~covers[pt]
     best_size = len(best)
 
-    edge_points = [sorted(e) for e in edge_sets]
+    edge_points = [sorted(instance.edges[i]) for i in ctx.firsts]
     node_count = 0
 
     def packing_bound(mask: int) -> int:
-        taken: set[int] = set()
-        count = 0
+        taken = count = 0
         for j in range(n):
-            if mask >> j & 1 and not (edge_sets[j] & taken):
-                taken |= edge_sets[j]
+            if mask >> j & 1 and not (masks[j] & taken):
+                taken |= masks[j]
                 count += 1
         return count
 
     def lp_bound(mask: int) -> int:
-        value = _lp_value(covers, mask, full, root_value)
+        value = _incidence_lp(ctx, mask)[1].value
         return -((-value.numerator) // value.denominator)  # ceil
 
     def search(mask: int, chosen: list[int]) -> None:
@@ -231,29 +234,23 @@ def covering_number(
     return SolveResult(best_size, witness, node_count)
 
 
-def matching_number(
-    instance: HypergraphInstance, *, root_value: Fraction | None = None
-) -> SolveResult:
+def matching_number(instance: HypergraphInstance) -> SolveResult:
     """Maximum set of pairwise disjoint distinct edges, exactly.
 
     Branch and bound over distinct edges, branching on a point of highest
     degree among the still-available edges (take one of its edges, or none).
-    `root_value`, if given, must be the instance's exact nu* (as from
-    `fractional_pair`); the root node then uses it instead of its own LP.
     """
-    reps = distinct_edges(instance)
-    if not reps:
+    ctx = _context(instance)
+    if not ctx.masks:
         return SolveResult(0, frozenset(), 0)
-    n = len(reps)
-    edge_sets = [e for _, e in reps]
-    rep_index = [i for i, _ in reps]
+    n = len(ctx.masks)
     full = (1 << n) - 1
-    member = _point_masks(edge_sets)
+    member = ctx.point_masks
     # the edges meeting edge j, j itself included
     conflict = []
-    for e in edge_sets:
+    for i in ctx.firsts:
         mask = 0
-        for pt in e:
+        for pt in instance.edges[i]:
             mask |= member[pt]
         conflict.append(mask)
 
@@ -269,7 +266,7 @@ def matching_number(
     node_count = 0
 
     def lp_bound(mask: int) -> int:
-        value = _lp_value(member, mask, full, root_value)
+        value = _incidence_lp(ctx, mask)[1].value
         return value.numerator // value.denominator  # floor
 
     def search(mask: int, chosen: list[int]) -> None:
@@ -297,7 +294,7 @@ def matching_number(
 
     search(full, [])
     del search  # the closure refers to itself; break the cycle
-    witness = frozenset(rep_index[j] for j in best)
+    witness = frozenset(ctx.firsts[j] for j in best)
     if len(witness) != best_size or not verify_matching(instance, witness):
         raise RuntimeError("matching_number produced an infeasible witness")
     return SolveResult(best_size, witness, node_count)
@@ -317,15 +314,14 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
     duality as an executable certificate); cover weights sit on kernel
     points only.
     """
-    reps = distinct_edges(instance)
-    if not reps:
+    ctx = _context(instance)
+    if not ctx.masks:
         zero = Fraction(0)
         return FractionalSolution(zero, {}), FractionalSolution(zero, {})
-    edge_sets = [e for _, e in reps]
-    points, sol = _incidence_lp(_point_masks(edge_sets), (1 << len(edge_sets)) - 1)
+    points, sol = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
 
     matching_weights = {
-        reps[j][0]: w for j, w in enumerate(sol.primal) if w
+        ctx.firsts[j]: w for j, w in enumerate(sol.primal) if w
     }
     cover_weights = {points[i]: w for i, w in enumerate(sol.dual) if w}
 
@@ -336,8 +332,8 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
     if any(w < 0 for w in cover) or any(w < 0 for w in packing):
         raise RuntimeError("fractional solution has a negative weight")
     cover_items = list(zip(cover_weights, cover))
-    for e in edge_sets:
-        if sum(w for pt, w in cover_items if pt in e) < cover_den:
+    for i in ctx.firsts:
+        if sum(w for pt, w in cover_items if pt in instance.edges[i]) < cover_den:
             raise RuntimeError("fractional cover misses an edge constraint")
     load: dict[int, int] = {}
     for i, w in zip(matching_weights, packing):
@@ -366,22 +362,20 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     The property fails exactly when some p distinct edges form a
     (q-1)-packing: no point lies in q of them.  An include-first depth-first
     search over the distinct edges, in first-occurrence order, looks for one;
-    edges are told apart, and loads kept, on `instance.edge_masks`.  It extends a packing by an edge only if the edge misses every point that
-    is already loaded q-1 times, and drops a prefix once fewer edges are left
+    loads are kept on the edges' point masks from the solve context.  It
+    extends a packing by an edge only if the edge misses every point that is
+    already loaded q-1 times, and drops a prefix once fewer edges are left
     than it still needs.  Include-first order meets p-subsets
     lexicographically, so the first packing found is the lexicographically
     first failing p-subset; it is the counterexample.  Fewer than p distinct
     edges satisfy the property vacuously.
     """
     r, _ = max_depth(instance)
-    # the first occurrence of each distinct edge, by its point bitmask
-    firsts: dict[int, int] = {}
-    for i, m in enumerate(instance.edge_masks):
-        firsts.setdefault(m, i)
-    p, n = params.p, len(firsts)
+    ctx = _context(instance)
+    masks = ctx.masks
+    p, n = params.p, len(masks)
     if n < p:
         return PQVerdict(True, None, r, vacuous=True)
-    masks, ids = list(firsts), list(firsts.values())
     # layers[k] holds the points loaded at least k+1 times by the chosen edges
     layers = [0] * (params.q - 1)
     chosen: list[int] = []
@@ -406,7 +400,7 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
             chosen.append(j)
             need -= 1
         j += 1
-    return PQVerdict(False, frozenset(ids[k] for k in chosen), r)
+    return PQVerdict(False, frozenset(ctx.firsts[k] for k in chosen), r)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +415,7 @@ def naive_oracle(instance: HypergraphInstance, quantity: str) -> int:
         )
     if quantity not in ("nu", "tau"):
         raise ValueError(f"unknown quantity {quantity!r}")
-    edge_sets = [e for _, e in distinct_edges(instance)]
+    edge_sets = list(dict.fromkeys(instance.edges))
     if quantity == "tau":
         if not edge_sets:
             return 0

@@ -136,14 +136,25 @@ def test_solve_measures_solves_root_lp_once(monkeypatch):
         solved.clear()
         solve_measures(instance)
         assert solved.count(_root_lp(instance)) == 1
+        # no LP, root or node, is solved twice for one instance
+        assert len(set(solved)) == len(solved)
 
 
-def test_root_value_leaves_results_identical():
-    # same optimum, witness and node count with the root LP solved or given
+def _fresh(instance):
+    return HypergraphInstance(instance.ground_size, instance.edges, instance.provenance)
+
+
+def test_warm_instance_gives_fresh_results():
+    # same results, witnesses and node counts on an instance every solver has
+    # already solved as on a fresh one
+    params = PQParameters(3, 2)
+    solves = (lambda i: pq_check(i, params), covering_number, matching_number, fractional_pair)
     for instance in _root_families():
-        root = fractional_pair(instance)[0].value
-        assert matching_number(instance, root_value=root) == matching_number(instance)
-        assert covering_number(instance, root_value=root) == covering_number(instance)
+        for solve in solves:
+            warm = _fresh(instance)
+            solve_measures(warm)
+            pq_check(warm, params)
+            assert solve(warm) == solve(_fresh(instance))
 
 
 def test_matching_number_matches_plain_reference():
@@ -240,14 +251,14 @@ def test_kernel_matches_pairwise_reference_and_keeps_lp_value(monkeypatch):
     rng = random.Random(6)
     lps = shrunk = 0
     for instance in _kernel_families():
-        edge_sets = [e for _, e in solvers.distinct_edges(instance)]
+        edge_sets = list(dict.fromkeys(instance.edges))
         n = len(edge_sets)
-        point_masks = solvers._point_masks(edge_sets)
         masks = [(1 << n) - 1] + [rng.randrange(1, 1 << n) for _ in range(3)]
         for mask in masks:
             sub = [edge_sets[j] for j in range(n) if mask >> j & 1]
             solved.clear()
-            points, sol = solvers._incidence_lp(point_masks, mask)
+            # a fresh instance per mask: a mask drawn twice would find its LP solved
+            points, sol = solvers._incidence_lp(solvers._context(_fresh(instance)), mask)
             assert points == reference_kernel(sub)
             # one LP: the kernel points by the sub-mask's edges in increasing index
             rows = [[1 if pt in e else 0 for e in sub] for pt in points]
@@ -265,13 +276,9 @@ def test_kernel_matches_pairwise_reference_and_keeps_lp_value(monkeypatch):
 def test_kernel_keeps_every_point_of_pg23():
     pg = projective_instance(ProjectiveParams(2, 3)).instance
     n = len(pg.edges)
-    points, sol = solvers._incidence_lp(solvers._point_masks(list(pg.edges)), (1 << n) - 1)
+    points, sol = solvers._incidence_lp(solvers._context(pg), (1 << n) - 1)
     assert points == list(range(pg.ground_size)) == list(range(13))
     assert sol.value == Fraction(13, 4)
-
-
-# edges {0}, {0,1}, {1}: tau* = 2, points 0 and 1 both in the kernel
-_PATH = inst({0}, {0, 1}, {1})
 
 
 @pytest.mark.parametrize(
@@ -291,8 +298,10 @@ def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, d
         )
 
     monkeypatch.setattr(solvers, "solve_lp_max", forged)
+    # edges {0}, {0,1}, {1}: tau* = 2, points 0 and 1 both in the kernel.  A
+    # fresh instance per case, so that each case's forged solution is solved
     with pytest.raises(RuntimeError, match=reason):
-        fractional_pair(_PATH)
+        fractional_pair(inst({0}, {0, 1}, {1}))
 
 
 def test_sandwich_nu_le_fractional_le_tau():
@@ -481,16 +490,23 @@ def test_verify_bundle_counts_depth_once(monkeypatch):
 
 
 def test_read_depth_leaves_equality_hash_and_pickle_alone():
-    read = inst({0, 1}, {1, 2}, {1})
+    edges = ({0, 1}, {1, 2}, {1})
+    read = inst(*edges)
     assert max_depth(read) == (3, 1)
-    fresh = inst({0, 1}, {1, 2}, {1})
-    assert read == fresh
-    assert hash(read) == hash(fresh)
-    assert repr(read) == repr(fresh)
-    assert pickle.dumps(read) == pickle.dumps(fresh)
-    back = pickle.loads(pickle.dumps(read))
-    assert back == fresh
-    assert max_depth(back) == (3, 1)
+    # solved by every solver and by the (p,q) check, which fails here
+    solved = inst(*edges, {0, 1}, {2})
+    solve_measures(solved)
+    assert not pq_check(solved, PQParameters(2, 2)).holds
+    for used, fresh in ((read, inst(*edges)), (solved, inst(*edges, {0, 1}, {2}))):
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == fresh
+        assert max_depth(back) == max_depth(fresh)
+        assert covering_number(back) == covering_number(used)
+    assert max_depth(pickle.loads(pickle.dumps(read))) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
