@@ -1,21 +1,26 @@
 """Covering-bound formulas, instance verification, and proof procedures.
 
-Each `BoundKind` pins one inequality on one family class; `verify_instance`
-solves an instance exactly, evaluates the bound in high precision, and
-reports whether the inequality holds.  Instances failing the hypothesis of
-a kind are reported as inapplicable, never as vacuous successes.
+Each `BoundKind` pins one inequality on one family class.  `verify_bundle`
+solves an instance once, exactly (nu, tau, tau* and the depth r), and
+checks each requested kind against that one solve; `verify_instance` is
+the one-kind case.  A kind whose hypothesis fails (the (p,q) property,
+the family class, d = 1 for GALLAI) is reported as inapplicable, never as
+a vacuous success.
 
-Closed-form bounds involve e and fractional powers, so they are evaluated
-with mpmath at 50 digits (certified error far below 1e-9) and the checks
-allow a 1e-6 slack above the bound; measured quantities are exact
-rationals, so no true violation is masked at the scales handled here.
-The ratio and equality kinds (tau <= d*tau*, and tau = nu for plain
-interval families) are compared exactly in rational arithmetic.
+The closed-form bounds involve e and fractional powers.  `_closed_form`
+evaluates each of them, with the active branch of a max-form bound, once
+per (kind, p, q, d, k), with mpmath at 50 digits whatever the caller's
+precision (certified error far below 1e-9).  The checks allow a 1e-6
+slack above the bound; measured quantities are exact rationals, so no
+true violation is masked at the scales handled here.  The ratio and
+equality kinds (tau <= d*tau*, and tau = nu for plain interval families)
+are compared exactly in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -79,21 +84,19 @@ _PP_KINDS = {
     BoundKind.TREE_PP_STAR,
     BoundKind.TREE_PP_TAU,
 }
-_MAX_FORM_KINDS = {
-    BoundKind.DPQ_STAR,
-    BoundKind.DPQ_TAU,
-    BoundKind.TREE_PQ_TAU,
-    BoundKind.TW_TAU,
+# the instance provenance a kind's hypothesis requires; kinds not listed
+# take any provenance
+_PROVENANCE = {
+    BoundKind.DPP_STAR: "interval",
+    BoundKind.DPP_TAU: "interval",
+    BoundKind.DPQ_STAR: "interval",
+    BoundKind.DPQ_TAU: "interval",
+    BoundKind.GALLAI: "interval",
+    BoundKind.KAISER_P2: "interval",
+    BoundKind.TREE_PP_STAR: "tree",
+    BoundKind.TREE_PP_TAU: "tree",
+    BoundKind.TREE_PQ_TAU: "tree",
 }
-_INTERVAL_KINDS = {
-    BoundKind.DPP_STAR,
-    BoundKind.DPP_TAU,
-    BoundKind.DPQ_STAR,
-    BoundKind.DPQ_TAU,
-    BoundKind.GALLAI,
-    BoundKind.KAISER_P2,
-}
-_TREE_KINDS = {BoundKind.TREE_PP_STAR, BoundKind.TREE_PP_TAU, BoundKind.TREE_PQ_TAU}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -113,43 +116,52 @@ def evaluate_bound(
     ALON and GALLAI have instance-dependent right-hand sides and are
     rejected here; `verify_instance` computes them from measured values.
     """
+    return _closed_form(kind, p, q, d, k)[0]
+
+
+@functools.cache
+def _closed_form(kind, p, q, d, k) -> tuple[mpf, str | None]:
+    """(bound value, active branch) of `kind` at (p, q, d, k).
+
+    The branch is 'power' or 'quadratic' for the max-form kinds (DPQ_STAR,
+    DPQ_TAU, TREE_PQ_TAU, TW_TAU), else None.  Evaluated at 50 digits
+    whatever the caller's precision, so the memo never returns a value
+    that depends on it; bad parameters raise BadParams on every call.
+    """
+    if not isinstance(kind, BoundKind):
+        raise BadParams(f"unknown kind {kind}")
     if kind in (BoundKind.ALON, BoundKind.GALLAI):
         raise BadParams(f"{kind.value} has no closed form independent of the instance")
     _require(d is not None and d >= 1, f"need d >= 1, got {d}")
-    dd = mpf(d)
-    if kind in _PP_KINDS:
-        _require(p is not None and p >= 2, f"need p >= 2, got {p}")
-        _require(q is None or q == p, f"(p,p) bound needs q = p, got q={q}")
-        e1 = mpf(1) / (p - 1)
-        if kind in _STAR_KINDS:
-            return (mpf(p) * dd) ** e1 + 1
-        return mpf(p) ** e1 * dd ** (mpf(p) * e1) + dd
-    if kind in _MAX_FORM_KINDS:
+    with mp.workdps(50):
+        dd = mpf(d)
+        if kind in _PP_KINDS:
+            _require(p is not None and p >= 2, f"need p >= 2, got {p}")
+            _require(q is None or q == p, f"(p,p) bound needs q = p, got q={q}")
+            e1 = mpf(1) / (p - 1)
+            if kind in _STAR_KINDS:
+                return (mpf(p) * dd) ** e1 + 1, None
+            return mpf(p) ** e1 * dd ** (mpf(p) * e1) + dd, None
+        if kind is BoundKind.KAISER_P2:
+            _require(p is not None and p >= 2, f"need p >= 2, got {p}")
+            _require(q is None or q == 2, f"KAISER_P2 is a (p,2) bound, got q={q}")
+            return mpf((p - 1) * (d * d - d + 1)), None
         _require(p is not None and q is not None, "need both p and q")
         _require(p >= q >= 2, f"need p >= q >= 2, got p={p}, q={q}")
-        power_branch, quad_branch = _max_form_branches(kind, p, q, dd, k)
-        return max(power_branch, quad_branch)
-    if kind is BoundKind.KAISER_P2:
-        _require(p is not None and p >= 2, f"need p >= 2, got {p}")
-        _require(q is None or q == 2, f"KAISER_P2 is a (p,2) bound, got q={q}")
-        return mpf((p - 1) * (d * d - d + 1))
-    raise BadParams(f"unknown kind {kind}")
-
-
-def _max_form_branches(kind: BoundKind, p: int, q: int, dd: mpf, k: int | None):
-    """(power branch, quadratic branch) of the max-form bounds."""
-    c = mpf(2) ** (mpf(1) / (q - 1)) * (mp.e * p) ** (mpf(q) / (q - 1)) / q
-    if kind is BoundKind.DPQ_STAR:
-        power_branch = c * dd ** (mpf(1) / (q - 1)) + 1
-        quad_branch = mpf(2 * p * p)
-    else:
-        power_branch = c * dd ** (mpf(q) / (q - 1)) + dd
-        quad_branch = mpf(2 * p * p) * dd
-    if kind is BoundKind.TW_TAU:
-        _require(k is not None and k >= 0, f"TW_TAU needs k >= 0, got {k}")
-        power_branch *= k + 1
-        quad_branch *= k + 1
-    return power_branch, quad_branch
+        c = mpf(2) ** (mpf(1) / (q - 1)) * (mp.e * p) ** (mpf(q) / (q - 1)) / q
+        if kind is BoundKind.DPQ_STAR:
+            power_branch = c * dd ** (mpf(1) / (q - 1)) + 1
+            quad_branch = mpf(2 * p * p)
+        else:
+            power_branch = c * dd ** (mpf(q) / (q - 1)) + dd
+            quad_branch = mpf(2 * p * p) * dd
+        if kind is BoundKind.TW_TAU:
+            _require(k is not None and k >= 0, f"TW_TAU needs k >= 0, got {k}")
+            power_branch *= k + 1
+            quad_branch *= k + 1
+        if power_branch >= quad_branch:
+            return power_branch, "power"
+        return quad_branch, "quadratic"
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +227,16 @@ def _exact_to_mpf(x: Fraction) -> mpf:
 
 
 def solve_measures(instance: HypergraphInstance):
-    """(nu result, tau result, fractional cover, fractional matching, r).
+    """(nu result, tau result, fractional cover, r).
 
     Every LP is solved once per instance: the root LP `fractional_pair`
     solves is the root bound of both branch-and-bounds.
     """
-    cover_sol, matching_sol = fractional_pair(instance)
+    cover_sol, _ = fractional_pair(instance)
     nu_res = matching_number(instance)
     tau_res = covering_number(instance)
     r, _ = max_depth(instance)
-    return nu_res, tau_res, cover_sol, matching_sol, r
+    return nu_res, tau_res, cover_sol, r
 
 
 def verify_bundle(
@@ -237,18 +249,61 @@ def verify_bundle(
     """Check several bound kinds on one family with a single exact solve."""
     d, k_eff = _d_and_k(family, k)
     instance = to_incidence(family)
-    nu_res, tau_res, cover_sol, matching_sol, r = solve_measures(instance)
+    nu_res, tau_res, cover_sol, r = solve_measures(instance)
     if not verify_cover(instance, tau_res.witness) or not verify_matching(
         instance, nu_res.witness
     ):
         raise RuntimeError("witness failed its independent re-validation")
+    nu, tau, tau_star = nu_res.optimum, tau_res.optimum, cover_sol.value
+    p, q = (params.p, params.q) if params else (None, None)
+    # the fields every report of this instance shares
+    shared = dict(
+        p=p,
+        q=q,
+        d=d,
+        k=k_eff,
+        nu=nu,
+        tau=tau,
+        tau_star=tau_star,
+        r=r,
+        witness_cover=tuple(sorted(tau_res.witness)),
+        witness_matching=tuple(sorted(nu_res.witness)),
+        seed=seed,
+    )
     pq_cache: dict[tuple[int, int], object] = {}
-    return [
-        _report_for_kind(
-            kind, instance, params, d, k_eff, seed, nu_res, tau_res, cover_sol.value, r, pq_cache
+    reports = []
+    for kind in kinds:
+        problem = _hypothesis_problem(kind, instance, params, d, k_eff, pq_cache)
+        # (bound_value, satisfied, slack, active_branch)
+        if problem is not None:
+            outcome = ("", None, None, None)
+        elif kind is BoundKind.ALON:
+            rhs = d * tau_star
+            outcome = (_fmt(_exact_to_mpf(rhs)), tau <= rhs, _fmt(_exact_to_mpf(rhs - tau)), None)
+        elif kind is BoundKind.GALLAI:
+            outcome = (_fmt(mpf(nu)), tau == nu, _fmt(mpf(nu - tau)), None)
+        else:
+            bound, active = _closed_form(kind, p, q, d, k_eff)
+            star = kind in _STAR_KINDS
+            measured = _exact_to_mpf(tau_star) if star else mpf(tau)
+            ok = measured < bound + _TOL if star else measured <= bound + _TOL
+            outcome = (_fmt(bound), bool(ok), _fmt(bound - measured), active)
+        bound_value, satisfied, slack, active = outcome
+        reason, counterexample = problem or (None, None)
+        reports.append(
+            BoundReport(
+                kind=kind,
+                applicable=problem is None,
+                reason=reason,
+                counterexample=counterexample,
+                bound_value=bound_value,
+                satisfied=satisfied,
+                slack=slack,
+                active_branch=active,
+                **shared,
+            )
         )
-        for kind in kinds
-    ]
+    return reports
 
 
 def verify_instance(
@@ -270,88 +325,6 @@ def verify_instance(
     return verify_bundle(family, [kind], params=params, k=k, seed=seed)[0]
 
 
-def _report_for_kind(
-    kind, instance, params, d, k_eff, seed, nu_res, tau_res, tau_star, r, pq_cache
-) -> BoundReport:
-    base = dict(
-        kind=kind,
-        p=params.p if params else None,
-        q=params.q if params else None,
-        d=d,
-        k=k_eff,
-        nu=nu_res.optimum,
-        tau=tau_res.optimum,
-        tau_star=tau_star,
-        r=r,
-        witness_cover=tuple(sorted(tau_res.witness)),
-        witness_matching=tuple(sorted(nu_res.witness)),
-        seed=seed,
-    )
-    problem = _hypothesis_problem(kind, instance, params, d, k_eff, pq_cache)
-    if isinstance(problem, tuple):
-        reason, counterexample = problem
-        return BoundReport(
-            applicable=False,
-            reason=reason,
-            counterexample=counterexample,
-            bound_value="",
-            satisfied=None,
-            slack=None,
-            active_branch=None,
-            **base,
-        )
-
-    if kind is BoundKind.ALON:
-        rhs = d * tau_star
-        ok = Fraction(tau_res.optimum) <= rhs
-        return BoundReport(
-            applicable=True,
-            reason=None,
-            counterexample=None,
-            bound_value=_fmt(_exact_to_mpf(rhs)),
-            satisfied=ok,
-            slack=_fmt(_exact_to_mpf(rhs - tau_res.optimum)),
-            active_branch=None,
-            **base,
-        )
-    if kind is BoundKind.GALLAI:
-        ok = tau_res.optimum == nu_res.optimum
-        return BoundReport(
-            applicable=True,
-            reason=None,
-            counterexample=None,
-            bound_value=_fmt(mpf(nu_res.optimum)),
-            satisfied=ok,
-            slack=_fmt(mpf(nu_res.optimum - tau_res.optimum)),
-            active_branch=None,
-            **base,
-        )
-
-    p = params.p if params else None
-    q = params.q if params else None
-    bound = evaluate_bound(kind, p=p, q=q, d=d, k=k_eff)
-    active = None
-    if kind in _MAX_FORM_KINDS:
-        power_branch, quad_branch = _max_form_branches(kind, p, q, mpf(d), k_eff)
-        active = "power" if power_branch >= quad_branch else "quadratic"
-    if kind in _STAR_KINDS:
-        measured = _exact_to_mpf(tau_star)
-        ok = measured < bound + _TOL
-    else:
-        measured = mpf(tau_res.optimum)
-        ok = measured <= bound + _TOL
-    return BoundReport(
-        applicable=True,
-        reason=None,
-        counterexample=None,
-        bound_value=_fmt(bound),
-        satisfied=bool(ok),
-        slack=_fmt(bound - measured),
-        active_branch=active,
-        **base,
-    )
-
-
 def _d_and_k(family, k: int | None) -> tuple[int, int | None]:
     """(d, effective k) for any accepted family form."""
     if isinstance(family, (DIntervalFamily, SubforestFamily)):
@@ -363,10 +336,9 @@ def _d_and_k(family, k: int | None) -> tuple[int, int | None]:
 
 def _hypothesis_problem(kind, instance, params, d, k, pq_cache):
     """None if the kind's hypothesis holds, else (reason, counterexample)."""
-    if kind in _INTERVAL_KINDS and instance.provenance != "interval":
-        return (f"{kind.value} applies to interval families, got {instance.provenance}", None)
-    if kind in _TREE_KINDS and instance.provenance != "tree":
-        return (f"{kind.value} applies to tree families, got {instance.provenance}", None)
+    needed = _PROVENANCE.get(kind)
+    if needed is not None and instance.provenance != needed:
+        return (f"{kind.value} applies to {needed} families, got {instance.provenance}", None)
     if kind is BoundKind.GALLAI:
         if d != 1:
             return (f"GALLAI needs d = 1, family has d = {d}", None)

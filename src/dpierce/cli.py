@@ -77,7 +77,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    nu, tau, cover_sol, _, r = solve_measures(to_incidence(load_instance(args.file)))
+    nu, tau, cover_sol, r = solve_measures(to_incidence(load_instance(args.file)))
     _emit(
         {
             "nu": nu.optimum,

@@ -326,12 +326,19 @@ class SubforestFamily:
 
 @dataclass(frozen=True)
 class PQParameters:
-    """Parameters of the intersection property: among any p edges, q meet."""
+    """Parameters of the intersection property: among any p edges, q meet.
+
+    p and q are ints (a float or bool is a TypeError) with p >= q >= 2.
+    """
 
     p: int
     q: int
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name}: expected an int, got {value!r}")
         if not (self.p >= self.q >= 2):
             raise ValueError(f"need p >= q >= 2, got p={self.p}, q={self.q}")
 

@@ -2,10 +2,10 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import e, factorial
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from dpierce import (
     BadParams,
@@ -19,12 +19,16 @@ from dpierce import (
     evaluate_bound,
     heavy_vertex,
     planted_pq_family,
+    planted_pq_subforests,
     projective_instance,
     random_d_intervals,
     sharpness_probe,
     to_incidence,
+    verify_bundle,
     verify_instance,
 )
+from dpierce import bounds
+from dpierce.bounds import _fmt
 
 from helpers import fam
 
@@ -97,6 +101,21 @@ def test_kaiser_p2_formula():
     assert evaluate_bound(BoundKind.KAISER_P2, p=4, d=3) == 3 * 7
 
 
+def test_closed_form_ignores_the_callers_precision():
+    # the memo must not keep a value evaluated at the caller's precision
+    bounds._closed_form.cache_clear()
+    with mp.workdps(15):
+        low = evaluate_bound(BoundKind.DPQ_STAR, p=5, q=3, d=7)
+    assert low == evaluate_bound(BoundKind.DPQ_STAR, p=5, q=3, d=7)
+    assert _fmt(low) == "63.494168275108695"
+
+
+def test_bad_call_raises_every_time():
+    for _ in range(3):
+        with pytest.raises(BadParams):
+            evaluate_bound(BoundKind.TW_TAU, p=2, q=2, d=1, k=None)
+
+
 # ---------------------------------------------------------------------------
 # verify_instance
 # ---------------------------------------------------------------------------
@@ -141,8 +160,6 @@ def test_alon_exact_on_fano():
 
 
 def test_tree_pp_kinds_on_planted_subforests():
-    from dpierce import planted_pq_subforests
-
     f = planted_pq_subforests(GenConfig(seed=3, n_edges=8, d=2, host_size=10), PQParameters(2, 2))
     for kind in (BoundKind.TREE_PP_STAR, BoundKind.TREE_PP_TAU):
         report = verify_instance(f, kind, PQParameters(2, 2))
@@ -165,6 +182,55 @@ def test_active_branch_recorded():
     f = planted_pq_family(GenConfig(seed=4, n_edges=8, d=2), PQParameters(3, 2))
     report = verify_instance(f, BoundKind.DPQ_TAU, PQParameters(3, 2))
     assert report.active_branch in ("power", "quadratic")
+
+
+def test_quadratic_branch_reported():
+    f = planted_pq_family(GenConfig(seed=4, n_edges=8, d=1), PQParameters(6, 6))
+    kinds = [BoundKind.DPQ_STAR, BoundKind.DPQ_TAU]
+    for report in verify_bundle(f, kinds, params=PQParameters(6, 6)):
+        assert report.applicable and report.satisfied
+        assert report.active_branch == "quadratic"
+        assert report.bound_value == "72.0"
+
+
+def _float_branches(kind, p, q, d, k):
+    """(power, quadratic) branch of a max-form bound, in floats."""
+    c = 2 ** (1 / (q - 1)) * (e * p) ** (q / (q - 1)) / q
+    if kind is BoundKind.DPQ_STAR:
+        power, quad = c * d ** (1 / (q - 1)) + 1, 2 * p * p
+    else:
+        power, quad = c * d ** (q / (q - 1)) + d, 2 * p * p * d
+    scale = k + 1 if kind is BoundKind.TW_TAU else 1
+    return power * scale, quad * scale
+
+
+def test_reports_carry_the_closed_form_and_its_larger_branch():
+    max_form = {BoundKind.DPQ_STAR, BoundKind.DPQ_TAU, BoundKind.TREE_PQ_TAU, BoundKind.TW_TAU}
+    seen = set()
+    for (p, q), d, k in itertools.product(((2, 2), (3, 2), (4, 3), (6, 6)), (1, 2, 3), (0, 2)):
+        params = PQParameters(p, q)
+        cfg = GenConfig(seed=10 * p + d, n_edges=8, d=d, host_size=10)
+        pp = [BoundKind.DPP_STAR, BoundKind.DPP_TAU] if p == q else []
+        kaiser = [BoundKind.KAISER_P2] if q == 2 else []
+        tree_pp = [BoundKind.TREE_PP_STAR, BoundKind.TREE_PP_TAU] if p == q else []
+        bundles = (
+            (planted_pq_family(cfg, params), pp + kaiser + [BoundKind.DPQ_STAR, BoundKind.DPQ_TAU]),
+            (planted_pq_subforests(cfg, params), tree_pp + [BoundKind.TREE_PQ_TAU]),
+        )
+        for family, kinds in bundles:
+            for report in verify_bundle(family, kinds + [BoundKind.TW_TAU], params=params, k=k):
+                assert report.applicable and report.satisfied
+                bound = evaluate_bound(report.kind, p=p, q=q, d=d, k=k)
+                assert report.bound_value == _fmt(bound)
+                if report.kind not in max_form:
+                    assert report.active_branch is None
+                    continue
+                power, quad = _float_branches(report.kind, p, q, d, k)
+                assert abs(power - quad) > 1e-6 * quad  # no near tie in the grid
+                assert report.active_branch == ("power" if power > quad else "quadratic")
+                seen.add((report.kind, report.active_branch))
+    assert {branch for _, branch in seen} == {"power", "quadratic"}
+    assert {kind for kind, _ in seen} == max_form
 
 
 def test_verify_instance_deterministic_json():

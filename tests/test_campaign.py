@@ -212,6 +212,19 @@ def test_generator_is_checked_even_without_instances(source, field):
         run_campaign({"campaigns": [{"kinds": ["ALON"], "source": source}]})
 
 
+@pytest.mark.parametrize(
+    "generator, p",
+    [("random_intervals", 3.5), ("planted_intervals", 3.0)],
+)
+def test_non_int_p_is_a_config_error(generator, p):
+    # a float p once ran as if it were valid: a DPQ_TAU pass with "p": 3.5 on
+    # random families, and a TypeError traceback inside the planted generator
+    source = {"generator": generator, "count": 2, "seed": 1, "n_edges": 6, "d": 2}
+    config = {"campaigns": [{"kinds": ["DPQ_TAU"], "p": p, "q": 2, "source": source}]}
+    with pytest.raises(CampaignConfigError, match=r"bad p/q: p: expected an int"):
+        run_campaign(config)
+
+
 def test_violation_reporting_and_exit_code(monkeypatch):
     # the checked bounds all hold, so force an unsatisfied report to exercise the
     # failure path: exit code 1 and an embedded instance for replay

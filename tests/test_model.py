@@ -13,6 +13,7 @@ from dpierce import (
     HostTree,
     HypergraphInstance,
     Interval,
+    PQParameters,
     ProjectiveParams,
     Subforest,
     SubforestFamily,
@@ -37,6 +38,19 @@ from helpers import (
     iv,
     reference_interval_incidence,
 )
+
+
+# ---------------------------------------------------------------------------
+# (p,q) parameters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "p, q, field",
+    [(3.5, 2, "p"), (3.0, 2, "p"), (3, 2.0, "q"), (True, True, "p"), (3, True, "q"), ("3", 2, "p")],
+)
+def test_pq_parameters_reject_non_int(p, q, field):
+    with pytest.raises(TypeError, match=f"^{field}: expected an int"):
+        PQParameters(p, q)
 
 
 # ---------------------------------------------------------------------------
