@@ -56,6 +56,7 @@ from .generators import (
     ProjectiveParams,
     planted_pq_family,
     planted_pq_subforests,
+    projective_incidence,
     projective_instance,
     random_d_intervals,
     random_subforests,

@@ -10,7 +10,10 @@ a vacuous success.
 The closed-form bounds involve e and fractional powers.  `_closed_form`
 evaluates each of them, with the active branch of a max-form bound, once
 per (kind, p, q, d, k), with mpmath at 50 digits whatever the caller's
-precision (certified error far below 1e-9).  The checks allow a 1e-6
+precision (certified error far below 1e-9); the slack, the check against
+the bound and the tightness ratios are computed at the same 50 digits, so
+no report depends on the caller's precision, and importing the module
+leaves mpmath's global precision alone.  The checks allow a 1e-6
 slack above the bound; measured quantities are exact rationals, so no
 true violation is masked at the scales handled here.  The ratio and
 equality kinds (tau <= d*tau*, and tau = nu for plain interval families)
@@ -36,7 +39,7 @@ from .model import (
     induced_components,
     to_incidence,
 )
-from .generators import ProjectiveParams, projective_instance
+from .generators import ProjectiveParams, projective_incidence
 from .solvers import (
     covering_number,
     fractional_pair,
@@ -48,9 +51,8 @@ from .solvers import (
 )
 from .treewidth import TwInstance
 
-mp.dps = 50
-
-_TOL = mpf("1e-6")
+with mp.workdps(50):
+    _TOL = mpf("1e-6")
 
 
 class BadParams(ValueError):
@@ -272,37 +274,41 @@ def verify_bundle(
     )
     pq_cache: dict[tuple[int, int], object] = {}
     reports = []
-    for kind in kinds:
-        problem = _hypothesis_problem(kind, instance, params, d, k_eff, pq_cache)
-        # (bound_value, satisfied, slack, active_branch)
-        if problem is not None:
-            outcome = ("", None, None, None)
-        elif kind is BoundKind.ALON:
-            rhs = d * tau_star
-            outcome = (_fmt(_exact_to_mpf(rhs)), tau <= rhs, _fmt(_exact_to_mpf(rhs - tau)), None)
-        elif kind is BoundKind.GALLAI:
-            outcome = (_fmt(mpf(nu)), tau == nu, _fmt(mpf(nu - tau)), None)
-        else:
-            bound, active = _closed_form(kind, p, q, d, k_eff)
-            star = kind in _STAR_KINDS
-            measured = _exact_to_mpf(tau_star) if star else mpf(tau)
-            ok = measured < bound + _TOL if star else measured <= bound + _TOL
-            outcome = (_fmt(bound), bool(ok), _fmt(bound - measured), active)
-        bound_value, satisfied, slack, active = outcome
-        reason, counterexample = problem or (None, None)
-        reports.append(
-            BoundReport(
-                kind=kind,
-                applicable=problem is None,
-                reason=reason,
-                counterexample=counterexample,
-                bound_value=bound_value,
-                satisfied=satisfied,
-                slack=slack,
-                active_branch=active,
-                **shared,
+    # the report arithmetic runs at the precision of the closed forms,
+    # whatever the caller's
+    with mp.workdps(50):
+        for kind in kinds:
+            problem = _hypothesis_problem(kind, instance, params, d, k_eff, pq_cache)
+            # (bound_value, satisfied, slack, active_branch)
+            if problem is not None:
+                outcome = ("", None, None, None)
+            elif kind is BoundKind.ALON:
+                rhs = d * tau_star
+                slack = _fmt(_exact_to_mpf(rhs - tau))
+                outcome = (_fmt(_exact_to_mpf(rhs)), tau <= rhs, slack, None)
+            elif kind is BoundKind.GALLAI:
+                outcome = (_fmt(mpf(nu)), tau == nu, _fmt(mpf(nu - tau)), None)
+            else:
+                bound, active = _closed_form(kind, p, q, d, k_eff)
+                star = kind in _STAR_KINDS
+                measured = _exact_to_mpf(tau_star) if star else mpf(tau)
+                ok = measured < bound + _TOL if star else measured <= bound + _TOL
+                outcome = (_fmt(bound), bool(ok), _fmt(bound - measured), active)
+            bound_value, satisfied, slack, active = outcome
+            reason, counterexample = problem or (None, None)
+            reports.append(
+                BoundReport(
+                    kind=kind,
+                    applicable=problem is None,
+                    reason=reason,
+                    counterexample=counterexample,
+                    bound_value=bound_value,
+                    satisfied=satisfied,
+                    slack=slack,
+                    active_branch=active,
+                    **shared,
+                )
             )
-        )
     return reports
 
 
@@ -371,24 +377,26 @@ def max_measured_over_bound(reports) -> dict[str, str]:
     """Largest measured/bound ratio per kind, as 17-digit decimal strings.
 
     Tightness telemetry over the applicable reports with a positive bound;
-    measured is tau* for the fractional kinds and tau for the others.
+    measured is tau* for the fractional kinds and tau for the others.  The
+    ratios are taken at 50 digits whatever the caller's precision.
     """
     best: dict[str, mpf] = {}
-    for report in reports:
-        if not report.applicable:
-            continue
-        bound = mpf(report.bound_value)
-        if bound > 0:
-            measured = (
-                _exact_to_mpf(report.tau_star)
-                if report.kind in _STAR_KINDS
-                else mpf(report.tau)
-            )
-            ratio = measured / bound
-            key = report.kind.value
-            if key not in best or ratio > best[key]:
-                best[key] = ratio
-    return {k: _fmt(v) for k, v in sorted(best.items())}
+    with mp.workdps(50):
+        for report in reports:
+            if not report.applicable:
+                continue
+            bound = mpf(report.bound_value)
+            if bound > 0:
+                measured = (
+                    _exact_to_mpf(report.tau_star)
+                    if report.kind in _STAR_KINDS
+                    else mpf(report.tau)
+                )
+                ratio = measured / bound
+                key = report.kind.value
+                if key not in best or ratio > best[key]:
+                    best[key] = ratio
+        return {k: _fmt(v) for k, v in sorted(best.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +492,8 @@ def sharpness_probe(dimension: int, primes) -> list[dict]:
     rows = []
     for q in primes:
         params = ProjectiveParams(dimension=dimension, field_order=q)
-        fam = projective_instance(params)
-        cover_sol, _ = fractional_pair(fam.instance)
+        instance, d = projective_incidence(params)
+        cover_sol, _ = fractional_pair(instance)
         tau_star = cover_sol.value
         expected = Fraction(q) + Fraction(1, sum(q**i for i in range(dimension)))
         if tau_star != expected:
@@ -493,20 +501,21 @@ def sharpness_probe(dimension: int, primes) -> list[dict]:
                 f"projective tau* mismatch at k={dimension}, q={q}: "
                 f"LP gave {tau_star}, formula gives {expected}"
             )
-        if (tau_star + 1) ** (dimension - 1) < fam.d:
+        if (tau_star + 1) ** (dimension - 1) < d:
             raise AssertionError(
                 f"sharpness floor violated at k={dimension}, q={q}: "
-                f"tau* = {tau_star} < d^(1/(k-1)) - 1 for d = {fam.d}"
+                f"tau* = {tau_star} < d^(1/(k-1)) - 1 for d = {d}"
             )
-        ratio = _exact_to_mpf(tau_star) / mpf(fam.d) ** (mpf(1) / (dimension - 1))
+        with mp.workdps(50):
+            ratio = _fmt(_exact_to_mpf(tau_star) / mpf(d) ** (mpf(1) / (dimension - 1)))
         rows.append(
             {
                 "dimension": dimension,
                 "field_order": q,
-                "ground": fam.instance.ground_size,
-                "d": fam.d,
+                "ground": instance.ground_size,
+                "d": d,
                 "tau_star": str(tau_star),
-                "ratio": _fmt(ratio),
+                "ratio": ratio,
             }
         )
     return rows

@@ -193,13 +193,11 @@ def projective_points(dimension: int, q: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
-    """Points vs hyperplanes of P^k(F_q) with its d-interval realization.
+def projective_incidence(params: ProjectiveParams) -> tuple[HypergraphInstance, int]:
+    """(points vs hyperplanes of P^k(F_q), d) with d the uniform edge size.
 
     Ground ids follow lex order of normalized coordinates; hyperplanes are
-    normalized dual vectors, incidence being a zero dot product mod q.  The
-    realization places ground point i at integer coordinate i and turns
-    every edge into a union of point-intervals, one per incident point.
+    normalized dual vectors, incidence being a zero dot product mod q.
     """
     k, q = params.dimension, params.field_order
     pts = projective_points(k, q)
@@ -215,14 +213,23 @@ def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
         edges=tuple(edges),
         provenance="abstract",
     )
-    d = (q**k - 1) // (q - 1)
+    return instance, (q**k - 1) // (q - 1)
+
+
+def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
+    """`projective_incidence` with its d-interval realization.
+
+    The realization places ground point i at integer coordinate i and turns
+    every edge into a union of point-intervals, one per incident point.
+    """
+    instance, d = projective_incidence(params)
     realization = DIntervalFamily(
         d=d,
         edges=tuple(
             DInterval(
                 tuple(Interval(Fraction(i), Fraction(i)) for i in sorted(e)), d
             )
-            for e in edges
+            for e in instance.edges
         ),
         general_position=True,
     )

@@ -356,6 +356,13 @@ class HypergraphInstance:
     are read and kept on the instance, and so is the solvers' context (their
     distinct edges, point->edge masks and solved LPs); none is a field, so
     equality, hashing, repr and pickling see only the three fields.
+
+    Two paths build an instance.  The constructor validates what it is
+    given (ints only, inside the ground, no empty edge) by scanning every
+    incidence; tests, `instance_io` and the tree, tree-width and projective
+    instances come this way.  `to_incidence` builds interval instances with
+    `_from_rank_ranges`, which checks each part's rank range instead: the
+    points of a range in the ground are valid by construction.
     """
 
     ground_size: int
@@ -404,6 +411,46 @@ class HypergraphInstance:
     def max_depth(self) -> tuple[int, int | None]:
         """(r, point): r the most edges, copies counted, through one point; the lowest such point."""
         return _deepest_point(self.edge_masks)
+
+    @classmethod
+    def _from_rank_ranges(cls, ground_size: int, ranges) -> HypergraphInstance:
+        """The "interval" instance whose edge i holds the ids lo..hi of each pair in ranges[i].
+
+        The pairs of an edge are the rank ranges of its parts; the edge's
+        frozenset and its `edge_masks` entry are both built from them, in
+        one pass, without `__post_init__`.
+        """
+        # This check is complete for this input: every point is taken from
+        # `ids`, so it is an int (never a bool) inside the ground, and an edge
+        # with a pair lo <= hi is nonempty.  The generic scan of every
+        # incidence would find nothing more.
+        if ground_size < 1:
+            raise ValueError(f"ground_size must be positive, got {ground_size}")
+        ids = list(range(ground_size))
+        edges, masks = [], []
+        for i, parts in enumerate(ranges):
+            if not parts:
+                raise ValueError(f"edges[{i}] is empty")
+            points, mask = [], 0
+            for lo, hi in parts:
+                if not 0 <= lo <= hi < ground_size:
+                    raise ValueError(
+                        f"edges[{i}]: ranks {lo}..{hi} are not a range in ground "
+                        f"0..{ground_size - 1}"
+                    )
+                points += ids[lo : hi + 1]
+                # a part's ids are one run of bits
+                mask |= (1 << hi + 1) - (1 << lo)
+            edges.append(frozenset(points))
+            masks.append(mask)
+        instance = object.__new__(cls)
+        vars(instance).update(
+            ground_size=ground_size,
+            edges=tuple(edges),
+            provenance="interval",
+            edge_masks=tuple(masks),
+        )
+        return instance
 
     def __getstate__(self):
         # the fields only: cached masks, depth and solve context are rebuilt after unpickling
@@ -557,9 +604,12 @@ def to_incidence(family) -> HypergraphInstance:
     increasing map, so the sorted distinct integers give the ids of
     `candidate_points(family, "all_endpoints")`.  A part [lo, hi] then holds
     exactly the ids rank(lo)..rank(hi), and an edge is the union of its
-    parts' id ranges; its `edge_masks` entry is built from the same ranges,
-    one run of bits per part, and kept on the instance.  Subforests: ground
-    points are the host vertices.
+    parts' id ranges.  `HypergraphInstance._from_rank_ranges` builds the
+    edges and their `edge_masks` from these ranges in one pass; checking
+    that each range lies in the ground is its whole validation, so the
+    interval path never re-scans the incidences.  Subforests: ground points
+    are the host vertices, and, like a `TwInstance`, they go through the
+    validating constructor.
     Either way nu, tau, nu* and tau* of the instance equal those of the
     family: intersections are witnessed at endpoints, and optimal covers may
     be slid onto right endpoints.  A `TwInstance` becomes the "abstract"
@@ -584,14 +634,7 @@ def to_incidence(family) -> HypergraphInstance:
         values = sorted({v for span in spans for pair in span for v in pair})
         rank = {v: i for i, v in enumerate(values)}
         ranges = [[(rank[lo], rank[hi]) for lo, hi in span] for span in spans]
-        edges = tuple(
-            frozenset().union(*[range(lo, hi + 1) for lo, hi in parts]) for parts in ranges
-        )
-        instance = HypergraphInstance(ground_size=max(1, len(rank)), edges=edges, provenance="interval")
-        # a part's ids are one run of bits, and the parts of an edge are disjoint
-        masks = tuple(sum((1 << hi + 1) - (1 << lo) for lo, hi in parts) for parts in ranges)
-        object.__setattr__(instance, "edge_masks", masks)
-        return instance
+        return HypergraphInstance._from_rank_ranges(max(1, len(rank)), ranges)
     if isinstance(family, SubforestFamily):
         edges = tuple(frozenset(e.vertices) for e in family.edges)
         return HypergraphInstance(ground_size=family.host.n, edges=edges, provenance="tree")

@@ -110,6 +110,28 @@ def test_closed_form_ignores_the_callers_precision():
     assert _fmt(low) == "63.494168275108695"
 
 
+def test_report_arithmetic_ignores_the_callers_precision():
+    params = PQParameters(5, 3)
+    family = planted_pq_family(GenConfig(seed=4, n_edges=8, d=7), params)
+    kinds = [BoundKind.DPQ_STAR, BoundKind.ALON]
+
+    def measured():
+        reports = verify_bundle(family, kinds, params=params)
+        summary = [(r.bound_value, r.satisfied, r.slack) for r in reports]
+        return summary, bounds.max_measured_over_bound(reports), sharpness_probe(3, [2])
+
+    expected = measured()
+    star = expected[0][0]
+    assert star[1] is True and star[2] == "61.494168275108695"
+    assert expected[1] == {"ALON": "0.14285714285714286", "DPQ_STAR": "0.031498955799127305"}
+    assert expected[2][0]["ratio"] == "0.80992387073405834"
+    # computed at 15 digits, the slack would end in ...692, the ratios in
+    # ...285, ...308 and ...825
+    for dps in (15, 30, 60):
+        with mp.workdps(dps):
+            assert measured() == expected
+
+
 def test_bad_call_raises_every_time():
     for _ in range(3):
         with pytest.raises(BadParams):

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from dpierce import (
     endpoint_witnesses,
     general_position_violations,
     induced_components,
+    projective_incidence,
     projective_instance,
     repair_general_position,
     subset_intersection_point,
@@ -286,10 +289,16 @@ def test_to_incidence_subforest_example():
 
 
 def test_to_incidence_fano_is_projective_incidence():
-    pf = projective_instance(ProjectiveParams(2, 2))
-    inst = to_incidence(pf.realization)
-    assert inst.ground_size == 7
-    assert inst.edges == pf.instance.edges
+    # every PG(k,q) the sharpness probe solves, the Fano plane first
+    for k, q in ((2, 2), (2, 3), (3, 2), (2, 5), (4, 2), (3, 3), (2, 7), (5, 2)):
+        pf = projective_instance(ProjectiveParams(k, q))
+        instance, d = projective_incidence(ProjectiveParams(k, q))
+        assert pf.instance == instance and pf.d == d
+        inst = to_incidence(pf.realization)
+        assert inst.ground_size == instance.ground_size == (q ** (k + 1) - 1) // (q - 1)
+        assert inst.edges == instance.edges
+        assert pf.realization.d == d
+        assert {len(e) for e in instance.edges} == {d}
 
 
 def test_to_incidence_matches_pointwise_reference():
@@ -327,6 +336,42 @@ def test_to_incidence_matches_pointwise_reference():
         inst = to_incidence(f)
         assert (inst.ground_size, inst.edges) == reference_interval_incidence(f)
         assert inst.provenance == "interval"
+
+
+def test_interval_instances_equal_the_validated_build():
+    x = Fraction(1, 3)
+    families = [
+        DIntervalFamily(d=1, edges=()),
+        fam(2, [(x, x)], [(0, 0), (5, 5)], [(x, x)], [(0, x)]),  # point-intervals
+        fam(3, [(-7, "-1/2"), ("1/3", "5/7")], [("-2/9", "1/11"), (2, "13/5")], [("-1/2", "-1/3")]),
+        fam(2, [(-3, -1), (2, 5)], [(-2, 0)], [(-3, -1), (2, 5)], [(-3, -1), (2, 5)]),  # repeats
+        random_d_intervals(GenConfig(seed=23, n_edges=200, d=4)),
+    ]
+    for family in families:
+        built = to_incidence(family)
+        assert (built.ground_size, built.edges) == reference_interval_incidence(family)
+        # the same fields the validating constructor keeps, so the same instance
+        fresh = HypergraphInstance(built.ground_size, built.edges, "interval")
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        assert pickle.dumps(built) == pickle.dumps(fresh)
+        assert built.edge_masks == fresh.edge_masks
+        back = pickle.loads(pickle.dumps(built))
+        assert back == built and back.edge_masks == built.edge_masks
+    assert to_incidence(families[0]).edges == () and to_incidence(families[0]).ground_size == 1
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        ([[(0, 1)], [(2, 1)]], "edges[1]: ranks 2..1 are not a range in ground 0..3"),
+        ([[(0, 1)], [(0, 0), (3, 4)]], "edges[1]: ranks 3..4 are not a range in ground 0..3"),
+        ([[(-1, 0)]], "edges[0]: ranks -1..0 are not a range in ground 0..3"),
+        ([[(0, 0)], [(1, 1)], []], "edges[2] is empty"),
+    ],
+)
+def test_rank_ranges_are_checked(ranges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HypergraphInstance._from_rank_ranges(4, ranges)
 
 
 def test_to_incidence_preserves_nu_and_tau():
