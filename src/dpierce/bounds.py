@@ -27,6 +27,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -79,25 +80,33 @@ class BoundKind(enum.Enum):
     KAISER_P2 = "KAISER_P2"
 
 
-_STAR_KINDS = {BoundKind.DPP_STAR, BoundKind.DPQ_STAR, BoundKind.TREE_PP_STAR}
-_PP_KINDS = {
-    BoundKind.DPP_STAR,
-    BoundKind.DPP_TAU,
-    BoundKind.TREE_PP_STAR,
-    BoundKind.TREE_PP_TAU,
-}
-# the instance provenance a kind's hypothesis requires; kinds not listed
-# take any provenance
-_PROVENANCE = {
-    BoundKind.DPP_STAR: "interval",
-    BoundKind.DPP_TAU: "interval",
-    BoundKind.DPQ_STAR: "interval",
-    BoundKind.DPQ_TAU: "interval",
-    BoundKind.GALLAI: "interval",
-    BoundKind.KAISER_P2: "interval",
-    BoundKind.TREE_PP_STAR: "tree",
-    BoundKind.TREE_PP_TAU: "tree",
-    BoundKind.TREE_PQ_TAU: "tree",
+class _Kind(NamedTuple):
+    """One bound kind: its hypothesis, and its bound as a form times a factor.
+
+    `form` is the (p,q) shape, "pp", "pq" or "p2", and the form on it: the
+    paper's tau* bound for "pp" and "pq", Kaiser's tau bound for "p2"; None
+    for ALON and GALLAI, whose right-hand sides are measured.  By Alon's
+    tau <= d tau*, each tau bound is d times its tau* bound ((k+1) d for TW_TAU).
+    """
+
+    family: str | None  # the instance provenance it needs; None takes any
+    form: str | None
+    factor: str | None  # "1", "d" or "(k+1)d"
+    star: bool  # bounds tau* (else tau)
+
+
+_KINDS = {
+    BoundKind.DPP_STAR: _Kind("interval", "pp", "1", True),
+    BoundKind.DPP_TAU: _Kind("interval", "pp", "d", False),
+    BoundKind.DPQ_STAR: _Kind("interval", "pq", "1", True),
+    BoundKind.DPQ_TAU: _Kind("interval", "pq", "d", False),
+    BoundKind.TREE_PP_STAR: _Kind("tree", "pp", "1", True),
+    BoundKind.TREE_PP_TAU: _Kind("tree", "pp", "d", False),
+    BoundKind.TREE_PQ_TAU: _Kind("tree", "pq", "d", False),
+    BoundKind.TW_TAU: _Kind(None, "pq", "(k+1)d", False),
+    BoundKind.ALON: _Kind(None, None, None, False),
+    BoundKind.GALLAI: _Kind("interval", None, None, False),
+    BoundKind.KAISER_P2: _Kind("interval", "p2", "1", False),
 }
 
 
@@ -125,45 +134,38 @@ def evaluate_bound(
 def _closed_form(kind, p, q, d, k) -> tuple[mpf, str | None]:
     """(bound value, active branch) of `kind` at (p, q, d, k).
 
-    The branch is 'power' or 'quadratic' for the max-form kinds (DPQ_STAR,
-    DPQ_TAU, TREE_PQ_TAU, TW_TAU), else None.  Evaluated at 50 digits
-    whatever the caller's precision, so the memo never returns a value
-    that depends on it; bad parameters raise BadParams on every call.
+    The kind's form, with its active branch ('power' or 'quadratic' for the
+    max-form "pq" form, else None), times its factor.  Evaluated at 50 digits
+    whatever the caller's precision, so the memo never returns a value that
+    depends on it; bad parameters raise BadParams on every call.
     """
     if not isinstance(kind, BoundKind):
         raise BadParams(f"unknown kind {kind}")
-    if kind in (BoundKind.ALON, BoundKind.GALLAI):
+    row = _KINDS[kind]
+    if row.form is None:
         raise BadParams(f"{kind.value} has no closed form independent of the instance")
     _require(d is not None and d >= 1, f"need d >= 1, got {d}")
-    with mp.workdps(50):
-        dd = mpf(d)
-        if kind in _PP_KINDS:
-            _require(p is not None and p >= 2, f"need p >= 2, got {p}")
-            _require(q is None or q == p, f"(p,p) bound needs q = p, got q={q}")
-            e1 = mpf(1) / (p - 1)
-            if kind in _STAR_KINDS:
-                return (mpf(p) * dd) ** e1 + 1, None
-            return mpf(p) ** e1 * dd ** (mpf(p) * e1) + dd, None
-        if kind is BoundKind.KAISER_P2:
-            _require(p is not None and p >= 2, f"need p >= 2, got {p}")
-            _require(q is None or q == 2, f"KAISER_P2 is a (p,2) bound, got q={q}")
-            return mpf((p - 1) * (d * d - d + 1)), None
+    if row.form == "pq":
         _require(p is not None and q is not None, "need both p and q")
         _require(p >= q >= 2, f"need p >= q >= 2, got p={p}, q={q}")
-        c = mpf(2) ** (mpf(1) / (q - 1)) * (mp.e * p) ** (mpf(q) / (q - 1)) / q
-        if kind is BoundKind.DPQ_STAR:
-            power_branch = c * dd ** (mpf(1) / (q - 1)) + 1
-            quad_branch = mpf(2 * p * p)
+    else:
+        _require(p is not None and p >= 2, f"need p >= 2, got {p}")
+        want = p if row.form == "pp" else 2
+        _require(q in (None, want), f"{kind.value} is a ({p},{want}) bound, got q={q}")
+    factor = 1 if row.factor == "1" else d
+    if row.factor == "(k+1)d":
+        _require(k is not None and k >= 0, f"{kind.value} needs the width k >= 0, got {k}")
+        factor *= k + 1
+    with mp.workdps(50):
+        if row.form == "pp":
+            value, branch = (mpf(p) * d) ** (mpf(1) / (p - 1)) + 1, None
+        elif row.form == "p2":
+            value, branch = mpf((p - 1) * (d * d - d + 1)), None
         else:
-            power_branch = c * dd ** (mpf(q) / (q - 1)) + dd
-            quad_branch = mpf(2 * p * p) * dd
-        if kind is BoundKind.TW_TAU:
-            _require(k is not None and k >= 0, f"TW_TAU needs k >= 0, got {k}")
-            power_branch *= k + 1
-            quad_branch *= k + 1
-        if power_branch >= quad_branch:
-            return power_branch, "power"
-        return quad_branch, "quadratic"
+            c = mpf(2) ** (mpf(1) / (q - 1)) * (mp.e * p) ** (mpf(q) / (q - 1)) / q
+            power, quadratic = c * mpf(d) ** (mpf(1) / (q - 1)) + 1, mpf(2 * p * p)
+            value, branch = (power, "power") if power >= quadratic else (quadratic, "quadratic")
+        return value * factor, branch
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +284,16 @@ def verify_bundle(
             # (bound_value, satisfied, slack, active_branch)
             if problem is not None:
                 outcome = ("", None, None, None)
-            elif kind is BoundKind.ALON:
-                rhs = d * tau_star
+            elif _KINDS[kind].form is None:
+                # ALON (tau <= d tau*) and GALLAI (tau = nu), compared exactly
+                gallai = kind is BoundKind.GALLAI
+                rhs = nu if gallai else d * tau_star
+                ok = tau == rhs if gallai else tau <= rhs
                 slack = _fmt(_exact_to_mpf(rhs - tau))
-                outcome = (_fmt(_exact_to_mpf(rhs)), tau <= rhs, slack, None)
-            elif kind is BoundKind.GALLAI:
-                outcome = (_fmt(mpf(nu)), tau == nu, _fmt(mpf(nu - tau)), None)
+                outcome = (_fmt(_exact_to_mpf(rhs)), ok, slack, None)
             else:
                 bound, active = _closed_form(kind, p, q, d, k_eff)
-                star = kind in _STAR_KINDS
+                star = _KINDS[kind].star
                 measured = _exact_to_mpf(tau_star) if star else mpf(tau)
                 ok = measured < bound + _TOL if star else measured <= bound + _TOL
                 outcome = (_fmt(bound), bool(ok), _fmt(bound - measured), active)
@@ -341,8 +344,12 @@ def _d_and_k(family, k: int | None) -> tuple[int, int | None]:
 
 
 def _hypothesis_problem(kind, instance, params, d, k, pq_cache):
-    """None if the kind's hypothesis holds, else (reason, counterexample)."""
-    needed = _PROVENANCE.get(kind)
+    """None if the kind's hypothesis holds, else (reason, counterexample).
+
+    Parameters that are missing or outside `_closed_form`'s domain raise
+    BadParams, but only once the family class fits the kind.
+    """
+    needed = _KINDS[kind].family
     if needed is not None and instance.provenance != needed:
         return (f"{kind.value} applies to {needed} families, got {instance.provenance}", None)
     if kind is BoundKind.GALLAI:
@@ -353,14 +360,9 @@ def _hypothesis_problem(kind, instance, params, d, k, pq_cache):
         if instance.provenance not in ("interval", "tree"):
             return (f"ALON is proved for interval/tree families, got {instance.provenance}", None)
         return None
-    if kind is BoundKind.TW_TAU and k is None:
-        raise BadParams("TW_TAU needs the decomposition width k")
     if params is None:
         raise BadParams(f"{kind.value} needs (p,q) parameters")
-    if kind in _PP_KINDS and params.p != params.q:
-        raise BadParams(f"{kind.value} needs p = q, got ({params.p},{params.q})")
-    if kind is BoundKind.KAISER_P2 and params.q != 2:
-        raise BadParams(f"KAISER_P2 needs q = 2, got {params.q}")
+    _closed_form(kind, params.p, params.q, d, k)
     key = (params.p, params.q)
     if key not in pq_cache:
         pq_cache[key] = pq_check(instance, params)
@@ -389,7 +391,7 @@ def max_measured_over_bound(reports) -> dict[str, str]:
             if bound > 0:
                 measured = (
                     _exact_to_mpf(report.tau_star)
-                    if report.kind in _STAR_KINDS
+                    if _KINDS[report.kind].star
                     else mpf(report.tau)
                 )
                 ratio = measured / bound

@@ -40,6 +40,7 @@ from .bounds import BoundKind, BoundReport, max_measured_over_bound, verify_bund
 from .generators import (
     GenConfig,
     ProjectiveParams,
+    is_prime,
     planted_pq_family,
     planted_pq_subforests,
     projective_instance,
@@ -66,43 +67,42 @@ _COUNTED_GENERATORS = (
 )
 
 
-def _cfg_int(spec: dict, key: str, default: int | None = None) -> int:
+def _cfg_int(spec: dict, key: str, where: str, minimum: int, default: int | None = None) -> int:
+    """spec[key], an int of at least `minimum`; `where` is the spec's config path."""
     value = spec.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise CampaignConfigError(f"source.{key}: expected an integer, got {value!r}")
+        raise CampaignConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise CampaignConfigError(f"{where}.{key}: expected at least {minimum}, got {value}")
     return value
 
 
-def _instances(spec: dict, params: PQParameters | None):
-    """Yield (seed, family) pairs for one campaign source."""
+def _instances(spec: dict, params: PQParameters | None, where: str):
+    """Yield (seed, family) pairs for one campaign source, found at `where`."""
     if "files" in spec:
         for path in spec["files"]:
             yield 0, load_instance(path)
         return
     generator = spec.get("generator")
     if generator == "projective":
-        p = ProjectiveParams(
-            dimension=_cfg_int(spec, "dimension"),
-            field_order=_cfg_int(spec, "field_order"),
-        )
+        dimension = _cfg_int(spec, "dimension", where, 2)
+        field_order = _cfg_int(spec, "field_order", where, 2)
+        if not is_prime(field_order):
+            raise CampaignConfigError(f"{where}.field_order: expected a prime, got {field_order}")
+        p = ProjectiveParams(dimension=dimension, field_order=field_order)
         yield 0, projective_instance(p).realization
         return
     if generator not in _COUNTED_GENERATORS:
         raise CampaignConfigError(f"source.generator: unknown generator {generator!r}")
     if generator.startswith("planted_") and params is None:
         raise CampaignConfigError(f"p, q: source.generator {generator} needs p and q")
-    count = _cfg_int(spec, "count")
-    if count < 0:
-        raise CampaignConfigError(f"source.count: expected at least 0, got {count}")
-    base_seed = _cfg_int(spec, "seed")
+    count = _cfg_int(spec, "count", where, 0)
+    base_seed = _cfg_int(spec, "seed", where, 0)
+    defaults = {"n_edges": 8, "d": 2, "coord_denominator": 4, "host_size": 10}
+    knobs = {key: _cfg_int(spec, key, where, 1, default) for key, default in defaults.items()}
+    width = _cfg_int(spec, "width", where, 0, 1) if generator == "tw" else None
     for i in range(count):
-        cfg = GenConfig(
-            seed=base_seed + i,
-            n_edges=_cfg_int(spec, "n_edges", 8),
-            d=_cfg_int(spec, "d", 2),
-            coord_denominator=_cfg_int(spec, "coord_denominator", 4),
-            host_size=_cfg_int(spec, "host_size", 10),
-        )
+        cfg = GenConfig(seed=base_seed + i, **knobs)
         if generator == "random_intervals":
             yield cfg.seed, random_d_intervals(cfg)
         elif generator == "planted_intervals":
@@ -112,7 +112,7 @@ def _instances(spec: dict, params: PQParameters | None):
         elif generator == "planted_subforests":
             yield cfg.seed, planted_pq_subforests(cfg, params)
         else:  # tw
-            yield cfg.seed, random_tw_graph(cfg, _cfg_int(spec, "width", 1))
+            yield cfg.seed, random_tw_graph(cfg, width)
 
 
 def run_campaign(config: dict) -> tuple[dict, int]:
@@ -161,7 +161,8 @@ def run_campaign(config: dict) -> tuple[dict, int]:
         t_camp = time.perf_counter()
         # instances in source order, each one's reports sorted by kind
         reports: list[tuple[BoundReport, object, str | None]] = []
-        for i, (seed, family) in enumerate(_instances(source, params)):
+        where = f"campaigns[{idx}].source"
+        for i, (seed, family) in enumerate(_instances(source, params, where)):
             bundle = verify_bundle(family, kinds, params=params, seed=seed)
             for report in sorted(bundle, key=lambda r: r.kind.value):
                 reports.append((report, family, files[i] if files else None))

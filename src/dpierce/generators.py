@@ -177,7 +177,6 @@ def planted_pq_family(cfg: GenConfig, params: PQParameters) -> DIntervalFamily:
 class ProjectiveFamily:
     """Hyperplane incidence of P^k(F_q) plus its point-interval realization."""
 
-    params: ProjectiveParams
     instance: HypergraphInstance
     realization: DIntervalFamily
     d: int  # uniform edge size (q^k - 1) / (q - 1)
@@ -233,7 +232,7 @@ def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
         ),
         general_position=True,
     )
-    return ProjectiveFamily(params=params, instance=instance, realization=realization, d=d)
+    return ProjectiveFamily(instance=instance, realization=realization, d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ nothing in this module touches floating point.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -91,13 +91,6 @@ class DInterval:
 
     def contains(self, x: Fraction) -> bool:
         return any(p.contains(x) for p in self.parts)
-
-    def endpoints(self) -> list[Fraction]:
-        out = []
-        for p in self.parts:
-            out.append(p.lo)
-            out.append(p.hi)
-        return out
 
 
 @dataclass(frozen=True)
@@ -351,18 +344,21 @@ class HypergraphInstance:
     the family: a family is a multiset, and a repeated member is a repeated
     edge.  Point ids are ints (bool is rejected).  `provenance` names the
     family class the instance was built from, which decides the bound kinds
-    that apply to it.  `edge_masks`, one point bitmask per edge, and
-    `max_depth`, counted on those masks, are computed the first time they
-    are read and kept on the instance, and so is the solvers' context (their
-    distinct edges, point->edge masks and solved LPs); none is a field, so
-    equality, hashing, repr and pickling see only the three fields.
+    that apply to it.  `edge_masks`, one point bitmask per edge (bit pt for
+    point pt), is built with the instance; `max_depth`, counted on those
+    masks, and the solvers' context (their distinct edges, point->edge masks
+    and solved LPs) are built the first time they are read and kept on the
+    instance.  None is a field, so equality, hashing and repr see only the
+    three fields, and an instance pickles through its constructor, with no
+    cache.
 
-    Two paths build an instance.  The constructor validates what it is
-    given (ints only, inside the ground, no empty edge) by scanning every
-    incidence; tests, `instance_io` and the tree, tree-width and projective
-    instances come this way.  `to_incidence` builds interval instances with
-    `_from_rank_ranges`, which checks each part's rank range instead: the
-    points of a range in the ground are valid by construction.
+    Two paths build an instance.  The constructor checks every incidence of
+    what it is given (ints only, inside the ground, no empty edge) and
+    builds `edge_masks` in the same pass; tests, `instance_io`, unpickling
+    and the tree, tree-width and projective instances come this way.
+    `to_incidence` builds interval instances with `_from_rank_ranges`, which
+    checks each part's rank range instead: the points of a range in the
+    ground are valid by construction.
     """
 
     ground_size: int
@@ -375,37 +371,21 @@ class HypergraphInstance:
             raise ValueError(f"ground_size must be positive, got {self.ground_size}")
         if self.provenance not in ("interval", "tree", "abstract"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        # checked on the distinct points, which keep the first of equal points:
-        # a later equal float or Fraction turns the sum of all points into one,
-        # and a bool can only equal 0 or 1.  The loop names the first bad point
-        points = frozenset().union(*self.edges)
-        if (
-            all(self.edges)
-            and set(map(type, points)) <= {int}
-            and type(sum(map(sum, self.edges))) is int
-            and not any(type(pt) is bool for e in self.edges if 0 in e or 1 in e for pt in e)
-            and (not points or (min(points) >= 0 and max(points) < self.ground_size))
-        ):
-            return
+        # every incidence is checked, and each edge's point bitmask built, in
+        # one pass; the first bad point is named
+        masks = []
         for i, e in enumerate(self.edges):
             if not e:
                 raise ValueError(f"edges[{i}] is empty")
+            m = 0
             for pt in e:
                 if type(pt) is not int:
                     raise ValueError(f"edges[{i}]: point {pt!r} is not an int")
                 if not (0 <= pt < self.ground_size):
                     raise ValueError(f"edges[{i}]: point {pt} outside ground 0..{self.ground_size - 1}")
-
-    @cached_property
-    def edge_masks(self) -> tuple[int, ...]:
-        """The point bitmask of each edge, in edge order: bit pt for point pt."""
-        masks = []
-        for e in self.edges:
-            m = 0
-            for pt in e:
                 m |= 1 << pt
             masks.append(m)
-        return tuple(masks)
+        object.__setattr__(self, "edge_masks", tuple(masks))
 
     @cached_property
     def max_depth(self) -> tuple[int, int | None]:
@@ -452,9 +432,10 @@ class HypergraphInstance:
         )
         return instance
 
-    def __getstate__(self):
-        # the fields only: cached masks, depth and solve context are rebuilt after unpickling
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __reduce__(self):
+        # through the constructor: it validates again and rebuilds the masks,
+        # and the cached depth and solve context never travel
+        return type(self), (self.ground_size, self.edges, self.provenance)
 
 
 def _deepest_point(masks) -> tuple[int, int | None]:

@@ -16,6 +16,8 @@ from dpierce import (
     NotPrime,
     PQParameters,
     ProjectiveParams,
+    Subforest,
+    SubforestFamily,
     evaluate_bound,
     heavy_vertex,
     planted_pq_family,
@@ -99,6 +101,38 @@ def test_bad_params():
 
 def test_kaiser_p2_formula():
     assert evaluate_bound(BoundKind.KAISER_P2, p=4, d=3) == 3 * 7
+
+
+def _paper_tau_bound(kind, p, q, d, k):
+    """(value, active branch) of a tau kind, written out as the paper states it, at 50 digits."""
+    with mp.workdps(50):
+        if kind in (BoundKind.DPP_TAU, BoundKind.TREE_PP_TAU):
+            return mpf(p) ** (mpf(1) / (p - 1)) * mpf(d) ** (mpf(p) / (p - 1)) + d, None
+        c = mpf(2) ** (mpf(1) / (q - 1)) * (mp.e * p) ** (mpf(q) / (q - 1)) / q
+        power = c * mpf(d) ** (mpf(q) / (q - 1)) + d
+        quadratic = mpf(2 * p * p * d)
+        if kind is BoundKind.TW_TAU:
+            power, quadratic = (k + 1) * power, (k + 1) * quadratic
+        return (power, "power") if power >= quadratic else (quadratic, "quadratic")
+
+
+def test_tau_kinds_equal_the_papers_formulas():
+    # each tau kind is built as d (or (k+1) d) times its tau* form; pin that
+    # to the paper's own tau formulas, so the derivation cannot drift from them
+    pp = (BoundKind.DPP_TAU, BoundKind.TREE_PP_TAU)
+    pq = (BoundKind.DPQ_TAU, BoundKind.TREE_PQ_TAU, BoundKind.TW_TAU)
+    branches = set()
+    for kind in pp + pq:
+        for p, d, k in itertools.product(range(2, 7), range(1, 13), range(3)):
+            for q in (p,) if kind in pp else range(2, p + 1):
+                expected, branch = _paper_tau_bound(kind, p, q, d, k)
+                got, active = bounds._closed_form(kind, p, q, d, k)
+                assert _fmt(got) == _fmt(expected), (kind, p, q, d, k)
+                with mp.workdps(50):
+                    assert abs(got - expected) < mpf("1e-40") * expected
+                assert active == branch
+                branches.add(branch)
+    assert branches == {None, "power", "quadratic"}
 
 
 def test_closed_form_ignores_the_callers_precision():
@@ -268,6 +302,36 @@ def test_pp_kind_requires_p_equal_q():
     f = fam(1, [(0, 1)])
     with pytest.raises(BadParams):
         verify_instance(f, BoundKind.DPP_STAR, PQParameters(3, 2))
+
+
+_INTERVALS = fam(1, [(0, 1)])
+_TREES = SubforestFamily(HostTree(2, ((0, 1),)), 1, (Subforest({0}),))
+
+
+@pytest.mark.parametrize(
+    "kind, params, k, family, other_class",
+    [
+        (BoundKind.DPP_TAU, PQParameters(3, 2), None, _INTERVALS, _TREES),
+        (BoundKind.TREE_PP_STAR, PQParameters(3, 2), None, _TREES, _INTERVALS),
+        (BoundKind.KAISER_P2, PQParameters(3, 3), None, _INTERVALS, _TREES),
+        (BoundKind.TW_TAU, PQParameters(2, 2), None, _INTERVALS, None),
+        (BoundKind.DPQ_STAR, None, None, _INTERVALS, _TREES),
+        (BoundKind.TREE_PQ_TAU, None, None, _TREES, _INTERVALS),
+        (BoundKind.TW_TAU, None, 1, _TREES, None),
+    ],
+)
+def test_bad_params_are_checked_after_the_family_class(kind, params, k, family, other_class):
+    # the right family class with bad or missing parameters is a caller error
+    with pytest.raises(BadParams):
+        verify_bundle(family, [kind], params=params, k=k)
+    if other_class is None:
+        return  # TW_TAU takes every family class
+    # the same call on the wrong family class is inapplicable, and raises nothing
+    (report,) = verify_bundle(other_class, [kind], params=params, k=k)
+    needed = "tree" if family is _TREES else "interval"
+    got = "interval" if needed == "tree" else "tree"
+    assert not report.applicable and report.satisfied is None
+    assert report.reason == f"{kind.value} applies to {needed} families, got {got}"
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,26 @@ def test_non_int_p_is_a_config_error(generator, p):
         run_campaign(config)
 
 
+@pytest.mark.parametrize(
+    "source, field",
+    [
+        ({"generator": "random_intervals", "n_edges": 0}, "n_edges"),
+        ({"generator": "random_intervals", "seed": -5}, "seed"),
+        ({"generator": "random_subforests", "d": 0}, "d"),
+        ({"generator": "tw", "width": -1}, "width"),
+        ({"generator": "projective", "dimension": 1, "field_order": 2}, "dimension"),
+        ({"generator": "projective", "dimension": 2, "field_order": 4}, "field_order"),
+    ],
+)
+def test_out_of_range_source_values_are_config_errors(source, field):
+    # these once escaped as a bare ValueError or NotPrime, without the config path
+    source = {"count": 1, "seed": 1, **source}
+    # the second campaign, so the path must carry its index
+    campaigns = [{"kinds": ["ALON"], "source": {"files": []}}, {"kinds": ["ALON"], "source": source}]
+    with pytest.raises(CampaignConfigError, match=rf"^campaigns\[1\]\.source\.{field}: expected"):
+        run_campaign({"campaigns": campaigns})
+
+
 def test_violation_reporting_and_exit_code(monkeypatch):
     # the checked bounds all hold, so force an unsatisfied report to exercise the
     # failure path: exit code 1 and an embedded instance for replay

@@ -128,7 +128,7 @@ def golden_outputs(tmp_dir: Path) -> dict[str, str]:
     for camp in GOLDEN_CONFIG["campaigns"]:
         params = PQParameters(camp["p"], camp["q"]) if "p" in camp else None
         rows = []
-        for seed, family in _instances(camp["source"], params):
+        for seed, family in _instances(camp["source"], params, "source"):
             instance = to_incidence(family)
             rows.append(
                 [seed, matching_number(instance).node_count, covering_number(instance).node_count]
