@@ -40,6 +40,7 @@ from .bounds import BoundKind, BoundReport, max_measured_over_bound, verify_bund
 from .generators import (
     GenConfig,
     ProjectiveParams,
+    anchor_count,
     is_prime,
     planted_pq_family,
     planted_pq_subforests,
@@ -93,14 +94,19 @@ def _instances(spec: dict, params: PQParameters | None, where: str):
         yield 0, projective_instance(p).realization
         return
     if generator not in _COUNTED_GENERATORS:
-        raise CampaignConfigError(f"source.generator: unknown generator {generator!r}")
+        raise CampaignConfigError(f"{where}.generator: unknown generator {generator!r}")
     if generator.startswith("planted_") and params is None:
-        raise CampaignConfigError(f"p, q: source.generator {generator} needs p and q")
+        raise CampaignConfigError(f"{where}.generator: {generator} needs p and q")
     count = _cfg_int(spec, "count", where, 0)
     base_seed = _cfg_int(spec, "seed", where, 0)
     defaults = {"n_edges": 8, "d": 2, "coord_denominator": 4, "host_size": 10}
     knobs = {key: _cfg_int(spec, key, where, 1, default) for key, default in defaults.items()}
     width = _cfg_int(spec, "width", where, 0, 1) if generator == "tw" else None
+    if generator == "planted_subforests" and knobs["host_size"] < anchor_count(params):
+        raise CampaignConfigError(
+            f"{where}.host_size: expected at least {anchor_count(params)} for "
+            f"the anchors of p={params.p}, q={params.q}, got {knobs['host_size']}"
+        )
     for i in range(count):
         cfg = GenConfig(seed=base_seed + i, **knobs)
         if generator == "random_intervals":

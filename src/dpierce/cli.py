@@ -12,11 +12,10 @@ import argparse
 import json
 import sys
 
-from .bounds import BadParams, BoundKind, sharpness_probe, solve_measures, verify_instance
-from .campaign import CampaignConfigError, run_campaign_file
+from .bounds import BoundKind, sharpness_probe, solve_measures, verify_instance
+from .campaign import run_campaign_file
 from .generators import (
     GenConfig,
-    NotPrime,
     ProjectiveParams,
     planted_pq_family,
     planted_pq_subforests,
@@ -26,7 +25,7 @@ from .generators import (
     random_tree,
     random_tw_graph,
 )
-from .instance_io import InstanceFormatError, dumps_instance, load_instance
+from .instance_io import dumps_instance, load_instance
 from .model import PQParameters, to_incidence
 from .solvers import pq_check
 
@@ -215,14 +214,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InstanceFormatError,
-        CampaignConfigError,
-        BadParams,
-        NotPrime,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    # every error of the package (bad instance, config, params, field order)
+    # is a ValueError
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -113,8 +113,8 @@ def random_d_intervals(cfg: GenConfig) -> DIntervalFamily:
             )
             for i in range(n_parts)
         )
-        edges.append(DInterval(parts, cfg.d))
-    return DIntervalFamily(d=cfg.d, edges=tuple(edges), general_position=True)
+        edges.append(DInterval(parts))
+    return DIntervalFamily(d=cfg.d, edges=tuple(edges))
 
 
 def _draw(rng: random.Random, pool: list[int], count: int) -> list[int]:
@@ -133,6 +133,9 @@ def planted_pq_family(cfg: GenConfig, params: PQParameters) -> DIntervalFamily:
     Anchors sit at well-separated coordinates; edge i receives one part
     straddling its round-robin anchor, so any p edges contain q sharing an
     anchor.  Remaining parts are random in a region right of all anchors.
+    Every endpoint is drawn without replacement from a pool of its own
+    anchor, 16n+32 units from the next, or from the region's pool, so the
+    family is in general position.
     The property is re-verified; failure raises PlantFailed (a bug, not an
     input condition).
     """
@@ -160,8 +163,8 @@ def planted_pq_family(cfg: GenConfig, params: PQParameters) -> DIntervalFamily:
                 for j in range(n_extra)
             )
         parts.sort(key=lambda p: p.lo)
-        edges.append(DInterval(tuple(parts), d))
-    family = DIntervalFamily(d=d, edges=tuple(edges), general_position=True)
+        edges.append(DInterval(tuple(parts)))
+    family = DIntervalFamily(d=d, edges=tuple(edges))
 
     verdict = pq_check(to_incidence(family), params)
     if not verdict.holds:
@@ -219,18 +222,16 @@ def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
     """`projective_incidence` with its d-interval realization.
 
     The realization places ground point i at integer coordinate i and turns
-    every edge into a union of point-intervals, one per incident point.
+    every edge into a union of point-intervals, one per incident point;
+    distinct points get distinct coordinates, so it is in general position.
     """
     instance, d = projective_incidence(params)
     realization = DIntervalFamily(
         d=d,
         edges=tuple(
-            DInterval(
-                tuple(Interval(Fraction(i), Fraction(i)) for i in sorted(e)), d
-            )
+            DInterval(tuple(Interval(Fraction(i), Fraction(i)) for i in sorted(e)))
             for e in instance.edges
         ),
-        general_position=True,
     )
     return ProjectiveFamily(instance=instance, realization=realization, d=d)
 
@@ -350,7 +351,6 @@ def random_tw_graph(cfg: GenConfig, width: int) -> TwInstance:
     decomposition = TreeDecomposition(
         tree=HostTree(n=n_bags, edges=tuple(bag_edges)),
         bags=tuple(frozenset(b) for b in bags),
-        width=max(len(b) for b in bags) - 1,
     )
     problems = validate_decomposition(graph, decomposition)
     if problems:

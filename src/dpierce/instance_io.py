@@ -4,7 +4,7 @@ Three document types are accepted (discriminated by "type"):
 
 * ``d_intervals``    {"type":"d_intervals","d":2,"edges":[[["0","3/2"],["2","4"]],...]}
 * ``tree_subgraphs`` {"type":"tree_subgraphs","d":2,"tree":{"n":4,"edges":[[0,1],...]},"subgraphs":[[0,1],...]}
-* ``tw_graph``       {"type":"tw_graph","k":2,"graph":{"n":5,"edges":[[0,1],...]},
+* ``tw_graph``       {"type":"tw_graph","d":2,"k":2,"graph":{"n":5,"edges":[[0,1],...]},
                       "bags":[[0,1,2],...],"bag_tree":[[0,1],...],"subgraphs":[[1,3],...]}
 
 Rationals travel as strings, "num/den" or a bare integer string.  Any
@@ -116,7 +116,7 @@ def _load_intervals(doc) -> DIntervalFamily:
             parts.append(Interval(lo, hi))
         parts.sort(key=lambda p: (p.lo, p.hi))
         try:
-            edges.append(DInterval(tuple(parts), d))
+            edges.append(DInterval(tuple(parts)))
         except ValueError as exc:
             raise InstanceFormatError(f"edges[{i}]: {exc}") from None
     try:
@@ -146,6 +146,8 @@ def _load_subforests(doc) -> SubforestFamily:
 
 
 def _load_tw(doc) -> TwInstance:
+    d = _int(doc.get("d"), "d")
+    _want(d >= 1, "d", f"must be positive, got {d}")
     k = _int(doc.get("k"), "k")
     _want(k >= 0, "k", f"must be nonnegative, got {k}")
     raw_graph = doc.get("graph")
@@ -163,22 +165,21 @@ def _load_tw(doc) -> TwInstance:
         tree = HostTree(n=len(bags), edges=tuple(bag_tree_edges))
     except ValueError as exc:
         raise InstanceFormatError(f"bag_tree: {exc}") from None
-    width = max(len(b) for b in bags) - 1
-    _want(width <= k, "bags", f"max bag size - 1 = {width} exceeds k = {k}")
-    dec = TreeDecomposition(tree=tree, bags=tuple(bags), width=width)
+    dec = TreeDecomposition(tree=tree, bags=tuple(bags))
+    _want(dec.width <= k, "bags", f"max bag size - 1 = {dec.width} exceeds k = {k}")
     problems = validate_decomposition(graph, dec)
     if problems:
         raise InstanceFormatError(f"bags: {problems[0]}")
 
     adj = graph.adjacency()
     subgraphs = []
-    d = 1
     for i, vs in enumerate(_vertex_sets(doc.get("subgraphs"), "subgraphs")):
         _want(len(vs) > 0, f"subgraphs[{i}]", "subgraph must be nonempty")
         for j, v in enumerate(vs):
             _want(0 <= v < graph.n, f"subgraphs[{i}][{j}]", f"vertex {v} outside graph 0..{graph.n - 1}")
         h = frozenset(vs)
-        d = max(d, len(connected_components(adj, h)))
+        ncomp = len(connected_components(adj, h))
+        _want(ncomp <= d, f"subgraphs[{i}]", f"induces {ncomp} components > d={d}")
         subgraphs.append(h)
     return TwInstance(graph=graph, decomposition=dec, subgraphs=tuple(subgraphs), d=d)
 
@@ -207,6 +208,7 @@ def to_json_dict(obj) -> dict:
     if isinstance(obj, TwInstance):
         return {
             "type": "tw_graph",
+            "d": obj.d,
             "k": obj.decomposition.width,
             "graph": {"n": obj.graph.n, "edges": [list(e) for e in obj.graph.edges]},
             "bags": [sorted(b) for b in obj.decomposition.bags],

@@ -62,23 +62,19 @@ class Interval:
 
 @dataclass(frozen=True)
 class DInterval:
-    """A union of at most `d` pairwise disjoint closed intervals.
+    """A union of one or more pairwise disjoint closed intervals.
 
     Parts are kept sorted by left endpoint; disjointness of closed intervals
-    means strictly positive gaps between consecutive parts.
+    means strictly positive gaps between consecutive parts.  How many parts
+    an edge may have is the family's d, checked by `DIntervalFamily`.
     """
 
     parts: tuple[Interval, ...]
-    d: int
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if self.d < 1:
-            raise ValueError(f"capacity d must be positive, got {self.d}")
         if not self.parts:
             raise ValueError("edge needs at least one interval part")
-        if len(self.parts) > self.d:
-            raise ValueError(f"edge has {len(self.parts)} parts, capacity d={self.d}")
         for i in range(len(self.parts) - 1):
             a, b = self.parts[i], self.parts[i + 1]
             if a.lo > b.lo:
@@ -97,15 +93,13 @@ class DInterval:
 class DIntervalFamily:
     """A finite family of d-intervals, the edges of an interval hypergraph.
 
-    `general_position` asserts that no endpoint value is shared by two
-    non-identical interval parts anywhere in the family (a part may be a
-    point, and one interval may recur in several edges).  Setting the flag
-    validates it.
+    Every edge has at most d parts.  General position (no endpoint value
+    shared by two non-identical parts) is not recorded: it is a property
+    of the edges, computed by `general_position_violations`.
     """
 
     d: int
     edges: tuple[DInterval, ...]
-    general_position: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -114,20 +108,12 @@ class DIntervalFamily:
         for i, e in enumerate(self.edges):
             if len(e.parts) > self.d:
                 raise ValueError(f"edges[{i}] has {len(e.parts)} parts > d={self.d}")
-        if self.general_position:
-            bad = general_position_violations(self)
-            if bad:
-                x, where = bad[0]
-                raise ValueError(
-                    f"general position violated: value {x} is an endpoint of "
-                    f"distinct intervals {where}"
-                )
 
     def __len__(self) -> int:
         return len(self.edges)
 
 
-def make_family(d: int, edges, general_position: bool = False) -> DIntervalFamily:
+def make_family(d: int, edges) -> DIntervalFamily:
     """Build a family from bare endpoint pairs.
 
     `edges` is an iterable of edges, each an iterable of (lo, hi) pairs in
@@ -139,8 +125,8 @@ def make_family(d: int, edges, general_position: bool = False) -> DIntervalFamil
             (Interval(rational(lo), rational(hi)) for lo, hi in edge),
             key=lambda p: (p.lo, p.hi),
         )
-        built.append(DInterval(tuple(parts), d))
-    return DIntervalFamily(d=d, edges=tuple(built), general_position=general_position)
+        built.append(DInterval(tuple(parts)))
+    return DIntervalFamily(d=d, edges=tuple(built))
 
 
 def general_position_violations(
@@ -193,8 +179,8 @@ def repair_general_position(family: DIntervalFamily) -> DIntervalFamily:
             shift = index * eps
             parts.append(Interval(part.lo + shift, part.hi + shift))
             index += 1
-        new_edges.append(DInterval(tuple(parts), edge.d))
-    return DIntervalFamily(d=family.d, edges=tuple(new_edges), general_position=True)
+        new_edges.append(DInterval(tuple(parts)))
+    return DIntervalFamily(d=family.d, edges=tuple(new_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +287,12 @@ class SubforestFamily:
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")
+        adj = self.host.adjacency()
         for i, e in enumerate(self.edges):
             for v in e.vertices:
                 if not (0 <= v < self.host.n):
                     raise ValueError(f"edges[{i}]: vertex {v} outside host 0..{self.host.n - 1}")
-            ncomp = len(induced_components(self.host, e.vertices))
+            ncomp = len(connected_components(adj, e.vertices))
             if ncomp > self.d:
                 raise ValueError(f"edges[{i}] induces {ncomp} components > d={self.d}")
 

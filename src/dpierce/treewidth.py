@@ -55,7 +55,6 @@ class TreeDecomposition:
 
     tree: HostTree
     bags: tuple[frozenset[int], ...]
-    width: int
 
     def __post_init__(self):
         object.__setattr__(self, "bags", tuple(frozenset(b) for b in self.bags))
@@ -63,6 +62,11 @@ class TreeDecomposition:
             raise ValueError(
                 f"{len(self.bags)} bags for a tree on {self.tree.n} nodes"
             )
+
+    @property
+    def width(self) -> int:
+        """The largest bag size minus 1."""
+        return max(len(b) for b in self.bags) - 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class TwInstance:
 
 
 def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> list[str]:
-    """All violations of the three decomposition properties plus the width.
+    """All violations of the three decomposition properties.
 
     Returns human-readable messages naming the offending vertex, edge, or
     disconnected bag pair; an empty list means the decomposition is valid.
@@ -112,12 +116,6 @@ def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> list[str]:
     for u, v in graph.edges:
         if not any(u in bag and v in bag for bag in dec.bags):
             problems.append(f"edge ({u},{v}) is inside no bag")
-
-    true_width = max((len(b) for b in dec.bags), default=0) - 1
-    if dec.width != true_width:
-        problems.append(
-            f"width field is {dec.width} but max bag size - 1 = {true_width}"
-        )
     return problems
 
 

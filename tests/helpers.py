@@ -29,9 +29,9 @@ def iv(lo, hi) -> Interval:
     return Interval(Fraction(lo), Fraction(hi))
 
 
-def fam(d: int, *edges, general_position: bool = False) -> DIntervalFamily:
+def fam(d: int, *edges) -> DIntervalFamily:
     """fam(2, [(0,1)], [(2,3),(5,6)]) builds a d=2 family of two edges."""
-    return make_family(d, edges, general_position=general_position)
+    return make_family(d, edges)
 
 
 def brute_tau_continuous(family: DIntervalFamily) -> int:

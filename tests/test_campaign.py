@@ -207,8 +207,10 @@ def test_negative_count_is_rejected():
 )
 def test_generator_is_checked_even_without_instances(source, field):
     # an empty source runs no instance, so a bad generator or a planted
-    # generator without p and q must be caught before any is generated
-    with pytest.raises(CampaignConfigError, match=f"^{field}"):
+    # generator without p and q must be caught before any is generated; the
+    # message starts with the generator's config path either way
+    reason = {"source.generator": "unknown generator", "p, q": "needs p and q"}[field]
+    with pytest.raises(CampaignConfigError, match=rf"^campaigns\[0\]\.source\.generator: .*{reason}"):
         run_campaign({"campaigns": [{"kinds": ["ALON"], "source": source}]})
 
 
@@ -234,13 +236,17 @@ def test_non_int_p_is_a_config_error(generator, p):
         ({"generator": "tw", "width": -1}, "width"),
         ({"generator": "projective", "dimension": 1, "field_order": 2}, "dimension"),
         ({"generator": "projective", "dimension": 2, "field_order": 4}, "field_order"),
+        # (9,2) needs 8 anchor vertices
+        ({"generator": "planted_subforests", "host_size": 3, "p": 9, "q": 2}, "host_size"),
     ],
 )
 def test_out_of_range_source_values_are_config_errors(source, field):
     # these once escaped as a bare ValueError or NotPrime, without the config path
     source = {"count": 1, "seed": 1, **source}
+    # p and q belong to the campaign, not to its source
+    pq = {key: source.pop(key) for key in ("p", "q") if key in source}
     # the second campaign, so the path must carry its index
-    campaigns = [{"kinds": ["ALON"], "source": {"files": []}}, {"kinds": ["ALON"], "source": source}]
+    campaigns = [{"kinds": ["ALON"], "source": {"files": []}}, {"kinds": ["ALON"], **pq, "source": source}]
     with pytest.raises(CampaignConfigError, match=rf"^campaigns\[1\]\.source\.{field}: expected"):
         run_campaign({"campaigns": campaigns})
 

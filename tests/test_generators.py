@@ -36,7 +36,6 @@ def test_random_intervals_shape_and_validity():
         f = random_d_intervals(GenConfig(seed=seed, n_edges=8, d=3))
         assert len(f) == 8
         assert all(1 <= len(e.parts) <= 3 for e in f.edges)
-        assert f.general_position
         assert general_position_violations(f) == []
 
 
@@ -86,7 +85,7 @@ def test_planted_families_always_pass_pq_check():
                 GenConfig(seed=seed + 1, n_edges=10, d=3), PQParameters(p, q)
             )
             assert pq_check(to_incidence(f), PQParameters(p, q)).holds
-            assert f.general_position
+            assert general_position_violations(f) == []
 
 
 def test_planted_53_and_63_families_with_30_edges_hold():
@@ -169,6 +168,15 @@ def test_projective_uniformity_invariant():
                 degree[pt] += 1
         assert set(degree) == {size}
         assert pq_check(pf.instance, PQParameters(k, k)).holds
+
+
+def test_projective_realization_in_general_position():
+    # one point-interval per incidence: distinct points get distinct
+    # coordinates, and a repeated point-interval is no violation
+    for k, q in ((2, 2), (2, 3), (3, 2)):
+        pf = projective_instance(ProjectiveParams(k, q))
+        assert general_position_violations(pf.realization) == []
+        assert to_incidence(pf.realization).edges == pf.instance.edges
 
 
 def test_projective_kk_property():

@@ -4,11 +4,16 @@ from dpierce import (
     DIntervalFamily,
     GenConfig,
     InstanceFormatError,
+    PQParameters,
+    ProjectiveParams,
     SubforestFamily,
     TwInstance,
     dumps_instance,
     from_json_dict,
     loads_instance,
+    planted_pq_family,
+    planted_pq_subforests,
+    projective_instance,
     random_d_intervals,
     random_subforests,
     random_tree,
@@ -37,6 +42,29 @@ def test_tw_roundtrip():
     loaded = loads_instance(dumps_instance(tw))
     assert isinstance(loaded, TwInstance)
     assert dumps_instance(loaded) == dumps_instance(tw)
+
+
+# every generator, each family built at a few seeds; tw at d=3, where the
+# components of its subgraphs often stay below d
+ROUNDTRIP_CASES = {
+    "random_d_intervals": lambda s: random_d_intervals(GenConfig(seed=s, n_edges=6, d=3)),
+    "planted_pq_family": lambda s: planted_pq_family(GenConfig(seed=s, n_edges=8, d=2), PQParameters(3, 2)),
+    "random_subforests": lambda s: random_subforests(
+        random_tree(GenConfig(seed=s, host_size=9)), GenConfig(seed=s, host_size=9, n_edges=5, d=3)
+    ),
+    "planted_pq_subforests": lambda s: planted_pq_subforests(
+        GenConfig(seed=s, n_edges=6, d=2, host_size=9), PQParameters(4, 2)
+    ),
+    "random_tw_graph": lambda s: random_tw_graph(GenConfig(seed=s, n_edges=6, d=3, host_size=8), 1),
+    "projective": lambda s: projective_instance(ProjectiveParams(2, 2 + s % 2)).realization,
+}
+
+
+@pytest.mark.parametrize("build", ROUNDTRIP_CASES.values(), ids=ROUNDTRIP_CASES.keys())
+def test_a_family_is_what_its_file_holds(build):
+    for seed in range(4):
+        family = build(seed)
+        assert loads_instance(dumps_instance(family)) == family
 
 
 def test_rationals_accept_fraction_strings():
@@ -86,6 +114,7 @@ def test_tree_errors():
 def test_tw_errors():
     doc = {
         "type": "tw_graph",
+        "d": 1,
         "k": 1,
         "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
         "bags": [[0, 1], [2]],
@@ -104,6 +133,20 @@ def test_tw_errors():
     doc2["subgraphs"] = [[0, 99]]
     with pytest.raises(InstanceFormatError, match="subgraphs\\[0\\]\\[1\\]"):
         from_json_dict(doc2)
+    # d is read, not computed: it is required, and it bounds the components
+    doc3 = dict(doc)
+    del doc3["d"]
+    with pytest.raises(InstanceFormatError, match="^d: expected an integer"):
+        from_json_dict(doc3)
+    doc3["d"] = 0
+    with pytest.raises(InstanceFormatError, match="^d: must be positive"):
+        from_json_dict(doc3)
+    doc4 = dict(doc, graph={"n": 3, "edges": [[0, 1]]}, bags=[[0, 1], [2]])
+    doc4["subgraphs"] = [[0, 1], [0, 2]]  # {0} and {2}: 2 components
+    with pytest.raises(InstanceFormatError, match=r"^subgraphs\[1\]: induces 2 components > d=1"):
+        from_json_dict(doc4)
+    doc4["d"] = 2
+    assert from_json_dict(doc4).d == 2
 
 
 def test_to_json_dict_rejects_unknown():

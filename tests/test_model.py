@@ -414,12 +414,10 @@ def test_general_position_validator_rejects_shared_value():
     f = fam(1, [(0, 2)], [(2, 5)])  # distinct intervals share endpoint 2
     violations = general_position_violations(f)
     assert violations and violations[0][0] == 2
-    with pytest.raises(ValueError):
-        fam(1, [(0, 2)], [(2, 5)], general_position=True)
 
 
 def test_general_position_allows_point_intervals_and_repeats():
-    f = fam(1, [(5, 5)], [(5, 5)], general_position=True)  # identical parts
+    f = fam(1, [(5, 5)], [(5, 5)])  # identical parts
     assert general_position_violations(f) == []
 
 
@@ -427,7 +425,6 @@ def test_repair_general_position():
     f = fam(2, [(0, 2)], [(2, 5)])  # distinct intervals sharing value 2
     assert general_position_violations(f)
     repaired = repair_general_position(f)
-    assert repaired.general_position
     assert general_position_violations(repaired) == []
     # originally distinct values keep their order
     assert repaired.edges[0].parts[0].lo < repaired.edges[0].parts[0].hi
@@ -438,11 +435,16 @@ def test_dinterval_validation():
     with pytest.raises(ValueError):
         Interval(Fraction(2), Fraction(1))
     with pytest.raises(ValueError):
-        DInterval((iv(0, 1), iv(1, 2)), 2)  # closed intervals touching: not disjoint
+        DInterval((iv(0, 1), iv(1, 2)))  # closed intervals touching: not disjoint
     with pytest.raises(ValueError):
-        DInterval((iv(0, 1), iv(2, 3), iv(4, 5)), 2)  # too many parts
+        DInterval((iv(2, 3), iv(0, 1)))  # unsorted
     with pytest.raises(ValueError):
-        DInterval((iv(2, 3), iv(0, 1)), 2)  # unsorted
+        DInterval(())  # no parts
+    # the part count is the family's check: three parts fit d=3, not d=2
+    three = DInterval((iv(0, 1), iv(2, 3), iv(4, 5)))
+    assert DIntervalFamily(3, (three,)).edges == (three,)
+    with pytest.raises(ValueError, match=r"edges\[1\] has 3 parts > d=2"):
+        DIntervalFamily(2, (DInterval((iv(0, 1),)), three))
 
 
 def test_hypergraph_instance_validation():

@@ -29,7 +29,6 @@ def square_dec():
     return TreeDecomposition(
         tree=HostTree(n=2, edges=((0, 1),)),
         bags=(frozenset({0, 1, 2}), frozenset({0, 2, 3})),
-        width=2,
     )
 
 
@@ -41,16 +40,15 @@ def test_valid_path_decomposition():
     dec = TreeDecomposition(
         tree=HostTree(n=2, edges=((0, 1),)),
         bags=(frozenset({0, 1}), frozenset({1, 2})),
-        width=1,
     )
     assert validate_decomposition(path3(), dec) == []
+    assert dec.width == 1  # the largest bag size minus 1
 
 
 def test_missing_edge_reported():
     dec = TreeDecomposition(
         tree=HostTree(n=2, edges=((0, 1),)),
         bags=(frozenset({0, 1}), frozenset({2})),
-        width=1,
     )
     problems = validate_decomposition(path3(), dec)
     assert any("edge (1,2)" in p for p in problems)
@@ -65,27 +63,15 @@ def test_running_intersection_violation():
     dec = TreeDecomposition(
         tree=HostTree(n=3, edges=((0, 1), (1, 2))),
         bags=(frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
-        width=1,
     )
     problems = validate_decomposition(path3(), dec)
     assert any("disconnected" in p for p in problems)
-
-
-def test_wrong_width_field_reported():
-    dec = TreeDecomposition(
-        tree=HostTree(n=2, edges=((0, 1),)),
-        bags=(frozenset({0, 1}), frozenset({1, 2})),
-        width=3,
-    )
-    problems = validate_decomposition(path3(), dec)
-    assert any("width" in p for p in problems)
 
 
 def test_missing_vertex_reported():
     dec = TreeDecomposition(
         tree=HostTree(n=1, edges=()),
         bags=(frozenset({0, 1}),),
-        width=1,
     )
     problems = validate_decomposition(path3(), dec)
     assert any("vertex 2" in p for p in problems)
@@ -114,7 +100,6 @@ def test_lift_rejects_invalid_decomposition():
     bad = TreeDecomposition(
         tree=HostTree(n=1, edges=()),
         bags=(frozenset({0}),),
-        width=0,
     )
     with pytest.raises(InvalidDecomposition):
         lift_family(square(), bad, [{0}])
