@@ -24,7 +24,6 @@ from .model import (
     Interval,
     Subforest,
     SubforestFamily,
-    connected_components,
 )
 from .treewidth import Graph, TreeDecomposition, TwInstance, validate_decomposition
 
@@ -147,7 +146,6 @@ def _load_subforests(doc) -> SubforestFamily:
 
 def _load_tw(doc) -> TwInstance:
     d = _int(doc.get("d"), "d")
-    _want(d >= 1, "d", f"must be positive, got {d}")
     k = _int(doc.get("k"), "k")
     _want(k >= 0, "k", f"must be nonnegative, got {k}")
     raw_graph = doc.get("graph")
@@ -171,17 +169,14 @@ def _load_tw(doc) -> TwInstance:
     if problems:
         raise InstanceFormatError(f"bags: {problems[0]}")
 
-    adj = graph.adjacency()
-    subgraphs = []
-    for i, vs in enumerate(_vertex_sets(doc.get("subgraphs"), "subgraphs")):
+    subgraphs = _vertex_sets(doc.get("subgraphs"), "subgraphs")
+    for i, vs in enumerate(subgraphs):
         _want(len(vs) > 0, f"subgraphs[{i}]", "subgraph must be nonempty")
-        for j, v in enumerate(vs):
-            _want(0 <= v < graph.n, f"subgraphs[{i}][{j}]", f"vertex {v} outside graph 0..{graph.n - 1}")
-        h = frozenset(vs)
-        ncomp = len(connected_components(adj, h))
-        _want(ncomp <= d, f"subgraphs[{i}]", f"induces {ncomp} components > d={d}")
-        subgraphs.append(h)
-    return TwInstance(graph=graph, decomposition=dec, subgraphs=tuple(subgraphs), d=d)
+    try:
+        # the raw vertex lists, so that an error names a vertex's position
+        return TwInstance(graph=graph, decomposition=dec, subgraphs=tuple(subgraphs), d=d)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Exact matching/covering solvers and the (p,q)-property decision procedure.
 
 All solvers consume a `HypergraphInstance`.  Integral solvers are
-branch-and-bound with deterministic tie-breaks (reproducible node counts);
-the fractional solver is an exact rational LP whose primal and dual sides
+branch-and-bound with deterministic tie-breaks (reproducible node counts),
+each started from the better of a plain greedy and a greedy guided by the
+root LP, which the root solves anyway; where tau* has no integrality gap
+that incumbent is optimal and the search closes at its root.  The
+fractional solver is an exact rational LP whose primal and dual sides
 certify each other.  Every incidence LP (tau* and each node bound of the
 branch-and-bounds) is solved on its dominance kernel: a point whose set of
 edges is contained in another point's adds only a redundant row, so it is
@@ -19,8 +22,9 @@ nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
 every copy.  The solvers share one solve context per instance (`_context`):
 the distinct edges, the point->edge bitmasks that the LP kernel and both
-branch-and-bounds read, and every LP solved, so that no LP is solved twice
-and the root LP of `fractional_pair` is the root bound of both searches.
+branch-and-bounds read, and every LP solved, by column mask and by matrix,
+so that no LP is solved twice and the root LP of `fractional_pair` is the
+root bound and the incumbent guide of both searches.
 """
 
 from __future__ import annotations
@@ -94,8 +98,10 @@ class _SolveContext:
 
     Distinct edge j has its first occurrence at `firsts[j]`, in index order,
     and point mask `masks[j]`.  `point_masks`: {point: bit j for each
-    distinct edge j through it}, keys in increasing id, built on first use.
-    `lps`: the solution of each LP matrix solved for the instance.
+    distinct edge j through it}, keys in increasing id, and `conflicts[j]`:
+    the bits of the distinct edges meeting edge j, j included; both are
+    built on first use.  `lps`: the solution of each LP matrix solved for
+    the instance; `by_cols`: `_incidence_lp`'s answer for each column mask.
     """
 
     def __init__(self, instance: HypergraphInstance):
@@ -105,6 +111,7 @@ class _SolveContext:
         self.masks = list(firsts)
         self.firsts = list(firsts.values())
         self.lps: dict[tuple, LPSolution] = {}
+        self.by_cols: dict[int, tuple[list[int], LPSolution]] = {}
         self._sets = instance.edges
 
     @cached_property
@@ -115,6 +122,17 @@ class _SolveContext:
             for pt in self._sets[i]:
                 masks[pt] = masks.get(pt, 0) | bit
         return {pt: masks[pt] for pt in sorted(masks)}
+
+    @cached_property
+    def conflicts(self) -> list[int]:
+        member = self.point_masks
+        conflicts = []
+        for i in self.firsts:
+            mask = 0
+            for pt in self._sets[i]:
+                mask |= member[pt]
+            conflicts.append(mask)
+        return conflicts
 
 
 def _context(instance: HypergraphInstance) -> _SolveContext:
@@ -136,9 +154,13 @@ def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]
     distinct set of edges through a point, minus every such set strictly
     contained in another.  A dropped row is implied by the row that contains
     it (for x >= 0 its load is at most that row's), so the primal polytope,
-    and with it the LP value, is that of the full incidence.  An LP whose
-    matrix the instance has solved before is not solved again.
+    and with it the LP value, is that of the full incidence.  A column mask
+    asked for before returns its earlier answer without a kernel, and an LP
+    whose matrix the instance has solved before is not solved again.
     """
+    hit = ctx.by_cols.get(cols)
+    if hit is not None:
+        return hit
     masks = ctx.point_masks
     lowest: dict[int, int] = {}
     for pt, m in masks.items():
@@ -158,7 +180,16 @@ def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]
     sol = ctx.lps.get(key)
     if sol is None:
         sol = ctx.lps[key] = solve_lp_max(rows, [1] * len(points), [1] * len(columns))
-    return points, sol
+    hit = ctx.by_cols[cols] = points, sol
+    return hit
+
+
+def _floor(value: Fraction) -> int:
+    return value.numerator // value.denominator
+
+
+def _ceil(value: Fraction) -> int:
+    return -(-value.numerator // value.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -168,41 +199,74 @@ def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]
 def covering_number(instance: HypergraphInstance) -> SolveResult:
     """Minimum point set meeting every edge, exactly.
 
-    Branch and bound: greedy cover for the initial upper bound, a disjoint
-    -edge packing and then the exact fractional optimum as lower bounds,
-    branching on an uncovered edge with fewest points, all ties to lowest id.
+    Branch and bound from the smaller of two greedy covers: one over all
+    points and, unless it meets the root's disjoint-edge packing bound or
+    the ceiling of the root LP (the LP the root solves unless the packing
+    bound closes it), one over the support of that LP's fractional cover.
+    Lower bounds are a disjoint-edge packing and then the exact fractional
+    optimum; the search branches on an uncovered edge with fewest points,
+    all ties to lowest id.
     """
     ctx = _context(instance)
-    masks = ctx.masks
-    if not masks:
+    if not ctx.masks:
         return SolveResult(0, frozenset(), 0)
-    n = len(masks)
-    full = (1 << n) - 1
+    full = (1 << len(ctx.masks)) - 1
+    best = _greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
+    if len(best) > _packing_bound(ctx.masks, full) and len(best) > _ceil(
+        _incidence_lp(ctx, full)[1].value
+    ):
+        lp = _lp_cover(ctx)
+        if len(lp) < len(best):
+            best = lp
+    return _cover_search(instance, best)
+
+
+def _greedy_cover(ctx: _SolveContext, weight: dict) -> list[int]:
+    """Points of `weight` taken until every distinct edge is met.
+
+    Each step takes the point meeting the most uncovered edges, then the
+    one of highest weight, then the lowest id.  The points must meet every
+    edge between them.
+    """
     covers = ctx.point_masks
-
-    # greedy upper bound
-    best: list[int] = []
-    uncovered = full
+    cover: list[int] = []
+    uncovered = (1 << len(ctx.masks)) - 1
     while uncovered:
-        pt = max(covers, key=lambda p: ((covers[p] & uncovered).bit_count(), -p))
-        best.append(pt)
+        pt = max(weight, key=lambda p: ((covers[p] & uncovered).bit_count(), weight[p], -p))
+        cover.append(pt)
         uncovered &= ~covers[pt]
+    return cover
+
+
+def _lp_cover(ctx: _SolveContext) -> list[int]:
+    """The greedy cover over the support of the root LP's fractional cover.
+
+    The support meets every edge, since the dual y has y.A_j >= 1 for every
+    column j; its weights break the greedy's ties.
+    """
+    points, sol = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
+    return _greedy_cover(ctx, {pt: y for pt, y in zip(points, sol.dual) if y})
+
+
+def _packing_bound(masks: list[int], mask: int) -> int:
+    """Size of a first-fit set of pairwise disjoint edges among those in `mask`."""
+    taken = count = 0
+    for j, m in enumerate(masks):
+        if mask >> j & 1 and not (m & taken):
+            taken |= m
+            count += 1
+    return count
+
+
+def _cover_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveResult:
+    """`covering_number`'s branch and bound, started from the cover `incumbent`."""
+    ctx = _context(instance)
+    masks = ctx.masks
+    n = len(masks)
+    covers = ctx.point_masks
+    best = list(incumbent)
     best_size = len(best)
-
-    edge_points = [sorted(instance.edges[i]) for i in ctx.firsts]
     node_count = 0
-
-    def packing_bound(mask: int) -> int:
-        taken = count = 0
-        for j in range(n):
-            if mask >> j & 1 and not (masks[j] & taken):
-                taken |= masks[j]
-                count += 1
-        return count
-
-    def lp_bound(mask: int) -> int:
-        value = _incidence_lp(ctx, mask)[1].value
-        return -((-value.numerator) // value.denominator)  # ceil
 
     def search(mask: int, chosen: list[int]) -> None:
         nonlocal best, best_size, node_count
@@ -212,21 +276,21 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
                 best = list(chosen)
                 best_size = len(chosen)
             return
-        lower = packing_bound(mask)
-        if len(chosen) + lower >= best_size:
+        if len(chosen) + _packing_bound(masks, mask) >= best_size:
             return
-        if len(chosen) + lp_bound(mask) >= best_size:
+        if len(chosen) + _ceil(_incidence_lp(ctx, mask)[1].value) >= best_size:
             return
+        # a point mask's popcount is the edge's size
         branch = min(
             (j for j in range(n) if mask >> j & 1),
-            key=lambda j: (len(edge_points[j]), j),
+            key=lambda j: (masks[j].bit_count(), j),
         )
-        for pt in edge_points[branch]:
+        for pt in sorted(instance.edges[ctx.firsts[branch]]):
             chosen.append(pt)
             search(mask & ~covers[pt], chosen)
             chosen.pop()
 
-    search(full, [])
+    search((1 << n) - 1, [])
     del search  # the closure refers to itself; break the cycle
     witness = frozenset(best)
     if len(witness) != best_size or not verify_cover(instance, witness):
@@ -237,37 +301,60 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
 def matching_number(instance: HypergraphInstance) -> SolveResult:
     """Maximum set of pairwise disjoint distinct edges, exactly.
 
-    Branch and bound over distinct edges, branching on a point of highest
-    degree among the still-available edges (take one of its edges, or none).
+    Branch and bound from the larger of two greedy matchings: first fit in
+    index order and, unless that takes every edge or meets the floor of the
+    root LP (the LP the root then solves), first fit in decreasing weight
+    of that LP's fractional matching.  The search branches on a point of
+    highest degree among the still-available edges (take one of its edges,
+    or none).
     """
     ctx = _context(instance)
-    if not ctx.masks:
-        return SolveResult(0, frozenset(), 0)
     n = len(ctx.masks)
+    if not n:
+        return SolveResult(0, frozenset(), 0)
     full = (1 << n) - 1
-    member = ctx.point_masks
-    # the edges meeting edge j, j itself included
-    conflict = []
-    for i in ctx.firsts:
-        mask = 0
-        for pt in instance.edges[i]:
-            mask |= member[pt]
-        conflict.append(mask)
+    best = _greedy_matching(ctx, range(n))
+    if len(best) < n and len(best) < _floor(_incidence_lp(ctx, full)[1].value):
+        lp = _lp_matching(ctx)
+        if len(lp) > len(best):
+            best = lp
+    return _matching_search(instance, best)
 
-    # greedy matching as the initial lower bound
-    best: list[int] = []
-    avail = full
-    for j in range(n):
+
+def _greedy_matching(ctx: _SolveContext, order) -> list[int]:
+    """Distinct edges taken in `order` whenever they miss every edge taken."""
+    conflicts = ctx.conflicts
+    chosen: list[int] = []
+    avail = (1 << len(ctx.masks)) - 1
+    for j in order:
         if avail >> j & 1:
-            best.append(j)
-            avail &= ~conflict[j]
+            chosen.append(j)
+            avail &= ~conflicts[j]
+    return chosen
+
+
+def _lp_matching(ctx: _SolveContext) -> list[int]:
+    """The greedy matching in decreasing root-LP weight x, ties to lowest index."""
+    x = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)[1].primal
+    support = [j for j, w in enumerate(x) if w]
+    # a stable sort keeps equal weights in index order; the edges of weight 0
+    # then follow in index order (a support edge met again is no longer free)
+    support.sort(key=x.__getitem__, reverse=True)
+    return _greedy_matching(ctx, itertools.chain(support, range(len(x))))
+
+
+def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveResult:
+    """`matching_number`'s branch and bound, started from `incumbent`.
+
+    `incumbent` is a matching given as distinct-edge positions (the order
+    of first occurrences).
+    """
+    ctx = _context(instance)
+    member = ctx.point_masks
+    conflict = ctx.conflicts
+    best = list(incumbent)
     best_size = len(best)
-
     node_count = 0
-
-    def lp_bound(mask: int) -> int:
-        value = _incidence_lp(ctx, mask)[1].value
-        return value.numerator // value.denominator  # floor
 
     def search(mask: int, chosen: list[int]) -> None:
         nonlocal best, best_size, node_count
@@ -279,7 +366,7 @@ def matching_number(instance: HypergraphInstance) -> SolveResult:
             return
         if len(chosen) + mask.bit_count() <= best_size:
             return
-        if len(chosen) + lp_bound(mask) <= best_size:
+        if len(chosen) + _floor(_incidence_lp(ctx, mask)[1].value) <= best_size:
             return
         pt = max(member, key=lambda p: ((member[p] & mask).bit_count(), -p))
         through = member[pt] & mask
@@ -292,7 +379,7 @@ def matching_number(instance: HypergraphInstance) -> SolveResult:
             k &= k - 1
         search(mask & ~through, chosen)
 
-    search(full, [])
+    search((1 << len(ctx.masks)) - 1, [])
     del search  # the closure refers to itself; break the cycle
     witness = frozenset(ctx.firsts[j] for j in best)
     if len(witness) != best_size or not verify_matching(instance, witness):

@@ -78,12 +78,33 @@ class LiftedFamily:
 
 @dataclass(frozen=True)
 class TwInstance:
-    """A graph with a valid width-<=k decomposition and a subgraph family."""
+    """A graph with a valid width-<=k decomposition and a subgraph family.
+
+    Each subgraph is a set of graph vertices inducing at most d >= 1
+    components; it may be given as any iterable and is stored frozen.
+    """
 
     graph: Graph
     decomposition: TreeDecomposition
     subgraphs: tuple[frozenset[int], ...]
     d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d: must be positive, got {self.d}")
+        n = self.graph.n
+        adj = self.graph.adjacency()
+        subgraphs = []
+        for i, h in enumerate(self.subgraphs):
+            for j, v in enumerate(h):
+                if not (0 <= v < n):
+                    raise ValueError(f"subgraphs[{i}][{j}]: vertex {v} outside graph 0..{n - 1}")
+            h = frozenset(h)
+            ncomp = len(connected_components(adj, h))
+            if ncomp > self.d:
+                raise ValueError(f"subgraphs[{i}]: induces {ncomp} components > d={self.d}")
+            subgraphs.append(h)
+        object.__setattr__(self, "subgraphs", tuple(subgraphs))
 
 
 def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> list[str]:

@@ -245,25 +245,25 @@ def reference_pq_check(
     return True, None
 
 
-def reference_matching_number(instance: HypergraphInstance) -> tuple[int, frozenset[int], int]:
+def reference_matching_number(
+    instance: HypergraphInstance, incumbent
+) -> tuple[int, frozenset[int], int]:
     """(nu, witness, node count) of `matching_number`'s search, over plain sets.
 
-    The same documented search without bitmasks: first-fit greedy matching in
-    index order as the incumbent; at each node, prune by the number of live
-    edges and by the floor of the unreduced incidence LP; branch on the
-    lowest point of highest degree among the live edges, taking each of its
-    live edges in index order and then none of them.  Edges are the first
-    occurrences of the distinct edge sets.
+    The same documented search without bitmasks, started from the matching
+    `incumbent` (positions j of the distinct edges below): at each node,
+    prune by the number of live edges and by the floor of the unreduced
+    incidence LP; branch on the lowest point of highest degree among the
+    live edges, taking each of its live edges in index order and then none
+    of them.  Edges are the first occurrences of the distinct edge sets.
     """
     firsts: dict[frozenset[int], int] = {}
     for i, e in enumerate(instance.edges):
         firsts.setdefault(e, i)
     ids = sorted(firsts.values())
     edges = [instance.edges[i] for i in ids]
-    best: list[int] = []
-    for j, e in enumerate(edges):
-        if not any(e & edges[k] for k in best):
-            best.append(j)
+    best = list(incumbent)
+    assert all(not edges[a] & edges[b] for a, b in itertools.combinations(best, 2))
     nodes = 0
 
     def lp_floor(live: list[int]) -> int:

@@ -157,20 +157,85 @@ def test_warm_instance_gives_fresh_results():
             assert solve(warm) == solve(_fresh(instance))
 
 
-def test_matching_number_matches_plain_reference():
-    # optimum, witness and node count of the bitmask search against the
-    # same search over plain sets, on instances where it branches
-    branched = 0
+def _matching_reference_cases():
     for seed in range(40):
-        cases = [random_abstract_instance(seed + 2000)]
-        cases.append(to_incidence(random_d_intervals(GenConfig(seed=seed, n_edges=10, d=2))))
+        yield random_abstract_instance(seed + 2000)
+        yield to_incidence(random_d_intervals(GenConfig(seed=seed, n_edges=10, d=2)))
         cfg = GenConfig(seed=seed, n_edges=9, d=2, host_size=12)
-        cases.append(to_incidence(random_subforests(random_tree(cfg), cfg)))
-        for instance in cases:
-            res = matching_number(instance)
-            assert (res.optimum, res.witness, res.node_count) == reference_matching_number(instance)
-            branched += res.node_count > 1
+        yield to_incidence(random_subforests(random_tree(cfg), cfg))
+
+
+def test_matching_search_matches_plain_reference():
+    # optimum, witness and node count of the bitmask search against the
+    # same search over plain sets, both from the first-fit matching, on
+    # instances where it branches
+    branched = 0
+    for instance in _matching_reference_cases():
+        ctx = solvers._context(instance)
+        first_fit = solvers._greedy_matching(ctx, range(len(ctx.masks)))
+        res = solvers._matching_search(instance, first_fit)
+        assert (res.optimum, res.witness, res.node_count) == reference_matching_number(
+            instance, first_fit
+        )
+        branched += res.node_count > 1
     assert branched > 20
+
+
+def test_matching_number_matches_plain_reference():
+    # the public search against the plain one from the incumbent it starts
+    # from: the larger of the first-fit and the LP-guided greedy matchings
+    for instance in _matching_reference_cases():
+        ctx = solvers._context(instance)
+        n = len(ctx.masks)
+        incumbent = solvers._greedy_matching(ctx, range(n))
+        if len(incumbent) < n and len(solvers._lp_matching(ctx)) > len(incumbent):
+            incumbent = solvers._lp_matching(ctx)
+        res = matching_number(instance)
+        assert (res.optimum, res.witness, res.node_count) == reference_matching_number(
+            instance, incumbent
+        )
+
+
+def _incumbent_corpus():
+    for n_edges, d in ((30, 2), (40, 3)):
+        for seed in range(20):
+            yield to_incidence(random_d_intervals(GenConfig(seed=seed, n_edges=n_edges, d=d)))
+    for seed in range(2000, 2040):
+        yield random_abstract_instance(seed)
+
+
+def test_lp_incumbents_are_valid_and_never_worse_than_greedy():
+    for instance in _incumbent_corpus():
+        ctx = solvers._context(instance)
+        n = len(ctx.masks)
+        plain_cover = solvers._greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
+        lp_cover = solvers._lp_cover(ctx)
+        assert verify_cover(instance, lp_cover)
+        assert len(lp_cover) <= len(plain_cover)
+        plain_matching = solvers._greedy_matching(ctx, range(n))
+        lp_matching = solvers._lp_matching(ctx)
+        assert verify_matching(instance, [ctx.firsts[j] for j in lp_matching])
+        assert len(lp_matching) >= len(plain_matching)
+
+
+def test_lp_incumbents_never_add_nodes_and_keep_the_optimum():
+    for instance in _incumbent_corpus():
+        ctx = solvers._context(instance)
+        tau, nu = covering_number(instance), matching_number(instance)
+        plain_tau = solvers._cover_search(
+            instance, solvers._greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
+        )
+        plain_nu = solvers._matching_search(
+            instance, solvers._greedy_matching(ctx, range(len(ctx.masks)))
+        )
+        assert tau.node_count <= plain_tau.node_count
+        assert nu.node_count <= plain_nu.node_count
+        assert (tau.optimum, nu.optimum) == (plain_tau.optimum, plain_nu.optimum)
+        try:
+            assert tau.optimum == naive_oracle(instance, "tau")
+            assert nu.optimum == naive_oracle(instance, "nu")
+        except TooLarge:
+            pass
 
 
 def test_solvers_leave_no_reference_cycles():

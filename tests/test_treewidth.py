@@ -7,9 +7,12 @@ from dpierce import (
     InvalidDecomposition,
     NotACover,
     TreeDecomposition,
+    TwInstance,
     covering_number,
+    dumps_instance,
     lift_cover,
     lift_family,
+    loads_instance,
     random_tw_graph,
     to_incidence,
     validate_decomposition,
@@ -169,3 +172,20 @@ def test_lift_chain_end_to_end():
         )
         assert to_incidence(tw) == source_inst
         assert covering_number(source_inst).optimum <= len(cover)
+
+
+def test_tw_instance_validates_in_memory():
+    # what the file loader rejects cannot be built in memory either
+    graph, dec = path3(), TreeDecomposition(
+        tree=HostTree(n=2, edges=((0, 1),)),
+        bags=(frozenset({0, 1}), frozenset({1, 2})),
+    )
+    with pytest.raises(ValueError, match=r"^subgraphs\[0\]: induces 2 components > d=1"):
+        TwInstance(graph, dec, (frozenset({0, 2}),), d=1)
+    with pytest.raises(ValueError, match="^d: must be positive, got 0"):
+        TwInstance(graph, dec, (frozenset({0}),), d=0)
+    with pytest.raises(ValueError, match=r"^subgraphs\[1\]\[1\]: vertex 3 outside graph 0..2"):
+        TwInstance(graph, dec, ([0], [1, 3]), d=1)
+    tw = TwInstance(graph, dec, ([0, 2], [1]), d=2)
+    assert tw.subgraphs == (frozenset({0, 2}), frozenset({1}))
+    assert loads_instance(dumps_instance(tw)) == tw
