@@ -31,7 +31,11 @@ from .solvers import pq_check
 
 
 def _emit(doc, out) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+
+
+def _write(text: str, out) -> None:
+    """Write `text` to the file `out`, or to stdout when `out` is None or "-"."""
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -66,12 +70,7 @@ def _cmd_gen(args) -> int:
         family = random_tw_graph(cfg, args.width)
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.kind)
-    text = dumps_instance(family)
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(dumps_instance(family), args.output)
     return 0
 
 
@@ -215,8 +214,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # every error of the package (bad instance, config, params, field order)
-    # is a ValueError
-    except (ValueError, FileNotFoundError) as exc:
+    # is a ValueError; a path that cannot be read or written is an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,17 +1,17 @@
 """Exact simplex for the small LPs behind the fractional solvers.
 
-Solves max{c.x : Ax <= b, x >= 0} with b >= 0, so the all-slack basis is
-feasible and no phase one is needed (every covering/matching LP in this
-package has that shape).  Pivoting is Dantzig's rule with a permanent switch
-to Bland's rule after a degenerate stall, which keeps the method anti-cycling
-while staying fast on non-degenerate instances; all tie-breaks are by lowest
-index, so runs are deterministic.
+Solves max{c.x : Ax <= b, x >= 0} for integer A, b and c with b >= 0, so
+the all-slack basis is feasible and no phase one is needed (every
+covering/matching LP in this package has that shape).  Pivoting is
+Dantzig's rule with a permanent switch to Bland's rule after a degenerate
+stall, which keeps the method anti-cycling while staying fast on
+non-degenerate instances; all tie-breaks are by lowest index, so runs are
+deterministic.
 
 Arithmetic is exact and fraction-free (Edmonds/Bareiss pivoting, as in
 Avis's lrs).  The tableau holds Python ints over one common denominator D,
 the last pivot element; every division in a pivot is exact by Sylvester's
-identity, so no gcd is ever taken.  Rational data are brought to integers
-by scaling each row of [A | b], and c, by the lcm of its denominators.
+identity, so no gcd is ever taken.
 
 The tableau is condensed, like lrs's dictionary: m rows of one column per
 nonbasic variable plus the rhs, with two index lists naming each row's
@@ -25,17 +25,16 @@ the full m x (n+m+1) tableau holds in its nonbasic columns.  The pivot
 rules read variable indices, never column positions, so they pick the same
 pivots as the full tableau and reach the same D and solutions.
 
-Before returning, the primal and dual solutions are re-verified against the
-input data, in integers too: each check is the rational inequality
-multiplied through by the positive row scales and by D, so it is exact
-without a single Fraction.  Results are returned as Fraction.
+The solution is returned as integer numerators over D.  Before that, the
+primal and dual solutions are re-verified against the input data: each
+check is the rational inequality multiplied through by D > 0, so it is
+exact in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 # the rational type of the results; perfbench/run.py reads it
 _Q = Fraction
@@ -51,53 +50,58 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal value with mutually certifying primal and dual solutions."""
+    """Optimal value with mutually certifying primal and dual solutions.
 
-    value: Fraction
-    primal: tuple[Fraction, ...]
-    dual: tuple[Fraction, ...]
+    Every number is an integer numerator over the common denominator
+    `den` > 0: the optimum is value/den, and x_j = primal[j]/den and
+    y_i = dual[i]/den.
+    """
+
+    den: int
+    value: int
+    primal: tuple[int, ...]
+    dual: tuple[int, ...]
     pivots: int
 
 
-def _integer_row(values) -> tuple[list[int], int]:
-    """`values` times the lcm s of their denominators, as ints, and s."""
-    values = [v if isinstance(v, int) else Fraction(v) for v in values]
-    s = lcm(*(v.denominator for v in values))
-    return [v.numerator * (s // v.denominator) for v in values], s
+def _require_ints(name: str, values) -> None:
+    for j, v in enumerate(values):
+        if type(v) is not int:
+            raise ValueError(f"{name}[{j}] = {v!r} is not an int")
 
 
 def solve_lp_max(A, b, c) -> LPSolution:
-    """Maximize c.x subject to Ax <= b, x >= 0 (b >= 0 required).
+    """Maximize c.x subject to Ax <= b, x >= 0 (ints only, b >= 0 required).
 
     Returns the exact optimum, an optimal primal vector, and an optimal dual
     vector y (min y.b s.t. yA >= c, y >= 0) with c.x == y.b verified.
-    Raises SimplexError if the LP is unbounded or verification fails.
+    Raises ValueError on malformed input, and SimplexError if the LP is
+    unbounded or verification fails.
     """
     m = len(A)
     n = len(c)
+    if len(b) != m:
+        raise ValueError(f"b has {len(b)} entries, expected {m}")
+    _require_ints("b", b)
+    _require_ints("c", c)
     for i, bi in enumerate(b):
         if bi < 0:
             raise ValueError(f"b[{i}] = {bi} < 0: all-slack start infeasible")
-    if n == 0:
-        return LPSolution(Fraction(0), (), tuple(Fraction(0) for _ in range(m)), 0)
-
     # variables 0..n-1 are structural and n+i is the slack of row i.  Row i
-    # of the condensed tableau starts as s_i * [A[i] | b[i]], one column per
-    # nonbasic variable plus the rhs, and the objective row as s_c * [-c | 0];
-    # the true tableau is T / D.  A basic variable's column is D * e_i, so it
-    # is not stored.  _verify checks the result against the unpivoted inputs
-    # and c_row
+    # of the condensed tableau starts as [A[i] | b[i]], one column per
+    # nonbasic variable plus the rhs, and the objective row as [-c | 0]; the
+    # true tableau is T / D.  A basic variable's column is D * e_i, so it is
+    # not stored.  _verify checks the result against the unpivoted inputs
     inputs: list[list[int]] = []
-    scales: list[int] = []
     for i in range(m):
         if len(A[i]) != n:
             raise ValueError(f"A[{i}] has {len(A[i])} entries, expected {n}")
-        row, s = _integer_row([*A[i], b[i]])
-        inputs.append(row)
-        scales.append(s)
+        _require_ints(f"A[{i}]", A[i])
+        inputs.append([*A[i], b[i]])
+    if n == 0:
+        return LPSolution(1, 0, (), (0,) * m, 0)
     rows = [list(row) for row in inputs]
-    c_row, s_c = _integer_row(c)
-    obj = [-v for v in c_row] + [0]
+    obj = [-v for v in c] + [0]
     D = 1
 
     basis = list(range(n, n + m))  # basic variable of each row
@@ -105,11 +109,6 @@ def solve_lp_max(A, b, c) -> LPSolution:
     pivots = 0
     stall = 0
     bland = False
-
-    # the slack of row i stands for s_i times the slack of the input row, so
-    # its reduced cost is the input's divided by s_i; weighting it back makes
-    # Dantzig's choice that of the unscaled tableau
-    weights = [1] * n + scales
 
     while True:
         # all reduced costs share the denominator D > 0: compare numerators.
@@ -124,7 +123,7 @@ def solve_lp_max(A, b, c) -> LPSolution:
         else:
             best = 0
             for j in range(n):
-                v = obj[j] * weights[nonbasic[j]]
+                v = obj[j]
                 if v < best or (v == best < 0 and nonbasic[j] < nonbasic[col]):
                     best = v
                     col = j
@@ -191,22 +190,19 @@ def solve_lp_max(A, b, c) -> LPSolution:
         if var >= n:
             Y[var - n] = obj[j]
     V = obj[-1]
-    _verify(inputs, c_row, D, P, Y, V)
-
-    primal = tuple(Fraction(v, D) for v in P)
-    dual = tuple(Fraction(Y[i] * scales[i], D * s_c) for i in range(m))
-    return LPSolution(Fraction(V, D * s_c), primal, dual, pivots)
+    _verify(inputs, c, D, P, Y, V)
+    return LPSolution(D, V, tuple(P), tuple(Y), pivots)
 
 
-def _verify(inputs, c_row, D, P, Y, V) -> None:
-    """Certify x = P/D and y = Y*s/(D*s_c), of value V/(D*s_c), in integers.
+def _verify(inputs, c, D, P, Y, V) -> None:
+    """Certify x = P/D and y = Y/D, of value V/D, in integers.
 
-    `inputs[i]` is s_i * [A[i] | b[i]] and `c_row` is s_c * c.  Every scale
-    and D is positive, so multiplying a check on the rational solution
-    through by them gives one of these, with the same truth value:
-    x, y >= 0 is P, Y >= 0; A[i].x <= b[i] is sum_j inputs[i][j]*P[j] <=
-    inputs[i][-1]*D; y.A[:, j] >= c[j] is sum_i Y[i]*inputs[i][j] >=
-    c_row[j]*D; and c.x == y.b == value is c_row.P == Y.inputs[:, -1] == V.
+    `inputs[i]` is [A[i] | b[i]].  D is positive, so multiplying a check on
+    the rational solution through by it gives one of these, with the same
+    truth value: x, y >= 0 is P, Y >= 0; A[i].x <= b[i] is
+    sum_j inputs[i][j]*P[j] <= inputs[i][-1]*D; y.A[:, j] >= c[j] is
+    sum_i Y[i]*inputs[i][j] >= c[j]*D; and c.x == y.b == value is
+    c.P == Y.inputs[:, -1] == V.
     """
     if D <= 0:
         raise SimplexError(f"common denominator {D} is not positive")
@@ -217,10 +213,10 @@ def _verify(inputs, c_row, D, P, Y, V) -> None:
         if sum(row[j] * v for j, v in basic) > row[-1] * D:
             raise SimplexError(f"primal violates constraint {i}")
     priced = [(inputs[i], v) for i, v in enumerate(Y) if v]
-    for j, cj in enumerate(c_row):
+    for j, cj in enumerate(c):
         if sum(row[j] * v for row, v in priced) < cj * D:
             raise SimplexError(f"dual violates constraint {j}")
-    cx = sum(c_row[j] * v for j, v in basic)
+    cx = sum(c[j] * v for j, v in basic)
     yb = sum(row[-1] * v for row, v in priced)
     if not (cx == yb == V):
-        raise SimplexError(f"duality gap: c.x={cx}, y.b={yb}, value={V} (all over D*s_c)")
+        raise SimplexError(f"duality gap: c.x={cx}, y.b={yb}, value={V} (all over D)")

@@ -5,8 +5,8 @@ branch-and-bound with deterministic tie-breaks (reproducible node counts),
 each started from the better of a plain greedy and a greedy guided by the
 root LP, which the root solves anyway; where tau* has no integrality gap
 that incumbent is optimal and the search closes at its root.  The
-fractional solver is an exact rational LP whose primal and dual sides
-certify each other.  Every incidence LP (tau* and each node bound of the
+fractional solver is an exact LP whose primal and dual sides certify
+each other.  Every incidence LP (tau* and each node bound of the
 branch-and-bounds) is solved on its dominance kernel: a point whose set of
 edges is contained in another point's adds only a redundant row, so it is
 left out, and the optimum is unchanged.  `fractional_pair` then certifies
@@ -22,9 +22,11 @@ nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
 every copy.  The solvers share one solve context per instance (`_context`):
 the distinct edges, the point->edge bitmasks that the LP kernel and both
-branch-and-bounds read, and every LP solved, by column mask and by matrix,
-so that no LP is solved twice and the root LP of `fractional_pair` is the
-root bound and the incumbent guide of both searches.
+branch-and-bounds read, and every LP solved, by column mask, so that no
+mask's LP is solved twice and the root LP of `fractional_pair` is the root
+bound and the incumbent guide of both searches.  LP solutions stay integer
+numerators over one denominator inside this module; `fractional_pair`
+builds the only Fractions, for the value and weights it returns.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .model import HypergraphInstance, PQParameters
-from .simplex import LPSolution, _integer_row, solve_lp_max
+from .simplex import LPSolution, solve_lp_max
 
 
 class TooLarge(ValueError):
@@ -100,8 +102,8 @@ class _SolveContext:
     and point mask `masks[j]`.  `point_masks`: {point: bit j for each
     distinct edge j through it}, keys in increasing id, and `conflicts[j]`:
     the bits of the distinct edges meeting edge j, j included; both are
-    built on first use.  `lps`: the solution of each LP matrix solved for
-    the instance; `by_cols`: `_incidence_lp`'s answer for each column mask.
+    built on first use.  `by_cols`: `_incidence_lp`'s answer for each
+    column mask.
     """
 
     def __init__(self, instance: HypergraphInstance):
@@ -110,7 +112,6 @@ class _SolveContext:
             firsts.setdefault(m, i)
         self.masks = list(firsts)
         self.firsts = list(firsts.values())
-        self.lps: dict[tuple, LPSolution] = {}
         self.by_cols: dict[int, tuple[list[int], LPSolution]] = {}
         self._sets = instance.edges
 
@@ -155,8 +156,7 @@ def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]
     contained in another.  A dropped row is implied by the row that contains
     it (for x >= 0 its load is at most that row's), so the primal polytope,
     and with it the LP value, is that of the full incidence.  A column mask
-    asked for before returns its earlier answer without a kernel, and an LP
-    whose matrix the instance has solved before is not solved again.
+    asked for before returns its earlier answer without a kernel or a solve.
     """
     hit = ctx.by_cols.get(cols)
     if hit is not None:
@@ -175,21 +175,9 @@ def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]
     points = sorted(lowest[m] for m in kept)
     columns = [j for j in range(cols.bit_length()) if cols >> j & 1]
     rows = [[masks[pt] >> j & 1 for j in columns] for pt in points]
-    # the matrix fixes b and c, both all ones
-    key = tuple(map(tuple, rows))
-    sol = ctx.lps.get(key)
-    if sol is None:
-        sol = ctx.lps[key] = solve_lp_max(rows, [1] * len(points), [1] * len(columns))
+    sol = solve_lp_max(rows, [1] * len(points), [1] * len(columns))
     hit = ctx.by_cols[cols] = points, sol
     return hit
-
-
-def _floor(value: Fraction) -> int:
-    return value.numerator // value.denominator
-
-
-def _ceil(value: Fraction) -> int:
-    return -(-value.numerator // value.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +200,12 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
         return SolveResult(0, frozenset(), 0)
     full = (1 << len(ctx.masks)) - 1
     best = _greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
-    if len(best) > _packing_bound(ctx.masks, full) and len(best) > _ceil(
-        _incidence_lp(ctx, full)[1].value
-    ):
-        lp = _lp_cover(ctx)
-        if len(lp) < len(best):
-            best = lp
+    if len(best) > _packing_bound(ctx.masks, full):
+        sol = _incidence_lp(ctx, full)[1]
+        if len(best) > -(-sol.value // sol.den):
+            lp = _lp_cover(ctx)
+            if len(lp) < len(best):
+                best = lp
     return _cover_search(instance, best)
 
 
@@ -242,7 +230,8 @@ def _lp_cover(ctx: _SolveContext) -> list[int]:
     """The greedy cover over the support of the root LP's fractional cover.
 
     The support meets every edge, since the dual y has y.A_j >= 1 for every
-    column j; its weights break the greedy's ties.
+    column j; its weights break the greedy's ties (their numerators share a
+    positive denominator, so they order the same).
     """
     points, sol = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
     return _greedy_cover(ctx, {pt: y for pt, y in zip(points, sol.dual) if y})
@@ -278,7 +267,8 @@ def _cover_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveRe
             return
         if len(chosen) + _packing_bound(masks, mask) >= best_size:
             return
-        if len(chosen) + _ceil(_incidence_lp(ctx, mask)[1].value) >= best_size:
+        sol = _incidence_lp(ctx, mask)[1]
+        if len(chosen) + -(-sol.value // sol.den) >= best_size:
             return
         # a point mask's popcount is the edge's size
         branch = min(
@@ -314,10 +304,12 @@ def matching_number(instance: HypergraphInstance) -> SolveResult:
         return SolveResult(0, frozenset(), 0)
     full = (1 << n) - 1
     best = _greedy_matching(ctx, range(n))
-    if len(best) < n and len(best) < _floor(_incidence_lp(ctx, full)[1].value):
-        lp = _lp_matching(ctx)
-        if len(lp) > len(best):
-            best = lp
+    if len(best) < n:
+        sol = _incidence_lp(ctx, full)[1]
+        if len(best) < sol.value // sol.den:
+            lp = _lp_matching(ctx)
+            if len(lp) > len(best):
+                best = lp
     return _matching_search(instance, best)
 
 
@@ -334,7 +326,11 @@ def _greedy_matching(ctx: _SolveContext, order) -> list[int]:
 
 
 def _lp_matching(ctx: _SolveContext) -> list[int]:
-    """The greedy matching in decreasing root-LP weight x, ties to lowest index."""
+    """The greedy matching in decreasing root-LP weight x, ties to lowest index.
+
+    The weights are read as their numerators over the LP's positive
+    denominator, which order the same.
+    """
     x = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)[1].primal
     support = [j for j, w in enumerate(x) if w]
     # a stable sort keeps equal weights in index order; the edges of weight 0
@@ -366,7 +362,8 @@ def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> Solv
             return
         if len(chosen) + mask.bit_count() <= best_size:
             return
-        if len(chosen) + _floor(_incidence_lp(ctx, mask)[1].value) <= best_size:
+        sol = _incidence_lp(ctx, mask)[1]
+        if len(chosen) + sol.value // sol.den <= best_size:
             return
         pt = max(member, key=lambda p: ((member[p] & mask).bit_count(), -p))
         through = member[pt] & mask
@@ -395,47 +392,45 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
     """Exact optimal fractional cover and fractional matching.
 
     One simplex run on the kernel LP yields the matching side as the primal
-    and the cover side as the dual.  Non-negativity and feasibility of both
-    on the whole instance (every edge covered, no point of any edge
-    overloaded) and equality of their values are re-verified (strong
+    and the cover side as the dual, as integer numerators over one positive
+    denominator D.  Non-negativity and feasibility of both on the whole
+    instance (every edge covered, no point of any edge overloaded) and
+    equality of their values are re-verified on those integers (strong
     duality as an executable certificate); cover weights sit on kernel
-    points only.
+    points only.  Only the value and the nonzero weights returned become
+    Fractions.
     """
     ctx = _context(instance)
     if not ctx.masks:
         zero = Fraction(0)
         return FractionalSolution(zero, {}), FractionalSolution(zero, {})
     points, sol = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
+    D = sol.den
+    packing = {ctx.firsts[j]: w for j, w in enumerate(sol.primal) if w}
+    cover = {points[i]: w for i, w in enumerate(sol.dual) if w}
 
-    matching_weights = {
-        ctx.firsts[j]: w for j, w in enumerate(sol.primal) if w
-    }
-    cover_weights = {points[i]: w for i, w in enumerate(sol.dual) if w}
-
-    # certified on the whole instance, not only on the kernel rows, and in
-    # integers: each side's weights are scaled by the lcm of their denominators
-    cover, cover_den = _integer_row(cover_weights.values())
-    packing, packing_den = _integer_row(matching_weights.values())
-    if any(w < 0 for w in cover) or any(w < 0 for w in packing):
+    # certified on the whole instance, not only on the kernel rows: each
+    # check is the rational one multiplied through by D
+    if D <= 0:
+        raise RuntimeError(f"LP denominator {D} is not positive")
+    if any(w < 0 for w in cover.values()) or any(w < 0 for w in packing.values()):
         raise RuntimeError("fractional solution has a negative weight")
-    cover_items = list(zip(cover_weights, cover))
     for i in ctx.firsts:
-        if sum(w for pt, w in cover_items if pt in instance.edges[i]) < cover_den:
+        if sum(w for pt, w in cover.items() if pt in instance.edges[i]) < D:
             raise RuntimeError("fractional cover misses an edge constraint")
     load: dict[int, int] = {}
-    for i, w in zip(matching_weights, packing):
+    for i, w in packing.items():
         for pt in instance.edges[i]:
             load[pt] = load.get(pt, 0) + w
-    if any(v > packing_den for v in load.values()):
+    if any(v > D for v in load.values()):
         raise RuntimeError("fractional matching overloads a point")
-    cover_value = Fraction(sum(cover), cover_den)
-    matching_value = Fraction(sum(packing), packing_den)
-    if not (cover_value == matching_value == sol.value):
+    if not (sum(cover.values()) == sum(packing.values()) == sol.value):
         raise RuntimeError("LP duality certificate failed")
 
+    value = Fraction(sol.value, D)
     return (
-        FractionalSolution(sol.value, cover_weights),
-        FractionalSolution(sol.value, matching_weights),
+        FractionalSolution(value, {pt: Fraction(w, D) for pt, w in cover.items()}),
+        FractionalSolution(value, {i: Fraction(w, D) for i, w in packing.items()}),
     )
 
 

@@ -122,3 +122,18 @@ def test_campaign_bad_config_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "campaign", "--config", str(config))
     assert code == 2
     assert "error" in err
+
+
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys):
+    # a directory is neither an instance, a config nor an output file
+    inst = tmp_path / "fano.json"
+    run(capsys, "gen", "--kind", "projective", "-o", str(inst))
+    for argv in (
+        ("solve", str(tmp_path)),
+        ("campaign", "--config", str(tmp_path)),
+        ("gen", "--kind", "projective", "-o", str(tmp_path)),
+        ("solve", str(inst), "-o", str(tmp_path)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: "), argv

@@ -1,6 +1,6 @@
 import random
+import re
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -9,14 +9,15 @@ from dpierce.simplex import SimplexError, solve_lp_max
 
 from helpers import reference_solve_lp_max, reference_verify
 
+# Beale's classic cycling instance, its rows and objective times 100
 BEALE = (
     [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3],
-        [0, 0, 1, 0],
+        [25, -6000, -4, 900],
+        [50, -9000, -2, 300],
+        [0, 0, 100, 0],
     ],
-    [0, 0, 1],
-    [Fraction(3, 4), -150, Fraction(1, 50), -6],
+    [0, 0, 100],
+    [75, -15000, 2, -600],
 )
 
 
@@ -52,37 +53,35 @@ def _random_lps(seed, count=200):
     return lps
 
 
-def _random_rational_lps(seed, count=200):
-    """Seeded LPs with rational entries, so most row scales s_i exceed 1."""
+def _incidence_lps(seed, count=240):
+    """Seeded LPs of the shape the solvers build: 0/1 rows, b = c = 1.
+
+    Up to 10 rows and 10 columns of density 0.3 or 0.5, every column
+    nonzero.  Reduced costs tie often here, also between variables whose
+    column positions are in the reverse of their index order.
+    """
     rng = random.Random(seed)
-
-    def entry(*numerators):
-        return Fraction(rng.choice(numerators), rng.choice((1, 2, 3, 4, 6)))
-
     lps = []
     for _ in range(count):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        A = [[entry(0, 0, 1, 2, 3, 5) for _ in range(n)] for _ in range(m)]
+        m, n = rng.randint(2, 10), rng.randint(2, 10)
+        density = rng.choice((0.3, 0.5))
+        A = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
         for j in range(n):  # keep every column bounded
-            if all(A[i][j] == 0 for i in range(m)):
-                A[rng.randrange(m)][j] = entry(1, 2)
-        b = [entry(0, 1, 2, 5, 7) for _ in range(m)]
-        c = [entry(-2, 0, 1, 3, 5) for _ in range(n)]
-        lps.append((A, b, c))
+            if not any(A[i][j] for i in range(m)):
+                A[rng.randrange(m)][j] = 1
+        lps.append((A, [1] * m, [1] * n))
     return lps
 
 
-def _tied_rational_lps(seed, count=240):
+def _tied_lps(seed, count=240):
     """Seeded LPs built for reduced-cost ties between variables.
 
-    The rows are the cyclic shifts of one base row, each divided by 1, 2 or
-    3, so rows repeat one another up to rotation and most row scales s_i
-    exceed 1; every objective coefficient is 1, and half of the LPs get a
-    copy of one column at a random position.  In some of them a slack that
-    has left the basis ties in reduced cost with a structural variable at a
-    higher column position, or two variables tie in the reverse of their
-    column order.
+    The rows are the cyclic shifts of one base row, each times 1, 2 or 3,
+    so rows repeat one another up to rotation and scale; every objective
+    coefficient is 1, and half of the LPs get a copy of one column at a
+    random position.  In some of them a slack that has left the basis ties
+    in reduced cost with a structural variable at a higher column position,
+    or two variables tie in the reverse of their column order.
     """
     rng = random.Random(seed)
     lps = []
@@ -94,8 +93,8 @@ def _tied_rational_lps(seed, count=240):
         for i in range(n):
             row = base[-i:] + base[:-i]
             k = rng.choice((1, 2, 3))
-            A.append([Fraction(v, k) for v in row])
-            b.append(Fraction(rng.choice((1, 2)) * (row[0] or 1), k))
+            A.append([v * k for v in row])
+            b.append(rng.choice((1, 2)) * (row[0] or 1) * k)
         c = [1] * n
         if rng.random() < 0.5:
             j, k = rng.randrange(n), rng.randint(0, n)
@@ -104,22 +103,6 @@ def _tied_rational_lps(seed, count=240):
             c.insert(k, 1)
         lps.append((A, b, c))
     return lps
-
-
-def _integer_certificate(A, b, c, sol):
-    """`_verify`'s arguments (inputs, c_row, D, P, Y, V) for a returned
-    solution, with D the least common denominator that makes them integral,
-    plus the row scales and s_c that map them back to rationals."""
-    rows = [simplex._integer_row([*A[i], b[i]]) for i in range(len(A))]
-    inputs = [row for row, _ in rows]
-    scales = [s for _, s in rows]
-    c_row, s_c = simplex._integer_row(c)
-    scaled = [*sol.primal, sol.value * s_c]
-    scaled += [y * s_c / s for y, s in zip(sol.dual, scales)]
-    D = lcm(*(v.denominator for v in scaled))
-    P = [int(x * D) for x in sol.primal]
-    Y = [int(y * D * s_c / s) for y, s in zip(sol.dual, scales)]
-    return (inputs, c_row, D, P, Y, int(sol.value * D * s_c)), scales, s_c
 
 
 def _rejects(check, *args):
@@ -131,21 +114,24 @@ def _rejects(check, *args):
 
 
 def _as_tuple(sol):
-    return sol.value, sol.primal, sol.dual, sol.pivots
+    """(value, primal, dual, pivots) of a solution, in Fractions."""
+    return (
+        Fraction(sol.value, sol.den),
+        tuple(Fraction(x, sol.den) for x in sol.primal),
+        tuple(Fraction(y, sol.den) for y in sol.dual),
+        sol.pivots,
+    )
 
 
 def test_single_variable():
     sol = solve_lp_max([[1]], [2], [1])
-    assert sol.value == 2
-    assert sol.primal == (Fraction(2),)
-    assert sol.dual == (Fraction(1),)
+    assert (sol.den, sol.value, sol.primal, sol.dual) == (1, 2, (2,), (1,))
 
 
 def test_two_variable_known_optimum():
     # max x + y, x + 2y <= 4, 3x + y <= 6 -> optimum at (8/5, 6/5), value 14/5
     sol = solve_lp_max([[1, 2], [3, 1]], [4, 6], [1, 1])
-    assert sol.value == Fraction(14, 5)
-    assert sol.primal == (Fraction(8, 5), Fraction(6, 5))
+    assert (sol.den, sol.value, sol.primal, sol.dual) == (5, 14, (8, 6), (2, 1))
 
 
 def test_zero_objective():
@@ -163,18 +149,40 @@ def test_negative_rhs_rejected():
         solve_lp_max([[1]], [-1], [1])
 
 
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 0.5, 1.0, True], ids=repr)
+def test_non_int_entries_rejected(bad):
+    # every entry of A, b and c must be an int: a Fraction, even an integral
+    # one, a float or a bool is refused, and the message names the entry
+    cases = {
+        "A[1][0]": ([[1, 2], [bad, 1]], [4, 6], [1, 1]),
+        "b[0]": ([[1, 2], [3, 1]], [bad, 6], [1, 1]),
+        "c[1]": ([[1, 2], [3, 1]], [4, 6], [1, bad]),
+    }
+    for name, (A, b, c) in cases.items():
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} = .* is not an int$"):
+            solve_lp_max(A, b, c)
+
+
+@pytest.mark.parametrize("b", [[1, 5], []], ids=["longer", "shorter"])
+def test_rhs_length_must_match_rows(b):
+    # an extra entry of b is not ignored, and a missing one is no IndexError
+    with pytest.raises(ValueError, match=rf"^b has {len(b)} entries, expected 1$"):
+        solve_lp_max([[1]], b, [1])
+
+
 def test_beale_degenerate_example_terminates():
-    # Beale's classic cycling instance; optimum 1/20 at x = (1/25, 0, 1, 0)
+    # Beale's classic cycling instance (times 100); optimum 5 at x = (1/25, 0, 1, 0)
     sol = solve_lp_max(*BEALE)
-    assert sol.value == Fraction(1, 20)
-    assert sol.primal == (Fraction(1, 25), 0, 1, 0)
+    value, primal, _, _ = _as_tuple(sol)
+    assert value == 5
+    assert primal == (Fraction(1, 25), 0, 1, 0)
 
 
 def test_fractional_values_exact():
     # max x1 + x2 + x3 over the Fano-style odd cycle C5:
     # fractional matching of C5 (each constraint a vertex) has value 5/2
     sol = solve_lp_max(*_c5_lp())
-    assert sol.value == Fraction(5, 2)
+    assert Fraction(sol.value, sol.den) == Fraction(5, 2)
 
 
 def test_random_lps_certified():
@@ -191,7 +199,7 @@ def test_random_lps_certified():
         b = [rng.randint(0, 9) for _ in range(m)]
         c = [rng.randint(-3, 5) for _ in range(n)]
         sol = solve_lp_max(A, b, c)
-        assert sol.value >= 0  # x = 0 is always feasible here
+        assert sol.den > 0 and sol.value >= 0  # x = 0 is always feasible here
 
 
 def test_matches_reference_tableau():
@@ -205,18 +213,26 @@ def test_matches_reference_tableau():
 
 def test_matches_reference_under_blands_rule(monkeypatch):
     # with no stall tolerated, Bland's rule takes over at the first
-    # degenerate pivot
-    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
-    for A, b, c in [BEALE] + _random_lps(11):
-        expected = reference_solve_lp_max(A, b, c, stall_limit=0)
-        assert _as_tuple(solve_lp_max(A, b, c)) == expected
+    # degenerate pivot, and with one stall at the second in a row
+    lps = [BEALE] + _random_lps(7) + _random_lps(11)
+    plain = [_as_tuple(solve_lp_max(A, b, c)) for A, b, c in lps]
+    for limit in (0, 1):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", limit)
+        switched = 0
+        for (A, b, c), before in zip(lps, plain):
+            got = _as_tuple(solve_lp_max(A, b, c))
+            assert got == reference_solve_lp_max(A, b, c, stall_limit=limit)
+            switched += got != before
+        assert switched > 0  # the switch changed the pivots of some LP
 
 
-def test_matches_reference_on_ties_and_rational_rows(monkeypatch):
+def test_matches_reference_on_ties_and_scaled_rows(monkeypatch):
     # Dantzig's rule breaks reduced-cost ties, and Bland's rule chooses, by
     # lowest variable index, which is not the lowest column position once
-    # slacks and structural variables have traded places
-    lps = _tied_rational_lps(13)
+    # slacks and structural variables have traded places.  The tied LPs
+    # tell the two apart mostly under Bland's rule, the incidence LPs under
+    # both rules
+    lps = _tied_lps(13) + _incidence_lps(14)
     for limit in (simplex._STALL_LIMIT, 0):
         monkeypatch.setattr(simplex, "_STALL_LIMIT", limit)
         for A, b, c in lps:
@@ -228,16 +244,11 @@ def test_integer_verify_agrees_with_reference():
     # the genuine solution, and every solution whose integer P, Y or V is
     # one away from it in a single entry: the integer check must accept
     # exactly those that the Fraction check accepts
-    rational = _random_rational_lps(5)
-    scaled = sum(
-        any(simplex._integer_row([*row, bi])[1] > 1 for row, bi in zip(A, b))
-        for A, b, _ in rational
-    )
-    assert scaled > 150  # LPs with some row scale s_i > 1
     accepted = rejected = 0  # tampered solutions, by the integer check
-    for A, b, c in [BEALE, _c5_lp()] + rational + _random_lps(3, count=50):
-        certificate, scales, s_c = _integer_certificate(A, b, c, solve_lp_max(A, b, c))
-        inputs, c_row, D, P, Y, V = certificate
+    for A, b, c in [BEALE, _c5_lp()] + _random_lps(5) + _random_lps(3, count=50):
+        sol = solve_lp_max(A, b, c)
+        inputs = [[*row, bi] for row, bi in zip(A, b)]
+        D, P, Y, V = sol.den, list(sol.primal), list(sol.dual), sol.value
         variants = [(P, Y, V)]
         for delta in (-1, 1):
             variants += [(P[:j] + [P[j] + delta] + P[j + 1:], Y, V) for j in range(len(P))]
@@ -245,10 +256,9 @@ def test_integer_verify_agrees_with_reference():
             variants.append((P, Y, V + delta))
         for k, (P2, Y2, V2) in enumerate(variants):
             primal = [Fraction(v, D) for v in P2]
-            dual = [Fraction(v * s, D * s_c) for v, s in zip(Y2, scales)]
-            value = Fraction(V2, D * s_c)
-            verdict = _rejects(simplex._verify, inputs, c_row, D, P2, Y2, V2)
-            assert verdict == _rejects(reference_verify, A, b, c, primal, dual, value)
+            dual = [Fraction(v, D) for v in Y2]
+            verdict = _rejects(simplex._verify, inputs, c, D, P2, Y2, V2)
+            assert verdict == _rejects(reference_verify, A, b, c, primal, dual, Fraction(V2, D))
             assert k > 0 or not verdict  # the genuine solution passes
             rejected += verdict
             accepted += k > 0 and not verdict
@@ -259,8 +269,8 @@ def test_integer_verify_agrees_with_reference():
 
 def test_integer_verify_rejects_tampered_solutions():
     # max x + y, x + 2y <= 4, 3x + y <= 6: x = (8, 6)/5, y = (2, 1)/5, 14/5
-    inputs, c_row = [[1, 2, 4], [3, 1, 6]], [1, 1]
-    simplex._verify(inputs, c_row, 5, [8, 6], [2, 1], 14)
+    inputs, c = [[1, 2, 4], [3, 1, 6]], [1, 1]
+    simplex._verify(inputs, c, 5, [8, 6], [2, 1], 14)
     tampered = {
         "negative": (5, [8, 6], [2, -1], 14),
         "primal violates constraint 0": (5, [9, 6], [2, 1], 14),
@@ -270,4 +280,4 @@ def test_integer_verify_rejects_tampered_solutions():
     }
     for message, (D, P, Y, V) in tampered.items():
         with pytest.raises(SimplexError, match=message):
-            simplex._verify(inputs, c_row, D, P, Y, V)
+            simplex._verify(inputs, c, D, P, Y, V)

@@ -331,7 +331,7 @@ def test_kernel_matches_pairwise_reference_and_keeps_lp_value(monkeypatch):
             everything = sorted(set().union(*sub))
             A = [[1 if pt in e else 0 for e in sub] for pt in everything]
             value = reference_solve_lp_max(A, [1] * len(A), [1] * len(sub))[0]
-            assert sol.value == value
+            assert Fraction(sol.value, sol.den) == value
             lps += 1
             shrunk += len(points) < len(everything)
     assert lps == 4 * 320
@@ -343,7 +343,7 @@ def test_kernel_keeps_every_point_of_pg23():
     n = len(pg.edges)
     points, sol = solvers._incidence_lp(solvers._context(pg), (1 << n) - 1)
     assert points == list(range(pg.ground_size)) == list(range(13))
-    assert sol.value == Fraction(13, 4)
+    assert Fraction(sol.value, sol.den) == Fraction(13, 4)
 
 
 @pytest.mark.parametrize(
@@ -358,14 +358,23 @@ def test_kernel_keeps_every_point_of_pg23():
 )
 def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, dual, reason):
     def forged(A, b, c):
-        return LPSolution(
-            Fraction(value), tuple(map(Fraction, primal)), tuple(map(Fraction, dual)), 0
-        )
+        return LPSolution(1, value, primal, dual, 0)
 
     monkeypatch.setattr(solvers, "solve_lp_max", forged)
     # edges {0}, {0,1}, {1}: tau* = 2, points 0 and 1 both in the kernel.  A
     # fresh instance per case, so that each case's forged solution is solved
     with pytest.raises(RuntimeError, match=reason):
+        fractional_pair(inst({0}, {0, 1}, {1}))
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_fractional_pair_rejects_a_denominator_below_one(monkeypatch, den):
+    # all-zero weights meet every check against a denominator D <= 0
+    def forged(A, b, c):
+        return LPSolution(den, 0, (0, 0, 0), (0, 0), 0)
+
+    monkeypatch.setattr(solvers, "solve_lp_max", forged)
+    with pytest.raises(RuntimeError, match="denominator"):
         fractional_pair(inst({0}, {0, 1}, {1}))
 
 
