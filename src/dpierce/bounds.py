@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 
 from .model import (
     DIntervalFamily,
@@ -131,13 +131,14 @@ def evaluate_bound(
 
 
 @functools.cache
-def _closed_form(kind, p, q, d, k) -> tuple[mpf, str | None]:
-    """(bound value, active branch) of `kind` at (p, q, d, k).
+def _closed_form(kind, p, q, d, k) -> tuple[mpf, str | None, str]:
+    """(bound value, active branch, bound_value text) of `kind` at (p, q, d, k).
 
     The kind's form, with its active branch ('power' or 'quadratic' for the
-    max-form "pq" form, else None), times its factor.  Evaluated at 50 digits
-    whatever the caller's precision, so the memo never returns a value that
-    depends on it; bad parameters raise BadParams on every call.
+    max-form "pq" form, else None), times its factor, and the 17-digit
+    string every report of it carries.  Evaluated at 50 digits whatever the
+    caller's precision, so the memo never returns a value that depends on
+    it; bad parameters raise BadParams on every call.
     """
     if not isinstance(kind, BoundKind):
         raise BadParams(f"unknown kind {kind}")
@@ -165,7 +166,8 @@ def _closed_form(kind, p, q, d, k) -> tuple[mpf, str | None]:
             c = mpf(2) ** (mpf(1) / (q - 1)) * (mp.e * p) ** (mpf(q) / (q - 1)) / q
             power, quadratic = c * mpf(d) ** (mpf(1) / (q - 1)) + 1, mpf(2 * p * p)
             value, branch = (power, "power") if power >= quadratic else (quadratic, "quadratic")
-        return value * factor, branch
+        value *= factor
+        return value, branch, _fmt(value)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +223,6 @@ class BoundReport:
 
 
 def _fmt(x: mpf) -> str:
-    from mpmath import nstr
-
     return nstr(x, 17)
 
 
@@ -274,13 +274,21 @@ def verify_bundle(
         witness_matching=tuple(sorted(nu_res.witness)),
         seed=seed,
     )
-    pq_cache: dict[tuple[int, int], object] = {}
+    verdict = None
+
+    def pq_verdict():
+        # params is fixed per bundle, so one (p,q) verdict serves every kind
+        nonlocal verdict
+        if verdict is None:
+            verdict = pq_check(instance, params)
+        return verdict
+
     reports = []
     # the report arithmetic runs at the precision of the closed forms,
     # whatever the caller's
     with mp.workdps(50):
         for kind in kinds:
-            problem = _hypothesis_problem(kind, instance, params, d, k_eff, pq_cache)
+            problem = _hypothesis_problem(kind, instance, params, d, k_eff, pq_verdict)
             # (bound_value, satisfied, slack, active_branch)
             if problem is not None:
                 outcome = ("", None, None, None)
@@ -292,11 +300,11 @@ def verify_bundle(
                 slack = _fmt(_exact_to_mpf(rhs - tau))
                 outcome = (_fmt(_exact_to_mpf(rhs)), ok, slack, None)
             else:
-                bound, active = _closed_form(kind, p, q, d, k_eff)
+                bound, active, text = _closed_form(kind, p, q, d, k_eff)
                 star = _KINDS[kind].star
                 measured = _exact_to_mpf(tau_star) if star else mpf(tau)
                 ok = measured < bound + _TOL if star else measured <= bound + _TOL
-                outcome = (_fmt(bound), bool(ok), _fmt(bound - measured), active)
+                outcome = (text, bool(ok), _fmt(bound - measured), active)
             bound_value, satisfied, slack, active = outcome
             reason, counterexample = problem or (None, None)
             reports.append(
@@ -343,11 +351,12 @@ def _d_and_k(family, k: int | None) -> tuple[int, int | None]:
     raise TypeError(f"cannot verify a {type(family).__name__}")
 
 
-def _hypothesis_problem(kind, instance, params, d, k, pq_cache):
+def _hypothesis_problem(kind, instance, params, d, k, pq_verdict):
     """None if the kind's hypothesis holds, else (reason, counterexample).
 
-    Parameters that are missing or outside `_closed_form`'s domain raise
-    BadParams, but only once the family class fits the kind.
+    `pq_verdict()` returns the instance's (p,q) verdict.  Parameters that
+    are missing or outside `_closed_form`'s domain raise BadParams, but only
+    once the family class fits the kind.
     """
     needed = _KINDS[kind].family
     if needed is not None and instance.provenance != needed:
@@ -363,10 +372,7 @@ def _hypothesis_problem(kind, instance, params, d, k, pq_cache):
     if params is None:
         raise BadParams(f"{kind.value} needs (p,q) parameters")
     _closed_form(kind, params.p, params.q, d, k)
-    key = (params.p, params.q)
-    if key not in pq_cache:
-        pq_cache[key] = pq_check(instance, params)
-    verdict = pq_cache[key]
+    verdict = pq_verdict()
     if not verdict.holds:
         return (
             f"({params.p},{params.q}) property fails",

@@ -23,8 +23,9 @@ A campaign config is one JSON document:
 Generators: random_intervals, planted_intervals, random_subforests,
 planted_subforests, tw, projective (the latter takes "dimension" and
 "field_order" instead of count/seed).  Instance i of a counted source uses
-seed + i.  Reports follow the source's instance order, sorted by kind
-within each instance; each report of a "files" source names its file.
+seed + i; an omitted knob takes its `GenConfig` default ("width", tw only,
+defaults to 1).  Reports follow the source's instance order, sorted by
+kind within each instance; each report of a "files" source names its file.
 The aggregate report records pass/fail tallies, the largest
 measured/bound ratio per kind (tightness telemetry), and total runtime;
 any unsatisfied applicable report makes the exit status 1 and embeds the
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import fields
 
 from .bounds import BoundKind, BoundReport, max_measured_over_bound, verify_bundle
 from .generators import (
@@ -99,8 +101,11 @@ def _instances(spec: dict, params: PQParameters | None, where: str):
         raise CampaignConfigError(f"{where}.generator: {generator} needs p and q")
     count = _cfg_int(spec, "count", where, 0)
     base_seed = _cfg_int(spec, "seed", where, 0)
-    defaults = {"n_edges": 8, "d": 2, "coord_denominator": 4, "host_size": 10}
-    knobs = {key: _cfg_int(spec, key, where, 1, default) for key, default in defaults.items()}
+    knobs = {
+        f.name: _cfg_int(spec, f.name, where, 1, f.default)
+        for f in fields(GenConfig)
+        if f.name != "seed"
+    }
     width = _cfg_int(spec, "width", where, 0, 1) if generator == "tw" else None
     if generator == "planted_subforests" and knobs["host_size"] < anchor_count(params):
         raise CampaignConfigError(

@@ -13,18 +13,7 @@ import json
 import sys
 
 from .bounds import BoundKind, sharpness_probe, solve_measures, verify_instance
-from .campaign import run_campaign_file
-from .generators import (
-    GenConfig,
-    ProjectiveParams,
-    planted_pq_family,
-    planted_pq_subforests,
-    projective_instance,
-    random_d_intervals,
-    random_subforests,
-    random_tree,
-    random_tw_graph,
-)
+from .campaign import _instances, run_campaign_file
 from .instance_io import dumps_instance, load_instance
 from .model import PQParameters, to_incidence
 from .solvers import pq_check
@@ -43,33 +32,26 @@ def _write(text: str, out) -> None:
             fh.write(text)
 
 
+# gen's --kind names and the campaign generators they run
+_GEN_SOURCES = {
+    "random-intervals": "random_intervals",
+    "planted-intervals": "planted_intervals",
+    "random-trees": "random_subforests",
+    "planted-trees": "planted_subforests",
+    "projective": "projective",
+    "tw": "tw",
+}
+# gen's source keys; an omitted one takes the source's default
+_GEN_KNOBS = ("n_edges", "d", "coord_denominator", "host_size", "width", "dimension", "field_order")
+
+
 def _cmd_gen(args) -> int:
-    cfg = GenConfig(
-        seed=args.seed,
-        n_edges=args.edges,
-        d=args.d,
-        coord_denominator=args.denominator,
-        host_size=args.host_size,
-    )
-    if args.kind in ("planted-intervals", "planted-trees"):
-        params = PQParameters(p=args.p, q=args.q if args.q else args.p)
-        family = (
-            planted_pq_family(cfg, params)
-            if args.kind == "planted-intervals"
-            else planted_pq_subforests(cfg, params)
-        )
-    elif args.kind == "random-intervals":
-        family = random_d_intervals(cfg)
-    elif args.kind == "random-trees":
-        family = random_subforests(random_tree(cfg), cfg)
-    elif args.kind == "projective":
-        family = projective_instance(
-            ProjectiveParams(dimension=args.dimension, field_order=args.field_order)
-        ).realization
-    elif args.kind == "tw":
-        family = random_tw_graph(cfg, args.width)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.kind)
+    source = {"generator": _GEN_SOURCES[args.kind], "count": 1, "seed": args.seed}
+    source.update((key, getattr(args, key)) for key in _GEN_KNOBS if getattr(args, key) is not None)
+    params = None
+    if args.kind.startswith("planted-"):
+        params = PQParameters(p=args.p, q=args.p if args.q is None else args.q)
+    [(_, family)] = _instances(source, params, "gen")
     _write(dumps_instance(family), args.output)
     return 0
 
@@ -150,25 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--kind",
         required=True,
-        choices=[
-            "random-intervals",
-            "planted-intervals",
-            "random-trees",
-            "planted-trees",
-            "projective",
-            "tw",
-        ],
+        choices=list(_GEN_SOURCES),
     )
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--edges", type=int, default=8)
-    gen.add_argument("--d", type=int, default=2)
-    gen.add_argument("--denominator", type=int, default=4)
-    gen.add_argument("--host-size", type=int, default=10)
+    gen.add_argument("--edges", dest="n_edges", type=int)
+    gen.add_argument("--d", type=int)
+    gen.add_argument("--denominator", dest="coord_denominator", type=int)
+    gen.add_argument("--host-size", type=int)
     gen.add_argument("--p", type=int, default=2)
-    gen.add_argument("--q", type=int, default=0, help="defaults to p")
+    gen.add_argument("--q", type=int, help="defaults to p")
     gen.add_argument("--dimension", type=int, default=2)
     gen.add_argument("--field-order", type=int, default=2)
-    gen.add_argument("--width", type=int, default=1)
+    gen.add_argument("--width", type=int)
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(func=_cmd_gen)
 

@@ -26,7 +26,7 @@ from .model import (
     to_incidence,
 )
 from .solvers import pq_check
-from .treewidth import Graph, TreeDecomposition, TwInstance, validate_decomposition
+from .treewidth import Graph, TreeDecomposition, TwInstance
 
 
 class NotPrime(ValueError):
@@ -317,7 +317,8 @@ def random_tw_graph(cfg: GenConfig, width: int) -> TwInstance:
     Bags are grown along a random attachment tree, each child inheriting a
     nonempty subset of its parent (running intersection by construction);
     graph edges are random pairs inside bags.  The subgraph family samples
-    at most d connected patches per edge.
+    at most d connected patches per edge.  `TwInstance` validates the
+    decomposition.
     """
     if width < 0:
         raise ValueError(f"width must be >= 0, got {width}")
@@ -352,9 +353,6 @@ def random_tw_graph(cfg: GenConfig, width: int) -> TwInstance:
         tree=HostTree(n=n_bags, edges=tuple(bag_edges)),
         bags=tuple(frozenset(b) for b in bags),
     )
-    problems = validate_decomposition(graph, decomposition)
-    if problems:
-        raise RuntimeError(f"generator produced an invalid decomposition: {problems[0]}")
 
     adj = graph.adjacency()
     max_patch = max(1, n_vertices // 3)

@@ -25,7 +25,7 @@ from .model import (
     Subforest,
     SubforestFamily,
 )
-from .treewidth import Graph, TreeDecomposition, TwInstance, validate_decomposition
+from .treewidth import Graph, InvalidDecomposition, TreeDecomposition, TwInstance
 
 
 class InstanceFormatError(ValueError):
@@ -156,25 +156,24 @@ def _load_tw(doc) -> TwInstance:
     except ValueError as exc:
         raise InstanceFormatError(f"graph: {exc}") from None
 
-    bags = [frozenset(b) for b in _vertex_sets(doc.get("bags"), "bags")]
-    _want(all(bags), "bags", "bags must be nonempty")
+    bags = _vertex_sets(doc.get("bags"), "bags")
     bag_tree_edges = _vertex_pairs(doc.get("bag_tree"), "bag_tree")
     try:
         tree = HostTree(n=len(bags), edges=tuple(bag_tree_edges))
     except ValueError as exc:
         raise InstanceFormatError(f"bag_tree: {exc}") from None
-    dec = TreeDecomposition(tree=tree, bags=tuple(bags))
+    try:
+        dec = TreeDecomposition(tree=tree, bags=tuple(bags))
+    except ValueError as exc:
+        raise InstanceFormatError(f"bags: {exc}") from None
     _want(dec.width <= k, "bags", f"max bag size - 1 = {dec.width} exceeds k = {k}")
-    problems = validate_decomposition(graph, dec)
-    if problems:
-        raise InstanceFormatError(f"bags: {problems[0]}")
 
     subgraphs = _vertex_sets(doc.get("subgraphs"), "subgraphs")
-    for i, vs in enumerate(subgraphs):
-        _want(len(vs) > 0, f"subgraphs[{i}]", "subgraph must be nonempty")
     try:
         # the raw vertex lists, so that an error names a vertex's position
         return TwInstance(graph=graph, decomposition=dec, subgraphs=tuple(subgraphs), d=d)
+    except InvalidDecomposition as exc:
+        raise InstanceFormatError(f"bags: {exc}") from None
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
 

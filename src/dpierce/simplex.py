@@ -98,8 +98,6 @@ def solve_lp_max(A, b, c) -> LPSolution:
             raise ValueError(f"A[{i}] has {len(A[i])} entries, expected {n}")
         _require_ints(f"A[{i}]", A[i])
         inputs.append([*A[i], b[i]])
-    if n == 0:
-        return LPSolution(1, 0, (), (0,) * m, 0)
     rows = [list(row) for row in inputs]
     obj = [-v for v in c] + [0]
     D = 1

@@ -5,6 +5,10 @@ family over the decomposition tree (each edge becomes the set of bags it
 meets), covers of the lifted family pull back to vertex covers of the
 source by taking the union of the chosen bags, and the blow-up is at most
 the bag size k+1.
+
+A `TwInstance` validates its decomposition and subgraphs when it is built,
+so no `TW_TAU` check runs over an invalid one; `lift_family` takes a bare
+graph and decomposition and validates them itself.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from .model import HostTree, Subforest, SubforestFamily, connected_components
 
 
 class InvalidDecomposition(ValueError):
-    """Lifting was attempted over a decomposition that fails validation."""
+    """A tree decomposition fails validation for its graph."""
 
 
 class NotACover(ValueError):
@@ -51,7 +55,7 @@ class Graph:
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """A tree whose node i carries bag i, a vertex set of the host graph."""
+    """A tree whose node i carries bag i, a nonempty set of graph vertices."""
 
     tree: HostTree
     bags: tuple[frozenset[int], ...]
@@ -62,6 +66,9 @@ class TreeDecomposition:
             raise ValueError(
                 f"{len(self.bags)} bags for a tree on {self.tree.n} nodes"
             )
+        for i, bag in enumerate(self.bags):
+            if not bag:
+                raise ValueError(f"bag {i} is empty")
 
     @property
     def width(self) -> int:
@@ -78,10 +85,12 @@ class LiftedFamily:
 
 @dataclass(frozen=True)
 class TwInstance:
-    """A graph with a valid width-<=k decomposition and a subgraph family.
+    """A graph with a valid decomposition and a subgraph family.
 
-    Each subgraph is a set of graph vertices inducing at most d >= 1
-    components; it may be given as any iterable and is stored frozen.
+    A decomposition that fails `validate_decomposition` raises
+    InvalidDecomposition with its first problem; its width is the instance's
+    k.  Each subgraph is a nonempty set of graph vertices inducing at most
+    d >= 1 components; it may be given as any iterable and is stored frozen.
     """
 
     graph: Graph
@@ -90,6 +99,9 @@ class TwInstance:
     d: int
 
     def __post_init__(self):
+        problems = validate_decomposition(self.graph, self.decomposition)
+        if problems:
+            raise InvalidDecomposition(problems[0])
         if self.d < 1:
             raise ValueError(f"d: must be positive, got {self.d}")
         n = self.graph.n
@@ -100,6 +112,8 @@ class TwInstance:
                 if not (0 <= v < n):
                     raise ValueError(f"subgraphs[{i}][{j}]: vertex {v} outside graph 0..{n - 1}")
             h = frozenset(h)
+            if not h:
+                raise ValueError(f"subgraphs[{i}]: subgraph must be nonempty")
             ncomp = len(connected_components(adj, h))
             if ncomp > self.d:
                 raise ValueError(f"subgraphs[{i}]: induces {ncomp} components > d={self.d}")
@@ -144,12 +158,12 @@ def lift_family(
     graph: Graph,
     dec: TreeDecomposition,
     subgraphs,
-    d: int | None = None,
+    d: int,
 ) -> LiftedFamily:
     """Transport subgraphs of the host graph to subforests of the bag tree.
 
-    The lift of h is the set of bags meeting h.  Component counts never
-    grow (each connected piece of h meets a connected set of bags), which
+    The lift of h is the set of bags meeting h, and the lifted family has
+    the given d.  Component counts never grow (each connected piece of h meets a connected set of bags), which
     is asserted per edge; intersections are preserved, since q subgraphs
     sharing a vertex v lift to subforests sharing every bag containing v.
     """
@@ -159,8 +173,6 @@ def lift_family(
     subgraphs = [frozenset(h) for h in subgraphs]
     graph_adj = graph.adjacency()
     source_components = [len(connected_components(graph_adj, h)) for h in subgraphs]
-    if d is None:
-        d = max(source_components, default=1)
 
     tree_adj = dec.tree.adjacency()
     edges = []

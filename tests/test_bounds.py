@@ -126,8 +126,8 @@ def test_tau_kinds_equal_the_papers_formulas():
         for p, d, k in itertools.product(range(2, 7), range(1, 13), range(3)):
             for q in (p,) if kind in pp else range(2, p + 1):
                 expected, branch = _paper_tau_bound(kind, p, q, d, k)
-                got, active = bounds._closed_form(kind, p, q, d, k)
-                assert _fmt(got) == _fmt(expected), (kind, p, q, d, k)
+                got, active, text = bounds._closed_form(kind, p, q, d, k)
+                assert text == _fmt(got) == _fmt(expected), (kind, p, q, d, k)
                 with mp.workdps(50):
                     assert abs(got - expected) < mpf("1e-40") * expected
                 assert active == branch

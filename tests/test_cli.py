@@ -1,5 +1,20 @@
 import json
 
+import pytest
+
+from dpierce import (
+    GenConfig,
+    PQParameters,
+    ProjectiveParams,
+    dumps_instance,
+    planted_pq_family,
+    planted_pq_subforests,
+    projective_instance,
+    random_d_intervals,
+    random_subforests,
+    random_tree,
+    random_tw_graph,
+)
 from dpierce.cli import main
 
 
@@ -34,6 +49,58 @@ def test_gen_deterministic(tmp_path, capsys):
                          "-o", str(path))
         assert code == 0
     assert a.read_text() == b.read_text()
+
+
+_CFG = GenConfig(seed=3, n_edges=7, d=3, coord_denominator=5, host_size=9)
+_KNOBS = ("--seed", "3", "--edges", "7", "--d", "3", "--denominator", "5", "--host-size", "9")
+
+
+@pytest.mark.parametrize(
+    "kind, argv, direct",
+    [
+        ("random-intervals", (), random_d_intervals),
+        ("planted-intervals", (), lambda cfg: planted_pq_family(cfg, PQParameters(2, 2))),
+        ("planted-intervals", ("--p", "4"), lambda cfg: planted_pq_family(cfg, PQParameters(4, 4))),
+        ("random-trees", (), lambda cfg: random_subforests(random_tree(cfg), cfg)),
+        ("planted-trees", ("--p", "5", "--q", "3"),
+         lambda cfg: planted_pq_subforests(cfg, PQParameters(5, 3))),
+        ("projective", (), lambda cfg: projective_instance(ProjectiveParams(2, 2)).realization),
+        ("projective", ("--dimension", "3", "--field-order", "3"),
+         lambda cfg: projective_instance(ProjectiveParams(3, 3)).realization),
+        ("tw", (), lambda cfg: random_tw_graph(cfg, 1)),
+        ("tw", ("--width", "2"), lambda cfg: random_tw_graph(cfg, 2)),
+    ],
+    ids=[
+        "random-intervals", "planted-intervals", "planted-intervals-p4", "random-trees",
+        "planted-trees-p5-q3", "projective", "projective-k3-q3", "tw", "tw-width2",
+    ],
+)
+def test_gen_writes_the_generators_instance(kind, argv, direct, capsys):
+    # gen builds its family through a campaign source; it must write what the
+    # generator itself returns, with the GenConfig defaults and with every
+    # knob given
+    for knobs, cfg in (((), GenConfig(seed=1)), (_KNOBS, _CFG)):
+        code, out, _ = run(capsys, "gen", "--kind", kind, *knobs, *argv)
+        assert code == 0
+        assert out == dumps_instance(direct(cfg))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--kind", "tw", "--width", "-1"), "gen.width: expected at least 0, got -1"),
+        (("--kind", "random-trees", "--edges", "0"), "gen.n_edges: expected at least 1, got 0"),
+        (("--kind", "planted-trees", "--p", "7", "--q", "2", "--host-size", "5"),
+         "gen.host_size: expected at least 6 for the anchors of p=7, q=2, got 5"),
+        # --q 0 no longer falls back to p
+        (("--kind", "planted-intervals", "--p", "3", "--q", "0"), "need p >= q >= 2"),
+    ],
+    ids=["width", "edges", "host-size", "q"],
+)
+def test_gen_knobs_are_checked_like_a_campaign_source(argv, message, capsys):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message), err
 
 
 def test_check_pq_exit_codes(tmp_path, capsys):

@@ -123,6 +123,8 @@ def test_tw_errors():
     }
     with pytest.raises(InstanceFormatError, match="edge \\(1,2\\)"):
         from_json_dict(doc)
+    with pytest.raises(InstanceFormatError, match="^bags: bag 1 is empty$"):
+        from_json_dict(dict(doc, bags=[[0, 1, 2], []]))
     doc["bags"] = [[0, 1, 2], [1, 2]]
     with pytest.raises(InstanceFormatError, match="exceeds k"):
         from_json_dict(doc)

@@ -139,6 +139,13 @@ def test_zero_objective():
     assert sol.value == 0
 
 
+@pytest.mark.parametrize("m", [0, 2])
+def test_no_variables(m):
+    # no column to enter: the all-slack start is optimal, with value 0
+    sol = solve_lp_max([[]] * m, [3] * m, [])
+    assert sol == simplex.LPSolution(1, 0, (), (0,) * m, 0)
+
+
 def test_unbounded_detected():
     with pytest.raises(SimplexError):
         solve_lp_max([], [], [1])

@@ -105,7 +105,7 @@ def test_lift_rejects_invalid_decomposition():
         bags=(frozenset({0}),),
     )
     with pytest.raises(InvalidDecomposition):
-        lift_family(square(), bad, [{0}])
+        lift_family(square(), bad, [{0}], d=1)
 
 
 def test_lift_preserves_intersections():
@@ -186,6 +186,15 @@ def test_tw_instance_validates_in_memory():
         TwInstance(graph, dec, (frozenset({0}),), d=0)
     with pytest.raises(ValueError, match=r"^subgraphs\[1\]\[1\]: vertex 3 outside graph 0..2"):
         TwInstance(graph, dec, ([0], [1, 3]), d=1)
+    with pytest.raises(ValueError, match=r"^subgraphs\[1\]: subgraph must be nonempty"):
+        TwInstance(graph, dec, ([0], []), d=1)
+    # vertex 2 is in no bag and edge (1,2) in none: no TW_TAU check may
+    # run over this decomposition
+    bad = TreeDecomposition(tree=HostTree(n=2, edges=((0, 1),)), bags=({0, 1}, {0}))
+    with pytest.raises(InvalidDecomposition, match="^vertex 2 appears in no bag$"):
+        TwInstance(graph, bad, ({0, 1}, {1, 2}), d=1)
+    with pytest.raises(ValueError, match="^bag 1 is empty$"):
+        TreeDecomposition(tree=HostTree(n=2, edges=((0, 1),)), bags=({0, 1, 2}, ()))
     tw = TwInstance(graph, dec, ([0, 2], [1]), d=2)
     assert tw.subgraphs == (frozenset({0, 2}), frozenset({1}))
     assert loads_instance(dumps_instance(tw)) == tw
