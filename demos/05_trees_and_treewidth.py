@@ -12,7 +12,6 @@ from dpierce import (
     GenConfig,
     HostTree,
     PQParameters,
-    Subforest,
     SubforestFamily,
     covering_number,
     heavy_vertex,
@@ -30,9 +29,9 @@ family = SubforestFamily(
     host=host,
     d=2,
     edges=(
-        Subforest(frozenset({0, 1, 3})),
-        Subforest(frozenset({1, 4, 5})),   # 2 components: {1,4} and {5}
-        Subforest(frozenset({0, 2, 6})),
+        frozenset({0, 1, 3}),
+        frozenset({1, 4, 5}),   # 2 components: {1,4} and {5}
+        frozenset({0, 2, 6}),
     ),
 )
 inst = to_incidence(family)
@@ -58,7 +57,7 @@ print(f"graph: {tw.graph.n} vertices, {len(tw.graph.edges)} edges, "
       f"decomposition width {tw.decomposition.width}")
 lifted = lift_family(tw.graph, tw.decomposition, tw.subgraphs, d=tw.d)
 print("bags per lifted edge:",
-      [sorted(e.vertices) for e in lifted.family.edges])
+      [sorted(e) for e in lifted.family.edges])
 
 tau_lifted = covering_number(to_incidence(lifted.family))
 cover = lift_cover(tw.decomposition, tau_lifted.witness, tw.subgraphs)

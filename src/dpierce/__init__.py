@@ -1,8 +1,8 @@
 """Exact piercing/covering toolkit for d-interval and d-tree families.
 
 Families of d-intervals (unions of at most d disjoint closed rational
-intervals) and d-trees (subgraphs of a host tree with at most d induced
-components) reduce to a finite incidence form on which the matching number
+intervals) and d-trees (frozensets of host-tree vertices inducing at most
+d components) reduce to a finite incidence form on which the matching number
 nu, the piercing number tau, and their common fractional relaxation tau*
 are solved exactly.  On top sit the (p,q)-property decision procedure,
 seeded instance generators (including the projective-space extremal
@@ -20,7 +20,6 @@ from .model import (
     HypergraphInstance,
     Interval,
     PQParameters,
-    Subforest,
     SubforestFamily,
     candidate_points,
     common_intersection,

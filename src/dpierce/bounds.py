@@ -3,9 +3,11 @@
 Each `BoundKind` pins one inequality on one family class.  `verify_bundle`
 solves an instance once, exactly (nu, tau, tau* and the depth r), and
 checks each requested kind against that one solve; `verify_instance` is
-the one-kind case.  A kind whose hypothesis fails (the (p,q) property,
-the family class, d = 1 for GALLAI) is reported as inapplicable, never as
-a vacuous success.
+the one-kind case.  d and k are read off the family: k is a `TwInstance`'s
+validated decomposition width, and None for the other families, so TW_TAU
+is checked only at a width some decomposition has.  A kind whose
+hypothesis fails (the (p,q) property, the family class, d = 1 for GALLAI)
+is reported as inapplicable, never as a vacuous success.
 
 The closed-form bounds involve e and fractional powers.  `_closed_form`
 evaluates each of them, with the active branch of a max-form bound, once
@@ -247,11 +249,10 @@ def verify_bundle(
     family,
     kinds,
     params: PQParameters | None = None,
-    k: int | None = None,
     seed: int = 0,
 ) -> list[BoundReport]:
     """Check several bound kinds on one family with a single exact solve."""
-    d, k_eff = _d_and_k(family, k)
+    d, k = _d_and_k(family)
     instance = to_incidence(family)
     nu_res, tau_res, cover_sol, r = solve_measures(instance)
     if not verify_cover(instance, tau_res.witness) or not verify_matching(
@@ -265,7 +266,7 @@ def verify_bundle(
         p=p,
         q=q,
         d=d,
-        k=k_eff,
+        k=k,
         nu=nu,
         tau=tau,
         tau_star=tau_star,
@@ -288,7 +289,7 @@ def verify_bundle(
     # whatever the caller's
     with mp.workdps(50):
         for kind in kinds:
-            problem = _hypothesis_problem(kind, instance, params, d, k_eff, pq_verdict)
+            problem = _hypothesis_problem(kind, instance, params, d, k, pq_verdict)
             # (bound_value, satisfied, slack, active_branch)
             if problem is not None:
                 outcome = ("", None, None, None)
@@ -300,7 +301,7 @@ def verify_bundle(
                 slack = _fmt(_exact_to_mpf(rhs - tau))
                 outcome = (_fmt(_exact_to_mpf(rhs)), ok, slack, None)
             else:
-                bound, active, text = _closed_form(kind, p, q, d, k_eff)
+                bound, active, text = _closed_form(kind, p, q, d, k)
                 star = _KINDS[kind].star
                 measured = _exact_to_mpf(tau_star) if star else mpf(tau)
                 ok = measured < bound + _TOL if star else measured <= bound + _TOL
@@ -327,7 +328,6 @@ def verify_instance(
     family,
     kind: BoundKind,
     params: PQParameters | None = None,
-    k: int | None = None,
     seed: int = 0,
 ) -> BoundReport:
     """Solve a family exactly and check one bound inequality on it.
@@ -339,15 +339,15 @@ def verify_instance(
     mismatch the report is inapplicable and carries the failing p-subset
     when there is one.
     """
-    return verify_bundle(family, [kind], params=params, k=k, seed=seed)[0]
+    return verify_bundle(family, [kind], params=params, seed=seed)[0]
 
 
-def _d_and_k(family, k: int | None) -> tuple[int, int | None]:
-    """(d, effective k) for any accepted family form."""
+def _d_and_k(family) -> tuple[int, int | None]:
+    """(d, k) of any accepted family form: k is a `TwInstance`'s width, else None."""
     if isinstance(family, (DIntervalFamily, SubforestFamily)):
-        return family.d, k
+        return family.d, None
     if isinstance(family, TwInstance):
-        return family.d, family.decomposition.width if k is None else k
+        return family.d, family.decomposition.width
     raise TypeError(f"cannot verify a {type(family).__name__}")
 
 

@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
     params = None
     if args.p is not None:
         params = PQParameters(p=args.p, q=args.q if args.q is not None else args.p)
-    report = verify_instance(family, kind, params=params, k=args.k, seed=args.seed)
+    report = verify_instance(family, kind, params=params, seed=args.seed)
     _emit(report.to_json_dict(), args.output)
     if report.applicable and not report.satisfied:
         return 1
@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--kind", required=True, choices=[k.value for k in BoundKind])
     verify.add_argument("--p", type=int, default=None)
     verify.add_argument("--q", type=int, default=None)
-    verify.add_argument("--k", type=int, default=None, help="decomposition width for TW_TAU")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("-o", "--output", default=None)
     verify.set_defaults(func=_cmd_verify)

@@ -21,7 +21,6 @@ from .model import (
     HypergraphInstance,
     Interval,
     PQParameters,
-    Subforest,
     SubforestFamily,
     to_incidence,
 )
@@ -242,9 +241,12 @@ def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
 
 def random_tree(cfg: GenConfig) -> HostTree:
     """Random attachment tree on host_size vertices."""
-    rng = random.Random(cfg.seed)
-    edges = tuple((rng.randrange(i), i) for i in range(1, cfg.host_size))
-    return HostTree(n=cfg.host_size, edges=edges)
+    return _attachment_tree(random.Random(cfg.seed), cfg.host_size)
+
+
+def _attachment_tree(rng: random.Random, n: int) -> HostTree:
+    """Tree on 0..n-1 where each vertex i >= 1 hangs from a random earlier vertex."""
+    return HostTree(n=n, edges=tuple((rng.randrange(i), i) for i in range(1, n)))
 
 
 def _grow_patch(rng: random.Random, adj: list[list[int]], start: int, size: int) -> set[int]:
@@ -260,32 +262,35 @@ def _grow_patch(rng: random.Random, adj: list[list[int]], start: int, size: int)
     return patch
 
 
+def _random_patches(rng: random.Random, adj: list[list[int]], count: int, max_patch: int) -> set[int]:
+    """Union of `count` connected patches, each grown from a random start vertex."""
+    vertices: set[int] = set()
+    for _ in range(count):
+        start = rng.randrange(len(adj))
+        vertices |= _grow_patch(rng, adj, start, rng.randint(1, max_patch))
+    return vertices
+
+
 def random_subforests(host: HostTree, cfg: GenConfig) -> SubforestFamily:
     """Each edge is a union of at most d random connected patches of the host."""
     rng = random.Random(cfg.seed)
     adj = host.adjacency()
     max_patch = max(1, host.n // 2)
-    edges = []
-    for _ in range(cfg.n_edges):
-        vertices: set[int] = set()
-        for _ in range(rng.randint(1, cfg.d)):
-            start = rng.randrange(host.n)
-            vertices |= _grow_patch(rng, adj, start, rng.randint(1, max_patch))
-        edges.append(Subforest(frozenset(vertices)))
+    edges = [
+        frozenset(_random_patches(rng, adj, rng.randint(1, cfg.d), max_patch))
+        for _ in range(cfg.n_edges)
+    ]
     return SubforestFamily(host=host, d=cfg.d, edges=tuple(edges))
 
 
 def planted_pq_subforests(cfg: GenConfig, params: PQParameters) -> SubforestFamily:
-    """Subforest family over a random host tree satisfying (p,q) by anchors.
+    """d-tree family over a random host tree satisfying (p,q) by anchors.
 
     Same pigeonhole as `planted_pq_family`: edge i grows one patch from its
     round-robin anchor vertex, plus up to d-1 free patches.
     """
     rng = random.Random(cfg.seed)
-    host = HostTree(
-        n=cfg.host_size,
-        edges=tuple((rng.randrange(i), i) for i in range(1, cfg.host_size)),
-    )
+    host = _attachment_tree(rng, cfg.host_size)
     adj = host.adjacency()
     anchors = anchor_count(params)
     if anchors > host.n:
@@ -296,10 +301,8 @@ def planted_pq_subforests(cfg: GenConfig, params: PQParameters) -> SubforestFami
     for i in range(cfg.n_edges):
         a = anchor_vertices[i % anchors]
         vertices = _grow_patch(rng, adj, a, rng.randint(1, max_patch))
-        for _ in range(rng.randint(0, cfg.d - 1)):
-            start = rng.randrange(host.n)
-            vertices |= _grow_patch(rng, adj, start, rng.randint(1, max_patch))
-        edges.append(Subforest(frozenset(vertices)))
+        vertices |= _random_patches(rng, adj, rng.randint(0, cfg.d - 1), max_patch)
+        edges.append(frozenset(vertices))
     family = SubforestFamily(host=host, d=cfg.d, edges=tuple(edges))
     verdict = pq_check(to_incidence(family), params)
     if not verdict.holds:
@@ -356,16 +359,13 @@ def random_tw_graph(cfg: GenConfig, width: int) -> TwInstance:
 
     adj = graph.adjacency()
     max_patch = max(1, n_vertices // 3)
-    subgraphs = []
-    for _ in range(cfg.n_edges):
-        vertices: set[int] = set()
-        for _ in range(rng.randint(1, cfg.d)):
-            start = rng.randrange(n_vertices)
-            vertices |= _grow_patch(rng, adj, start, rng.randint(1, max_patch))
-        subgraphs.append(frozenset(vertices))
+    subgraphs = tuple(
+        frozenset(_random_patches(rng, adj, rng.randint(1, cfg.d), max_patch))
+        for _ in range(cfg.n_edges)
+    )
     return TwInstance(
         graph=graph,
         decomposition=decomposition,
-        subgraphs=tuple(subgraphs),
+        subgraphs=subgraphs,
         d=cfg.d,
     )

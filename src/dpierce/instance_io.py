@@ -9,7 +9,10 @@ Three document types are accepted (discriminated by "type"):
 
 Rationals travel as strings, "num/den" or a bare integer string.  Any
 malformed field or violated model invariant is rejected with an
-InstanceFormatError naming the exact JSON path.
+InstanceFormatError naming the exact JSON path.  The ``subgraphs`` of a
+``tree_subgraphs`` and of a ``tw_graph`` document are read as the same
+objects, frozensets of host vertices, and checked by the same function, so
+their errors read alike: ``subgraphs[1][0]: vertex 5 outside graph 0..2``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .model import (
     DIntervalFamily,
     HostTree,
     Interval,
-    Subforest,
     SubforestFamily,
 )
 from .treewidth import Graph, InvalidDecomposition, TreeDecomposition, TwInstance
@@ -126,7 +128,6 @@ def _load_intervals(doc) -> DIntervalFamily:
 
 def _load_subforests(doc) -> SubforestFamily:
     d = _int(doc.get("d"), "d")
-    _want(d >= 1, "d", f"must be positive, got {d}")
     tree = doc.get("tree")
     _want(isinstance(tree, dict), "tree", "expected an object {n, edges}")
     n = _int(tree.get("n"), "tree.n")
@@ -134,14 +135,12 @@ def _load_subforests(doc) -> SubforestFamily:
         host = HostTree(n=n, edges=tuple(_vertex_pairs(tree.get("edges"), "tree.edges")))
     except ValueError as exc:
         raise InstanceFormatError(f"tree: {exc}") from None
-    edges = []
-    for i, vs in enumerate(_vertex_sets(doc.get("subgraphs"), "subgraphs")):
-        _want(len(vs) > 0, f"subgraphs[{i}]", "subforest must be nonempty")
-        edges.append(Subforest(frozenset(vs)))
+    subgraphs = _vertex_sets(doc.get("subgraphs"), "subgraphs")
     try:
-        return SubforestFamily(host=host, d=d, edges=tuple(edges))
+        # the raw vertex lists, so that an error names a vertex's position
+        return SubforestFamily(host=host, d=d, edges=tuple(subgraphs))
     except ValueError as exc:
-        raise InstanceFormatError(f"subgraphs: {exc}") from None
+        raise InstanceFormatError(str(exc)) from None
 
 
 def _load_tw(doc) -> TwInstance:
@@ -197,7 +196,7 @@ def to_json_dict(obj) -> dict:
             "type": "tree_subgraphs",
             "d": obj.d,
             "tree": {"n": obj.host.n, "edges": [list(e) for e in obj.host.edges]},
-            "subgraphs": [sorted(e.vertices) for e in obj.edges],
+            "subgraphs": [sorted(e) for e in obj.edges],
         }
     if isinstance(obj, TwInstance):
         return {

@@ -4,8 +4,10 @@ Two continuous/combinatorial families are supported:
 
 * d-interval families: every edge is a union of at most d pairwise disjoint
   closed intervals with rational endpoints on one line.
-* subforest families: every edge is a vertex subset of a fixed host tree
-  inducing at most d connected components.
+* subforest (d-tree) families: every edge is a frozenset of vertices of a
+  fixed host tree inducing at most d connected components.  The members of
+  a tree-width family (`treewidth.TwInstance`) are the same objects over a
+  graph, and `_checked_subgraphs` checks both.
 
 Both reduce, without changing any of the four optimization quantities
 (matching number, piercing number and their fractional relaxations), to a
@@ -263,38 +265,47 @@ def induced_components(host: HostTree, vertices) -> list[frozenset[int]]:
     return connected_components(host.adjacency(), vset)
 
 
-@dataclass(frozen=True)
-class Subforest:
-    """An edge of a tree family: a nonempty vertex subset of the host."""
+def _checked_subgraphs(graph, subgraphs, d: int) -> tuple[frozenset[int], ...]:
+    """The members of a d-tree or tree-width family, checked and frozen.
 
-    vertices: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        if not self.vertices:
-            raise ValueError("subforest must be nonempty")
+    `graph` is the host (a `HostTree` or a `treewidth.Graph`), and each
+    member is any collection of its vertices: it must be nonempty, lie in
+    0..n-1 and induce at most d >= 1 components.  A vertex out of range is
+    named by its position in the member as given.
+    """
+    if d < 1:
+        raise ValueError(f"d: must be positive, got {d}")
+    n = graph.n
+    adj = graph.adjacency()
+    members = []
+    for i, h in enumerate(subgraphs):
+        for j, v in enumerate(h):
+            if not (0 <= v < n):
+                raise ValueError(f"subgraphs[{i}][{j}]: vertex {v} outside graph 0..{n - 1}")
+        h = frozenset(h)
+        if not h:
+            raise ValueError(f"subgraphs[{i}]: subgraph must be nonempty")
+        ncomp = len(connected_components(adj, h))
+        if ncomp > d:
+            raise ValueError(f"subgraphs[{i}]: induces {ncomp} components > d={d}")
+        members.append(h)
+    return tuple(members)
 
 
 @dataclass(frozen=True)
 class SubforestFamily:
-    """Subgraphs of a host tree, each inducing at most d components."""
+    """Subgraphs of a host tree, each inducing at most d components.
+
+    A member is a nonempty set of host vertices; it may be given as any
+    collection (a list, a set) and is stored frozen.
+    """
 
     host: HostTree
     d: int
-    edges: tuple[Subforest, ...]
+    edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        adj = self.host.adjacency()
-        for i, e in enumerate(self.edges):
-            for v in e.vertices:
-                if not (0 <= v < self.host.n):
-                    raise ValueError(f"edges[{i}]: vertex {v} outside host 0..{self.host.n - 1}")
-            ncomp = len(connected_components(adj, e.vertices))
-            if ncomp > self.d:
-                raise ValueError(f"edges[{i}] induces {ncomp} components > d={self.d}")
+        object.__setattr__(self, "edges", _checked_subgraphs(self.host, self.edges, self.d))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -604,8 +615,7 @@ def to_incidence(family) -> HypergraphInstance:
         ranges = [[(rank[lo], rank[hi]) for lo, hi in span] for span in spans]
         return HypergraphInstance._from_rank_ranges(max(1, len(rank)), ranges)
     if isinstance(family, SubforestFamily):
-        edges = tuple(frozenset(e.vertices) for e in family.edges)
-        return HypergraphInstance(ground_size=family.host.n, edges=edges, provenance="tree")
+        return HypergraphInstance(ground_size=family.host.n, edges=family.edges, provenance="tree")
     from .treewidth import TwInstance  # treewidth imports this module
 
     if isinstance(family, TwInstance):

@@ -6,8 +6,10 @@ meets), covers of the lifted family pull back to vertex covers of the
 source by taking the union of the chosen bags, and the blow-up is at most
 the bag size k+1.
 
-A `TwInstance` validates its decomposition and subgraphs when it is built,
-so no `TW_TAU` check runs over an invalid one; `lift_family` takes a bare
+A `TwInstance` validates its decomposition when it is built, so no
+`TW_TAU` check runs over an invalid one, and checks its subgraphs with the
+function that checks a `SubforestFamily`'s members: both are frozensets of
+host vertices inducing at most d components.  `lift_family` takes a bare
 graph and decomposition and validates them itself.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import HostTree, Subforest, SubforestFamily, connected_components
+from .model import HostTree, SubforestFamily, _checked_subgraphs, connected_components
 
 
 class InvalidDecomposition(ValueError):
@@ -78,7 +80,7 @@ class TreeDecomposition:
 
 @dataclass(frozen=True)
 class LiftedFamily:
-    """Subforest family over the decomposition tree; edge j lifts subgraph j."""
+    """d-tree family over the decomposition tree; edge j lifts subgraph j."""
 
     family: SubforestFamily
 
@@ -90,7 +92,7 @@ class TwInstance:
     A decomposition that fails `validate_decomposition` raises
     InvalidDecomposition with its first problem; its width is the instance's
     k.  Each subgraph is a nonempty set of graph vertices inducing at most
-    d >= 1 components; it may be given as any iterable and is stored frozen.
+    d >= 1 components; it may be given as any collection and is stored frozen.
     """
 
     graph: Graph
@@ -102,23 +104,9 @@ class TwInstance:
         problems = validate_decomposition(self.graph, self.decomposition)
         if problems:
             raise InvalidDecomposition(problems[0])
-        if self.d < 1:
-            raise ValueError(f"d: must be positive, got {self.d}")
-        n = self.graph.n
-        adj = self.graph.adjacency()
-        subgraphs = []
-        for i, h in enumerate(self.subgraphs):
-            for j, v in enumerate(h):
-                if not (0 <= v < n):
-                    raise ValueError(f"subgraphs[{i}][{j}]: vertex {v} outside graph 0..{n - 1}")
-            h = frozenset(h)
-            if not h:
-                raise ValueError(f"subgraphs[{i}]: subgraph must be nonempty")
-            ncomp = len(connected_components(adj, h))
-            if ncomp > self.d:
-                raise ValueError(f"subgraphs[{i}]: induces {ncomp} components > d={self.d}")
-            subgraphs.append(h)
-        object.__setattr__(self, "subgraphs", tuple(subgraphs))
+        object.__setattr__(
+            self, "subgraphs", _checked_subgraphs(self.graph, self.subgraphs, self.d)
+        )
 
 
 def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> list[str]:
@@ -188,7 +176,7 @@ def lift_family(
                 f"lift of subgraph {idx} has {ncomp} components, "
                 f"source has {source_components[idx]}"
             )
-        edges.append(Subforest(lifted))
+        edges.append(lifted)
     family = SubforestFamily(host=dec.tree, d=d, edges=tuple(edges))
     return LiftedFamily(family=family)
 

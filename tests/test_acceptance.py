@@ -337,7 +337,7 @@ def test_criterion_10_treewidth_lift_chain(witness_ledger):
                 g_adj = tw.graph.adjacency()
                 t_adj = tw.decomposition.tree.adjacency()
                 for src, edge in zip(tw.subgraphs, lifted.family.edges):
-                    if len(connected_components(t_adj, edge.vertices)) > len(
+                    if len(connected_components(t_adj, edge)) > len(
                         connected_components(g_adj, src)
                     ):
                         bad.append((seed, "components grew"))

@@ -12,18 +12,21 @@ from dpierce import (
     BoundKind,
     EmptySubfamily,
     GenConfig,
+    Graph,
     HostTree,
     NotPrime,
     PQParameters,
     ProjectiveParams,
-    Subforest,
     SubforestFamily,
+    TreeDecomposition,
+    TwInstance,
     evaluate_bound,
     heavy_vertex,
     planted_pq_family,
     planted_pq_subforests,
     projective_instance,
     random_d_intervals,
+    random_tw_graph,
     sharpness_probe,
     to_incidence,
     verify_bundle,
@@ -260,21 +263,40 @@ def _float_branches(kind, p, q, d, k):
     return power * scale, quad * scale
 
 
+def _as_tw(family: SubforestFamily, k: int) -> TwInstance:
+    """`family` over its host tree read as a graph, with a decomposition of width k >= 1.
+
+    Bag v holds v and its parent towards vertex 0; bag 0 also holds k
+    isolated extra vertices, which no member contains.
+    """
+    host, n = family.host, family.host.n
+    depth, adj = host.depths_from(0), host.adjacency()
+    bags = [{v} | {u for u in adj[v] if depth[u] < depth[v]} for v in range(n)]
+    bags[0] |= set(range(n, n + k))
+    decomposition = TreeDecomposition(host, tuple(bags))
+    return TwInstance(Graph(n + k, host.edges), decomposition, family.edges, d=family.d)
+
+
 def test_reports_carry_the_closed_form_and_its_larger_branch():
     max_form = {BoundKind.DPQ_STAR, BoundKind.DPQ_TAU, BoundKind.TREE_PQ_TAU, BoundKind.TW_TAU}
     seen = set()
-    for (p, q), d, k in itertools.product(((2, 2), (3, 2), (4, 3), (6, 6)), (1, 2, 3), (0, 2)):
+    for (p, q), d in itertools.product(((2, 2), (3, 2), (4, 3), (6, 6)), (1, 2, 3)):
         params = PQParameters(p, q)
         cfg = GenConfig(seed=10 * p + d, n_edges=8, d=d, host_size=10)
         pp = [BoundKind.DPP_STAR, BoundKind.DPP_TAU] if p == q else []
         kaiser = [BoundKind.KAISER_P2] if q == 2 else []
         tree_pp = [BoundKind.TREE_PP_STAR, BoundKind.TREE_PP_TAU] if p == q else []
-        bundles = (
+        trees = planted_pq_subforests(cfg, params)
+        bundles = [
             (planted_pq_family(cfg, params), pp + kaiser + [BoundKind.DPQ_STAR, BoundKind.DPQ_TAU]),
-            (planted_pq_subforests(cfg, params), tree_pp + [BoundKind.TREE_PQ_TAU]),
-        )
+            (trees, tree_pp + [BoundKind.TREE_PQ_TAU]),
+        ]
+        # TW_TAU at two widths, on the tree family read as a tree-width family
+        bundles += [(_as_tw(trees, k), [BoundKind.TW_TAU]) for k in (1, 2)]
         for family, kinds in bundles:
-            for report in verify_bundle(family, kinds + [BoundKind.TW_TAU], params=params, k=k):
+            k = family.decomposition.width if isinstance(family, TwInstance) else None
+            for report in verify_bundle(family, kinds, params=params):
+                assert report.k == k
                 assert report.applicable and report.satisfied
                 bound = evaluate_bound(report.kind, p=p, q=q, d=d, k=k)
                 assert report.bound_value == _fmt(bound)
@@ -305,7 +327,8 @@ def test_pp_kind_requires_p_equal_q():
 
 
 _INTERVALS = fam(1, [(0, 1)])
-_TREES = SubforestFamily(HostTree(2, ((0, 1),)), 1, (Subforest({0}),))
+_TREES = SubforestFamily(HostTree(2, ((0, 1),)), 1, (frozenset({0}),))
+_TW = _as_tw(_TREES, 1)
 
 
 @pytest.mark.parametrize(
@@ -317,21 +340,44 @@ _TREES = SubforestFamily(HostTree(2, ((0, 1),)), 1, (Subforest({0}),))
         (BoundKind.TW_TAU, PQParameters(2, 2), None, _INTERVALS, None),
         (BoundKind.DPQ_STAR, None, None, _INTERVALS, _TREES),
         (BoundKind.TREE_PQ_TAU, None, None, _TREES, _INTERVALS),
-        (BoundKind.TW_TAU, None, 1, _TREES, None),
+        (BoundKind.TW_TAU, None, 1, _TW, None),
+        (BoundKind.TW_TAU, PQParameters(2, 2), None, _TREES, None),
     ],
 )
 def test_bad_params_are_checked_after_the_family_class(kind, params, k, family, other_class):
+    # k is the width the family carries: a family with no decomposition has
+    # none, and TW_TAU cannot be evaluated on it
+    assert bounds._d_and_k(family) == (family.d, k)
     # the right family class with bad or missing parameters is a caller error
     with pytest.raises(BadParams):
-        verify_bundle(family, [kind], params=params, k=k)
+        verify_bundle(family, [kind], params=params)
     if other_class is None:
         return  # TW_TAU takes every family class
     # the same call on the wrong family class is inapplicable, and raises nothing
-    (report,) = verify_bundle(other_class, [kind], params=params, k=k)
+    (report,) = verify_bundle(other_class, [kind], params=params)
     needed = "tree" if family is _TREES else "interval"
     got = "interval" if needed == "tree" else "tree"
     assert not report.applicable and report.satisfied is None
     assert report.reason == f"{kind.value} applies to {needed} families, got {got}"
+
+
+def test_report_k_is_the_families_decomposition_width():
+    # k is read off the family, never passed in: a TwInstance's width, else None
+    params = PQParameters(2, 2)
+    trees = planted_pq_subforests(GenConfig(seed=3, n_edges=6, d=2, host_size=8), params)
+    intervals = planted_pq_family(GenConfig(seed=3, n_edges=6, d=2), params)
+    for family in (trees, intervals):
+        (report,) = verify_bundle(family, [BoundKind.ALON], params=params)
+        assert report.k is None and report.to_json_dict()["k"] is None
+    generated = random_tw_graph(GenConfig(seed=5, n_edges=5, d=2, host_size=6), 2)
+    for tw in (_as_tw(trees, 1), _as_tw(trees, 3), generated):
+        for report in verify_bundle(tw, [BoundKind.ALON, BoundKind.TW_TAU], params=params):
+            assert report.k == tw.decomposition.width
+    assert [_as_tw(trees, k).decomposition.width for k in (1, 3)] == [1, 3]
+    with pytest.raises(TypeError):
+        verify_bundle(intervals, [BoundKind.ALON], params=params, k=1)
+    with pytest.raises(TypeError):
+        verify_instance(intervals, BoundKind.ALON, params, k=1)
 
 
 # ---------------------------------------------------------------------------

@@ -256,8 +256,8 @@ def test_violation_reporting_and_exit_code(monkeypatch):
     # failure path: exit code 1 and an embedded instance for replay
     real = campaign_mod.verify_bundle
 
-    def sabotage(family, kinds, params=None, k=None, seed=0):
-        reports = real(family, kinds, params=params, k=k, seed=seed)
+    def sabotage(family, kinds, params=None, seed=0):
+        reports = real(family, kinds, params=params, seed=seed)
         out = []
         for r in reports:
             out.append(

@@ -145,6 +145,19 @@ def test_verify_tw(tmp_path, capsys):
         assert code == 0 and doc["counterexample"] is not None
 
 
+def test_verify_reads_k_from_the_file(tmp_path, capsys):
+    # the width is the decomposition's: there is no --k to override it
+    inst = tmp_path / "tw.json"
+    run(capsys, "gen", "--kind", "tw", "--width", "2", "-o", str(inst))
+    code, out, _ = run(capsys, "verify", str(inst), "--kind", "TW_TAU", "--p", "6", "--q", "2")
+    assert code == 0 and json.loads(out)["k"] == 2
+    # argparse reads --k as an abbreviation of --kind, so 9 is refused as a kind
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(inst), "--kind", "TW_TAU", "--p", "6", "--q", "2", "--k", "9"])
+    assert exc.value.code == 2
+    assert "argument --kind: invalid choice: '9'" in capsys.readouterr().err
+
+
 def test_invalid_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type":"d_intervals","d":1,"edges":[[["2","1"]]]}')

@@ -201,14 +201,14 @@ def test_single_vertex_host():
     host = random_tree(GenConfig(seed=1, host_size=1))
     assert host.n == 1
     f = random_subforests(host, GenConfig(seed=2, host_size=1, n_edges=3, d=2))
-    assert all(e.vertices == frozenset({0}) for e in f.edges)
+    assert all(e == frozenset({0}) for e in f.edges)
 
 
 def test_path_host_d1_subforests_are_subpaths():
     path = HostTree(n=8, edges=tuple((i, i + 1) for i in range(7)))
     f = random_subforests(path, GenConfig(seed=4, host_size=8, n_edges=6, d=1))
     for e in f.edges:
-        vs = sorted(e.vertices)
+        vs = sorted(e)
         assert vs == list(range(vs[0], vs[-1] + 1))
 
 
@@ -217,7 +217,7 @@ def test_subforest_component_bound():
         host = random_tree(GenConfig(seed=seed, host_size=11))
         f = random_subforests(host, GenConfig(seed=seed + 50, host_size=11, n_edges=7, d=3))
         for e in f.edges:
-            assert len(induced_components(host, e.vertices)) <= 3
+            assert len(induced_components(host, e)) <= 3
 
 
 def test_tree_generators_deterministic():

@@ -111,6 +111,23 @@ def test_tree_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "d, subgraphs, message",
+    [
+        (1, [[0], [0, 2]], r"^subgraphs\[1\]: induces 2 components > d=1$"),
+        (1, [[0], [5, 1]], r"^subgraphs\[1\]\[0\]: vertex 5 outside graph 0\.\.2$"),
+        (1, [[0], []], r"^subgraphs\[1\]: subgraph must be nonempty$"),
+        (0, [[0]], r"^d: must be positive, got 0$"),
+    ],
+    ids=["too-many-components", "out-of-range", "empty", "d=0"],
+)
+def test_tree_member_errors_name_their_path(d, subgraphs, message):
+    # a tree file's members are read and checked like a tw_graph file's
+    doc = {"type": "tree_subgraphs", "d": d, "tree": {"n": 3, "edges": [[0, 1], [1, 2]]}}
+    with pytest.raises(InstanceFormatError, match=message):
+        from_json_dict(dict(doc, subgraphs=subgraphs))
+
+
 def test_tw_errors():
     doc = {
         "type": "tw_graph",

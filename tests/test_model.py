@@ -12,13 +12,15 @@ from dpierce import (
     DInterval,
     DIntervalFamily,
     EmptyIntersection,
+    Graph,
     HostTree,
     HypergraphInstance,
     Interval,
     PQParameters,
     ProjectiveParams,
-    Subforest,
     SubforestFamily,
+    TreeDecomposition,
+    TwInstance,
     candidate_points,
     common_intersection,
     depth,
@@ -257,11 +259,38 @@ def test_host_tree_validation():
 def test_subforest_family_validation():
     path = path_tree(4)
     with pytest.raises(ValueError):
-        Subforest(frozenset())
+        SubforestFamily(host=path, d=1, edges=(frozenset(),))
     with pytest.raises(ValueError):
-        SubforestFamily(host=path, d=1, edges=(Subforest(frozenset({0, 2})),))
-    ok = SubforestFamily(host=path, d=2, edges=(Subforest(frozenset({0, 2})),))
+        SubforestFamily(host=path, d=1, edges=(frozenset({0, 2}),))
+    ok = SubforestFamily(host=path, d=2, edges=(frozenset({0, 2}),))
     assert len(ok) == 1
+    # a member may be any collection of host vertices, and is stored frozen
+    assert SubforestFamily(host=path, d=2, edges=([0, 2], {3})).edges == (
+        frozenset({0, 2}),
+        frozenset({3}),
+    )
+
+
+@pytest.mark.parametrize(
+    "members, d, message",
+    [
+        (([0], [1, 3]), 1, "subgraphs[1][1]: vertex 3 outside graph 0..2"),
+        (([0], []), 1, "subgraphs[1]: subgraph must be nonempty"),
+        (({0, 2},), 1, "subgraphs[0]: induces 2 components > d=1"),
+        (({0},), 0, "d: must be positive, got 0"),
+    ],
+    ids=["out-of-range", "empty", "too-many-components", "d=0"],
+)
+def test_tree_and_tree_width_members_fail_alike(members, d, message):
+    # a d-tree member and a tree-width subgraph are one object, checked once:
+    # the same bad members over the path 0-1-2 fail with the same message
+    edges = ((0, 1), (1, 2))
+    with pytest.raises(ValueError) as tree_error:
+        SubforestFamily(host=HostTree(3, edges), d=d, edges=members)
+    decomposition = TreeDecomposition(HostTree(2, ((0, 1),)), ({0, 1}, {1, 2}))
+    with pytest.raises(ValueError) as tw_error:
+        TwInstance(Graph(3, edges), decomposition, members, d=d)
+    assert str(tree_error.value) == str(tw_error.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +309,7 @@ def test_to_incidence_subforest_example():
     family = SubforestFamily(
         host=star,
         d=1,
-        edges=(Subforest(frozenset({0, 1})), Subforest(frozenset({0, 2}))),
+        edges=(frozenset({0, 1}), frozenset({0, 2})),
     )
     inst = to_incidence(family)
     assert inst.ground_size == 3

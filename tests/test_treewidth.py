@@ -86,17 +86,15 @@ def test_missing_vertex_reported():
 
 def test_lift_two_component_subgraph_becomes_connected():
     lifted = lift_family(square(), square_dec(), [{1, 3}], d=2)
-    assert lifted.family.edges[0].vertices == frozenset({0, 1})
-    comps = connected_components(
-        lifted.family.host.adjacency(), lifted.family.edges[0].vertices
-    )
+    assert lifted.family.edges[0] == frozenset({0, 1})
+    comps = connected_components(lifted.family.host.adjacency(), lifted.family.edges[0])
     assert len(comps) == 1
 
 
 def test_lift_full_bag_and_everything():
     lifted = lift_family(square(), square_dec(), [{0, 1, 2}, {0, 1, 2, 3}], d=1)
-    assert lifted.family.edges[0].vertices >= frozenset({0})
-    assert lifted.family.edges[1].vertices == frozenset({0, 1})
+    assert lifted.family.edges[0] >= frozenset({0})
+    assert lifted.family.edges[1] == frozenset({0, 1})
 
 
 def test_lift_rejects_invalid_decomposition():
@@ -119,8 +117,8 @@ def test_lift_preserves_intersections():
                 shared = tw.subgraphs[a] & tw.subgraphs[b]
                 for v in shared:
                     holding = {i for i, bag in enumerate(bags) if v in bag}
-                    assert holding <= lifted.family.edges[a].vertices
-                    assert holding <= lifted.family.edges[b].vertices
+                    assert holding <= lifted.family.edges[a]
+                    assert holding <= lifted.family.edges[b]
 
 
 def test_lift_component_counts_never_grow():
@@ -131,7 +129,7 @@ def test_lift_component_counts_never_grow():
         t_adj = tw.decomposition.tree.adjacency()
         for src, edge in zip(tw.subgraphs, lifted.family.edges):
             src_c = len(connected_components(g_adj, src))
-            lift_c = len(connected_components(t_adj, edge.vertices))
+            lift_c = len(connected_components(t_adj, edge))
             assert lift_c <= src_c <= tw.d
 
 
