@@ -16,6 +16,7 @@ from .model import (
     DIntervalFamily,
     EmptyIntersection,
     EndpointWitness,
+    Graph,
     HostTree,
     HypergraphInstance,
     Interval,
@@ -26,7 +27,6 @@ from .model import (
     depth,
     endpoint_witnesses,
     general_position_violations,
-    induced_components,
     make_family,
     repair_general_position,
     subset_intersection_point,
@@ -63,7 +63,6 @@ from .generators import (
     random_tw_graph,
 )
 from .treewidth import (
-    Graph,
     InvalidDecomposition,
     LiftedFamily,
     NotACover,

@@ -5,9 +5,10 @@ solves an instance once, exactly (nu, tau, tau* and the depth r), and
 checks each requested kind against that one solve; `verify_instance` is
 the one-kind case.  d and k are read off the family: k is a `TwInstance`'s
 validated decomposition width, and None for the other families, so TW_TAU
-is checked only at a width some decomposition has.  A kind whose
-hypothesis fails (the (p,q) property, the family class, d = 1 for GALLAI)
-is reported as inapplicable, never as a vacuous success.
+is checked only at a width some decomposition has and is inapplicable to
+a family without one.  A kind whose hypothesis fails (the (p,q) property,
+the family class, d = 1 for GALLAI) is reported as inapplicable, never as
+a vacuous success.
 
 The closed-form bounds involve e and fractional powers.  `_closed_form`
 evaluates each of them, with the active branch of a max-form bound, once
@@ -39,7 +40,7 @@ from .model import (
     HypergraphInstance,
     PQParameters,
     SubforestFamily,
-    induced_components,
+    _checked_subgraphs,
     to_incidence,
 )
 from .generators import ProjectiveParams, projective_incidence
@@ -91,7 +92,7 @@ class _Kind(NamedTuple):
     tau <= d tau*, each tau bound is d times its tau* bound ((k+1) d for TW_TAU).
     """
 
-    family: str | None  # the instance provenance it needs; None takes any
+    family: str | None  # the provenance it needs; None takes any (TW_TAU: any with a width)
     form: str | None
     factor: str | None  # "1", "d" or "(k+1)d"
     star: bool  # bounds tau* (else tau)
@@ -361,6 +362,9 @@ def _hypothesis_problem(kind, instance, params, d, k, pq_verdict):
     needed = _KINDS[kind].family
     if needed is not None and instance.provenance != needed:
         return (f"{kind.value} applies to {needed} families, got {instance.provenance}", None)
+    if kind is BoundKind.TW_TAU and k is None:
+        # only a tree-width family carries a width
+        return (f"TW_TAU applies to tree-width families, got {instance.provenance}", None)
     if kind is BoundKind.GALLAI:
         if d != 1:
             return (f"GALLAI needs d = 1, family has d = {d}", None)
@@ -426,17 +430,16 @@ def heavy_vertex(
     return the deepest of those.  The result lies in at least
     ((p-1)! * k/n)^{1/(p-1)} + 1 of the original subtrees, which is
     asserted before returning (in exact integer arithmetic, so a failure
-    is an implementation bug, not rounding).
+    is an implementation bug, not rounding).  The subtrees are checked as
+    the members of a 1-tree family over `host` are, so a bad one raises
+    the same ValueError, e.g. `subgraphs[1]: induces 2 components > d=1`.
     """
-    subtrees = [frozenset(t) for t in subtrees]
-    n = len(subtrees)
     if p < 2:
         raise BadParams(f"need p >= 2, got {p}")
+    subtrees = _checked_subgraphs(host, subtrees, 1)
+    n = len(subtrees)
     if n == 0:
         raise EmptySubfamily("no subtrees")
-    for i, t in enumerate(subtrees):
-        if len(induced_components(host, t)) != 1:
-            raise ValueError(f"subtree {i} is not connected in the host")
     subsets = [frozenset(s) for s in intersecting_p_subsets]
     k = len(subsets)
     if k == 0:

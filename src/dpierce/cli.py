@@ -3,7 +3,8 @@
 Subcommands: gen, solve, check-pq, verify, campaign, sharpness.  All
 instance I/O uses the JSON formats of `instance_io`.  Exit codes: 0 on
 success, 1 when a checked bound or property is violated, 2 on invalid
-input.
+input.  Long options are taken only as spelled out: a prefix such as
+`--k` for `--kind` is an unrecognized argument.
 """
 
 from __future__ import annotations
@@ -125,10 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpierce",
         description="Exact piercing toolkit for d-interval and d-tree families",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="emit a generated instance file")
+    gen = sub.add_parser("gen", help="emit a generated instance file", allow_abbrev=False)
     gen.add_argument(
         "--kind",
         required=True,
@@ -147,19 +149,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(func=_cmd_gen)
 
-    solve = sub.add_parser("solve", help="exact nu, tau, tau* and witnesses")
+    solve = sub.add_parser("solve", help="exact nu, tau, tau* and witnesses", allow_abbrev=False)
     solve.add_argument("file")
     solve.add_argument("-o", "--output", default=None)
     solve.set_defaults(func=_cmd_solve)
 
-    checkpq = sub.add_parser("check-pq", help="decide the (p,q) property")
+    checkpq = sub.add_parser("check-pq", help="decide the (p,q) property", allow_abbrev=False)
     checkpq.add_argument("file")
     checkpq.add_argument("--p", type=int, required=True)
     checkpq.add_argument("--q", type=int, required=True)
     checkpq.add_argument("-o", "--output", default=None)
     checkpq.set_defaults(func=_cmd_check_pq)
 
-    verify = sub.add_parser("verify", help="check one covering bound on a file")
+    verify = sub.add_parser("verify", help="check one covering bound on a file", allow_abbrev=False)
     verify.add_argument("file")
     verify.add_argument("--kind", required=True, choices=[k.value for k in BoundKind])
     verify.add_argument("--p", type=int, default=None)
@@ -168,12 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("-o", "--output", default=None)
     verify.set_defaults(func=_cmd_verify)
 
-    camp = sub.add_parser("campaign", help="run a campaign config")
+    camp = sub.add_parser("campaign", help="run a campaign config", allow_abbrev=False)
     camp.add_argument("--config", required=True)
     camp.add_argument("-o", "--output", default=None)
     camp.set_defaults(func=_cmd_campaign)
 
-    sharp = sub.add_parser("sharpness", help="projective sharpness probe")
+    sharp = sub.add_parser("sharpness", help="projective sharpness probe", allow_abbrev=False)
     sharp.add_argument("--dim", type=int, required=True)
     sharp.add_argument("--primes", required=True, help="comma-separated, e.g. 2,3,5")
     sharp.add_argument("-o", "--output", default=None)

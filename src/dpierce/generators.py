@@ -17,6 +17,7 @@ from fractions import Fraction
 from .model import (
     DInterval,
     DIntervalFamily,
+    Graph,
     HostTree,
     HypergraphInstance,
     Interval,
@@ -25,7 +26,7 @@ from .model import (
     to_incidence,
 )
 from .solvers import pq_check
-from .treewidth import Graph, TreeDecomposition, TwInstance
+from .treewidth import TreeDecomposition, TwInstance
 
 
 class NotPrime(ValueError):

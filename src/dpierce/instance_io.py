@@ -13,6 +13,13 @@ InstanceFormatError naming the exact JSON path.  The ``subgraphs`` of a
 ``tree_subgraphs`` and of a ``tw_graph`` document are read as the same
 objects, frozensets of host vertices, and checked by the same function, so
 their errors read alike: ``subgraphs[1][0]: vertex 5 outside graph 0..2``.
+Likewise the ``tree`` of a ``tree_subgraphs`` document and the ``graph`` of
+a ``tw_graph`` document are one ``{n, edges}`` object, read by one reader
+into one class (a ``HostTree`` is a ``Graph`` that is a tree), so their
+errors differ only in the prefix: ``tree: edge (0,5) out of range 0..2``.
+Every edge list (``tree.edges``, ``graph.edges``, ``bag_tree``) keeps the
+order of the file, each pair written (min, max), so a file written by
+`dumps_instance` reads back and writes out byte for byte.
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ from fractions import Fraction
 from .model import (
     DInterval,
     DIntervalFamily,
+    Graph,
     HostTree,
     Interval,
     SubforestFamily,
 )
-from .treewidth import Graph, InvalidDecomposition, TreeDecomposition, TwInstance
+from .treewidth import InvalidDecomposition, TreeDecomposition, TwInstance
 
 
 class InstanceFormatError(ValueError):
@@ -72,6 +80,18 @@ def _vertex_sets(value, path: str) -> list[list[int]]:
         vs = _list(item, f"{path}[{i}]")
         out.append([_int(v, f"{path}[{i}][{j}]") for j, v in enumerate(vs)])
     return out
+
+
+def _graph(doc, key: str, cls: type[Graph]) -> Graph:
+    """The `{n, edges}` object `doc[key]` as a `cls` (a `Graph` or a `HostTree`)."""
+    raw = doc.get(key)
+    _want(isinstance(raw, dict), key, "expected an object {n, edges}")
+    n = _int(raw.get("n"), f"{key}.n")
+    edges = _vertex_pairs(raw.get("edges"), f"{key}.edges")
+    try:
+        return cls(n=n, edges=tuple(edges))
+    except ValueError as exc:
+        raise InstanceFormatError(f"{key}: {exc}") from None
 
 
 def loads_instance(text: str) -> DIntervalFamily | SubforestFamily | TwInstance:
@@ -128,13 +148,7 @@ def _load_intervals(doc) -> DIntervalFamily:
 
 def _load_subforests(doc) -> SubforestFamily:
     d = _int(doc.get("d"), "d")
-    tree = doc.get("tree")
-    _want(isinstance(tree, dict), "tree", "expected an object {n, edges}")
-    n = _int(tree.get("n"), "tree.n")
-    try:
-        host = HostTree(n=n, edges=tuple(_vertex_pairs(tree.get("edges"), "tree.edges")))
-    except ValueError as exc:
-        raise InstanceFormatError(f"tree: {exc}") from None
+    host = _graph(doc, "tree", HostTree)
     subgraphs = _vertex_sets(doc.get("subgraphs"), "subgraphs")
     try:
         # the raw vertex lists, so that an error names a vertex's position
@@ -147,13 +161,7 @@ def _load_tw(doc) -> TwInstance:
     d = _int(doc.get("d"), "d")
     k = _int(doc.get("k"), "k")
     _want(k >= 0, "k", f"must be nonnegative, got {k}")
-    raw_graph = doc.get("graph")
-    _want(isinstance(raw_graph, dict), "graph", "expected an object {n, edges}")
-    n = _int(raw_graph.get("n"), "graph.n")
-    try:
-        graph = Graph(n=n, edges=tuple(_vertex_pairs(raw_graph.get("edges"), "graph.edges")))
-    except ValueError as exc:
-        raise InstanceFormatError(f"graph: {exc}") from None
+    graph = _graph(doc, "graph", Graph)
 
     bags = _vertex_sets(doc.get("bags"), "bags")
     bag_tree_edges = _vertex_pairs(doc.get("bag_tree"), "bag_tree")

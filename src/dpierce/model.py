@@ -7,7 +7,10 @@ Two continuous/combinatorial families are supported:
 * subforest (d-tree) families: every edge is a frozenset of vertices of a
   fixed host tree inducing at most d connected components.  The members of
   a tree-width family (`treewidth.TwInstance`) are the same objects over a
-  graph, and `_checked_subgraphs` checks both.
+  graph, and `_checked_subgraphs` checks both.  The hosts are one class
+  too: a `HostTree` is a `Graph` that is a tree, so the host of a d-tree
+  family, the graph of a tree-width family and its decomposition tree share
+  one edge rule and one set of checks.
 
 Both reduce, without changing any of the four optimization quantities
 (matching number, piercing number and their fractional relaxations), to a
@@ -186,12 +189,16 @@ def repair_general_position(family: DIntervalFamily) -> DIntervalFamily:
 
 
 # ---------------------------------------------------------------------------
-# host trees and subforests
+# host graphs, host trees and subforests
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HostTree:
-    """A tree on vertices 0..n-1 given by its n-1 undirected edges."""
+class Graph:
+    """Undirected graph on vertices 0..n-1 (not necessarily connected).
+
+    Each edge is stored as (min, max), in the order given: a graph read
+    from a file writes its edges back in the file's order.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -201,16 +208,12 @@ class HostTree:
             self, "edges", tuple((min(u, v), max(u, v)) for u, v in self.edges)
         )
         if self.n < 1:
-            raise ValueError(f"tree needs at least one vertex, got n={self.n}")
-        if len(self.edges) != self.n - 1:
-            raise ValueError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(self.edges)}")
+            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of vertex range 0..{self.n - 1}")
+                raise ValueError(f"edge ({u},{v}) out of range 0..{self.n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-        if len(connected_components(self.adjacency(), range(self.n))) != 1:
-            raise ValueError("edge list is not connected")
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -218,6 +221,18 @@ class HostTree:
             adj[u].append(v)
             adj[v].append(u)
         return adj
+
+
+@dataclass(frozen=True)
+class HostTree(Graph):
+    """A `Graph` that is a tree: n-1 edges, connected."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.edges) != self.n - 1:
+            raise ValueError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(self.edges)}")
+        if len(connected_components(self.adjacency(), range(self.n))) != 1:
+            raise ValueError("edge list is not connected")
 
     def depths_from(self, root: int) -> list[int]:
         """BFS distance from `root` to every vertex."""
@@ -256,22 +271,13 @@ def connected_components(adj: list[list[int]], vertices) -> list[frozenset[int]]
     return comps
 
 
-def induced_components(host: HostTree, vertices) -> list[frozenset[int]]:
-    """Maximal connected pieces of the subgraph of `host` induced on `vertices`."""
-    vset = set(vertices)
-    for v in vset:
-        if not (0 <= v < host.n):
-            raise ValueError(f"vertex {v} not in host tree 0..{host.n - 1}")
-    return connected_components(host.adjacency(), vset)
-
-
 def _checked_subgraphs(graph, subgraphs, d: int) -> tuple[frozenset[int], ...]:
     """The members of a d-tree or tree-width family, checked and frozen.
 
-    `graph` is the host (a `HostTree` or a `treewidth.Graph`), and each
-    member is any collection of its vertices: it must be nonempty, lie in
-    0..n-1 and induce at most d >= 1 components.  A vertex out of range is
-    named by its position in the member as given.
+    `graph` is the host, a `Graph` (a `HostTree` for a d-tree family), and
+    each member is any collection of its vertices: it must be nonempty, lie
+    in 0..n-1 and induce at most d >= 1 components.  A vertex out of range
+    is named by its position in the member as given.
     """
     if d < 1:
         raise ValueError(f"d: must be positive, got {d}")

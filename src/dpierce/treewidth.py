@@ -9,7 +9,9 @@ the bag size k+1.
 A `TwInstance` validates its decomposition when it is built, so no
 `TW_TAU` check runs over an invalid one, and checks its subgraphs with the
 function that checks a `SubforestFamily`'s members: both are frozensets of
-host vertices inducing at most d components.  `lift_family` takes a bare
+host vertices inducing at most d components.  The graph and the
+decomposition tree are both `model.Graph`s (the tree a `HostTree`); this
+module defines no graph class of its own.  `lift_family` takes a bare
 graph and decomposition and validates them itself.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import HostTree, SubforestFamily, _checked_subgraphs, connected_components
+from .model import Graph, HostTree, SubforestFamily, _checked_subgraphs, connected_components
 
 
 class InvalidDecomposition(ValueError):
@@ -26,33 +28,6 @@ class InvalidDecomposition(ValueError):
 
 class NotACover(ValueError):
     """The supplied bag set does not cover the lifted family."""
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph on vertices 0..n-1 (not necessarily connected)."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
-        )
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range 0..{self.n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 @dataclass(frozen=True)

@@ -342,17 +342,27 @@ _TW = _as_tw(_TREES, 1)
         (BoundKind.TREE_PQ_TAU, None, None, _TREES, _INTERVALS),
         (BoundKind.TW_TAU, None, 1, _TW, None),
         (BoundKind.TW_TAU, PQParameters(2, 2), None, _TREES, None),
+        (BoundKind.TW_TAU, None, None, _INTERVALS, None),
+        (BoundKind.TW_TAU, None, None, _TREES, None),
     ],
 )
 def test_bad_params_are_checked_after_the_family_class(kind, params, k, family, other_class):
     # k is the width the family carries: a family with no decomposition has
     # none, and TW_TAU cannot be evaluated on it
     assert bounds._d_and_k(family) == (family.d, k)
+    if kind is BoundKind.TW_TAU and k is None:
+        # a family without a width is the wrong class for TW_TAU: it is
+        # inapplicable, with or without parameters
+        (report,) = verify_bundle(family, [kind], params=params)
+        got = "tree" if family is _TREES else "interval"
+        assert not report.applicable and report.satisfied is None and report.k is None
+        assert report.reason == f"TW_TAU applies to tree-width families, got {got}"
+        return
     # the right family class with bad or missing parameters is a caller error
     with pytest.raises(BadParams):
         verify_bundle(family, [kind], params=params)
     if other_class is None:
-        return  # TW_TAU takes every family class
+        return  # _TW is the only family with a width
     # the same call on the wrong family class is inapplicable, and raises nothing
     (report,) = verify_bundle(other_class, [kind], params=params)
     needed = "tree" if family is _TREES else "interval"
@@ -459,6 +469,31 @@ def test_heavy_vertex_errors():
         heavy_vertex(host, subtrees, 2, [(0, 0)])  # not p distinct members
     with pytest.raises(ValueError):
         heavy_vertex(host, [{0, 1}, {2}], 2, [(0, 1)])  # subset does not intersect
+
+
+@pytest.mark.parametrize(
+    "subtrees, message",
+    [
+        ([{0, 1}, set()], "subgraphs[1]: subgraph must be nonempty"),
+        ([{0, 1}, [0, 7]], "subgraphs[1][1]: vertex 7 outside graph 0..3"),
+        ([{0, 1}, {1, 2}], "subgraphs[1]: induces 2 components > d=1"),
+    ],
+    ids=["empty", "out-of-range", "disconnected"],
+)
+def test_heavy_vertex_checks_subtrees_like_a_family(subtrees, message):
+    # the subtrees are the members of a 1-tree family over the host, and fail alike
+    host = star_host(3)
+    with pytest.raises(ValueError) as exc:
+        heavy_vertex(host, subtrees, 2, [(0, 1)])
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as family_error:
+        SubforestFamily(host, 1, subtrees)
+    assert str(family_error.value) == message
+    # p is checked first, and an empty family is its own error
+    with pytest.raises(BadParams):
+        heavy_vertex(host, subtrees, 1, [(0,)])
+    with pytest.raises(EmptySubfamily):
+        heavy_vertex(host, [], 2, [(0, 1)])
 
 
 # ---------------------------------------------------------------------------

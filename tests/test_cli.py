@@ -151,11 +151,45 @@ def test_verify_reads_k_from_the_file(tmp_path, capsys):
     run(capsys, "gen", "--kind", "tw", "--width", "2", "-o", str(inst))
     code, out, _ = run(capsys, "verify", str(inst), "--kind", "TW_TAU", "--p", "6", "--q", "2")
     assert code == 0 and json.loads(out)["k"] == 2
-    # argparse reads --k as an abbreviation of --kind, so 9 is refused as a kind
+    # no long option is abbreviated, so --k is no prefix of --kind but an unknown flag
     with pytest.raises(SystemExit) as exc:
         main(["verify", str(inst), "--kind", "TW_TAU", "--p", "6", "--q", "2", "--k", "9"])
     assert exc.value.code == 2
-    assert "argument --kind: invalid choice: '9'" in capsys.readouterr().err
+    assert "unrecognized arguments: --k 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "FILE", "--kin", "DPQ_TAU"], "the following arguments are required: --kind"),
+        (["gen", "--kind", "projective", "--se", "3"], "unrecognized arguments: --se 3"),
+    ],
+    ids=["verify-kin", "gen-se"],
+)
+def test_long_options_must_be_spelled_out(tmp_path, capsys, argv, message):
+    inst = tmp_path / "fam.json"
+    run(capsys, "gen", "--kind", "random-intervals", "-o", str(inst))
+    with pytest.raises(SystemExit) as exc:
+        main([str(inst) if arg == "FILE" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, pq, got",
+    [("planted-trees", ["--p", "3", "--q", "2"], "tree"), ("random-intervals", [], "interval")],
+    ids=["trees", "intervals-without-p"],
+)
+def test_verify_tw_tau_without_a_width_is_inapplicable(tmp_path, capsys, kind, pq, got):
+    # only a tw_graph file has a width: TW_TAU is inapplicable on the others,
+    # decided before its parameters are read
+    inst = tmp_path / "fam.json"
+    run(capsys, "gen", "--kind", kind, *pq, "-o", str(inst))
+    code, out, err = run(capsys, "verify", str(inst), "--kind", "TW_TAU", *pq)
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert doc["applicable"] is False and doc["satisfied"] is None and doc["k"] is None
+    assert doc["reason"] == f"TW_TAU applies to tree-width families, got {got}"
 
 
 def test_invalid_input_exits_2(tmp_path, capsys):

@@ -44,6 +44,19 @@ def test_tw_roundtrip():
     assert dumps_instance(loaded) == dumps_instance(tw)
 
 
+def test_tw_edges_keep_the_order_of_the_file():
+    # graph.edges and bag_tree are both read as given, unsorted, so the file
+    # writes back byte for byte
+    text = (
+        '{"bag_tree":[[1,2],[0,1]],"bags":[[2,3],[1,2],[0,1]],"d":1,'
+        '"graph":{"edges":[[2,3],[1,2],[0,1]],"n":4},"k":1,'
+        '"subgraphs":[[0,1]],"type":"tw_graph"}\n'
+    )
+    tw = loads_instance(text)
+    assert tw.graph.edges == ((2, 3), (1, 2), (0, 1))
+    assert dumps_instance(tw) == text
+
+
 # every generator, each family built at a few seeds; tw at d=3, where the
 # components of its subgraphs often stay below d
 ROUNDTRIP_CASES = {
@@ -126,6 +139,34 @@ def test_tree_member_errors_name_their_path(d, subgraphs, message):
     doc = {"type": "tree_subgraphs", "d": d, "tree": {"n": 3, "edges": [[0, 1], [1, 2]]}}
     with pytest.raises(InstanceFormatError, match=message):
         from_json_dict(dict(doc, subgraphs=subgraphs))
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (0, [], "graph needs at least one vertex, got n=0"),
+        (3, [[0, 5], [1, 2]], "edge (0,5) out of range 0..2"),
+        (3, [[1, 1], [1, 2]], "self-loop at vertex 1"),
+    ],
+    ids=["n=0", "out-of-range", "self-loop"],
+)
+def test_tree_and_graph_objects_fail_alike(n, edges, message):
+    # a tree file's host and a tw file's graph are one {n, edges} object,
+    # read by one reader: only the prefix differs
+    raw = {"n": n, "edges": edges}
+    tree_doc = {"type": "tree_subgraphs", "d": 1, "tree": raw, "subgraphs": [[0]]}
+    tw_doc = {
+        "type": "tw_graph", "d": 1, "k": 0, "graph": raw,
+        "bags": [[0]], "bag_tree": [], "subgraphs": [[0]],
+    }
+    for key, doc in (("tree", tree_doc), ("graph", tw_doc)):
+        with pytest.raises(InstanceFormatError) as exc:
+            from_json_dict(doc)
+        assert str(exc.value) == f"{key}: {message}"
+    with pytest.raises(InstanceFormatError, match=r"^graph\.n: expected an integer$"):
+        from_json_dict(dict(tw_doc, graph={"edges": []}))
+    with pytest.raises(InstanceFormatError, match=r"^tree\.edges\[0\]: expected a pair"):
+        from_json_dict(dict(tree_doc, tree={"n": 2, "edges": [[0]]}))
 
 
 def test_tw_errors():

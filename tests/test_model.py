@@ -26,7 +26,6 @@ from dpierce import (
     depth,
     endpoint_witnesses,
     general_position_violations,
-    induced_components,
     projective_incidence,
     projective_instance,
     repair_general_position,
@@ -34,6 +33,7 @@ from dpierce import (
     to_incidence,
 )
 from dpierce.generators import GenConfig, random_d_intervals
+from dpierce.model import connected_components
 
 from helpers import (
     brute_nu_continuous,
@@ -214,15 +214,15 @@ def path_tree(n: int) -> HostTree:
     return HostTree(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
 
 
-def test_induced_components_examples():
-    path = path_tree(4)
-    assert induced_components(path, {0, 1, 3}) == [frozenset({0, 1}), frozenset({3})]
-    star = HostTree(n=3, edges=((0, 1), (0, 2)))
-    assert induced_components(star, {1, 2}) == [frozenset({1}), frozenset({2})]
-    assert induced_components(path, set(range(4))) == [frozenset(range(4))]
+def test_connected_components_examples():
+    path = path_tree(4).adjacency()
+    assert connected_components(path, {0, 1, 3}) == [frozenset({0, 1}), frozenset({3})]
+    star = HostTree(n=3, edges=((0, 1), (0, 2))).adjacency()
+    assert connected_components(star, {1, 2}) == [frozenset({1}), frozenset({2})]
+    assert connected_components(path, set(range(4))) == [frozenset(range(4))]
 
 
-def test_induced_components_partition_properties():
+def test_connected_components_partition_properties():
     import random
 
     rng = random.Random(7)
@@ -231,7 +231,7 @@ def test_induced_components_partition_properties():
         host = HostTree(n=n, edges=tuple((rng.randrange(i), i) for i in range(1, n)))
         adj = host.adjacency()
         vertices = set(rng.sample(range(n), rng.randint(1, n)))
-        comps = induced_components(host, vertices)
+        comps = connected_components(adj, vertices)
         assert set().union(*comps) == vertices
         for a, b in itertools.combinations(comps, 2):
             assert not (a & b)
@@ -254,6 +254,40 @@ def test_host_tree_validation():
         HostTree(n=3, edges=((0, 1), (0, 1)))  # duplicate edge, disconnected
     with pytest.raises(ValueError):
         HostTree(n=2, edges=((0, 2),))  # out of range
+
+
+@pytest.mark.parametrize(
+    "n, edges, message, graph_too",
+    [
+        (0, (), "graph needs at least one vertex, got n=0", True),
+        (2, ((0, 2),), "edge (0,2) out of range 0..1", True),
+        (2, ((1, 1),), "self-loop at vertex 1", True),
+        (3, ((0, 1),), "tree on 3 vertices needs 2 edges, got 1", False),
+        (4, ((0, 1), (1, 0), (2, 3)), "edge list is not connected", False),
+    ],
+    ids=["n=0", "out-of-range", "self-loop", "n-1-edges", "not-connected"],
+)
+def test_graph_and_host_tree_fail_alike(n, edges, message, graph_too):
+    # a host tree is a Graph that is a tree: the graph checks are shared, word
+    # for word, and only the tree adds its edge count and connectivity
+    with pytest.raises(ValueError) as tree_error:
+        HostTree(n, edges)
+    assert str(tree_error.value) == message
+    if graph_too:
+        with pytest.raises(ValueError) as graph_error:
+            Graph(n, edges)
+        assert str(graph_error.value) == message
+    else:
+        assert Graph(n, edges).n == n
+
+
+def test_graph_edges_keep_their_order():
+    # each edge is stored (min, max), in the order given, for a tree as for a graph
+    for cls in (Graph, HostTree):
+        assert cls(3, ((2, 1), (0, 1))).edges == ((1, 2), (0, 1))
+    assert isinstance(HostTree(1, ()), Graph)
+    # so the same edges in another order make another graph
+    assert Graph(3, ((1, 2), (0, 1))) != Graph(3, ((0, 1), (1, 2)))
 
 
 def test_subforest_family_validation():
