@@ -1,9 +1,10 @@
 """Exact nu, tau, tau* on small instances, with every answer certified.
 
 The integral solvers are branch-and-bound with LP pruning; the fractional
-solver is an exact rational simplex that returns both LP sides and checks
-them against each other (strong duality as a runtime certificate).  The
-naive oracle re-derives the integral answers by plain enumeration.
+solver returns both LP sides and checks them against each other (strong
+duality as a runtime certificate), from uniform weights or the greedy
+sandwich where those pass the check, else from an exact rational simplex.
+The naive oracle re-derives the integral answers by plain enumeration.
 """
 
 from dpierce import (

@@ -236,8 +236,10 @@ def _exact_to_mpf(x: Fraction) -> mpf:
 def solve_measures(instance: HypergraphInstance):
     """(nu result, tau result, fractional cover, r).
 
-    Every LP is solved once per instance: the root LP `fractional_pair`
-    solves is the root bound of both branch-and-bounds.
+    Every LP is solved at most once per instance: the certified root pair
+    that `fractional_pair` reads is the root bound of both
+    branch-and-bounds, and the root LP is not solved at all where uniform
+    weights or the greedy sandwich certify tau*.
     """
     cover_sol, _ = fractional_pair(instance)
     nu_res = matching_number(instance)

@@ -4,7 +4,8 @@ Subcommands: gen, solve, check-pq, verify, campaign, sharpness.  All
 instance I/O uses the JSON formats of `instance_io`.  Exit codes: 0 on
 success, 1 when a checked bound or property is violated, 2 on invalid
 input.  Long options are taken only as spelled out: a prefix such as
-`--k` for `--kind` is an unrecognized argument.
+`--k` for `--kind` is an unrecognized argument, and it is named as one
+even when the option it stands for is required and so missing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .bounds import BoundKind, sharpness_probe, solve_measures, verify_instance
 from .campaign import _instances, run_campaign_file
@@ -122,8 +124,56 @@ def _cmd_sharpness(args) -> int:
     return 0
 
 
+@contextmanager
+def _required_as(actions, value: bool):
+    """Set `required` of each action to `value` for the block, then restore it."""
+    old = [a.required for a in actions]
+    for action in actions:
+        action.required = value
+    try:
+        yield
+    finally:
+        for action, was in zip(actions, old):
+            action.required = was
+
+
+class _Parser(argparse.ArgumentParser):
+    """Names unrecognized arguments before missing required options.
+
+    argparse checks required options before it looks at what is left over,
+    so a mistyped required flag (`--kin` for `--kind`) would be named only
+    as missing.  Here the required options are optional while the arguments
+    are read and are checked after the leftovers; usage and help, printed
+    on an error or for `-h` while the arguments are read, still show them
+    as required.
+    """
+
+    _relaxed = ()  # the required options, optional while the arguments are read
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._relaxed = [a for a in self._actions if a.required and a.option_strings]
+        with _required_as(self._relaxed, False):
+            namespace, extras = super().parse_known_args(args, namespace)
+        missing = [
+            "/".join(a.option_strings) for a in self._relaxed if getattr(namespace, a.dest) is None
+        ]
+        if missing:
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        return namespace, extras
+
+    def format_usage(self):
+        with _required_as(self._relaxed, True):
+            return super().format_usage()
+
+    def format_help(self):
+        with _required_as(self._relaxed, True):
+            return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpierce",
         description="Exact piercing toolkit for d-interval and d-tree families",
         allow_abbrev=False,

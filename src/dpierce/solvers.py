@@ -3,14 +3,17 @@
 All solvers consume a `HypergraphInstance`.  Integral solvers are
 branch-and-bound with deterministic tie-breaks (reproducible node counts),
 each started from the better of a plain greedy and a greedy guided by the
-root LP, which the root solves anyway; where tau* has no integrality gap
+root LP, which the root reads anyway; where tau* has no integrality gap
 that incumbent is optimal and the search closes at its root.  The
-fractional solver is an exact LP whose primal and dual sides certify
-each other.  Every incidence LP (tau* and each node bound of the
-branch-and-bounds) is solved on its dominance kernel: a point whose set of
-edges is contained in another point's adds only a redundant row, so it is
-left out, and the optimum is unchanged.  `fractional_pair` then certifies
-its weights on every point and edge of the original instance.
+fractional solver returns an optimal LP pair whose primal and dual sides
+certify each other.  `_root_lp` is the only reader of the whole-instance
+LP: it offers uniform weights, then the greedy sandwich, to the
+certificate on every point and edge of the original instance, and runs
+the simplex only when neither passes.  Every incidence LP the simplex
+solves (tau* and each node bound of the branch-and-bounds) is solved on
+its dominance kernel: a point whose set of edges is contained in another
+point's adds only a redundant row, so it is left out, and the optimum is
+unchanged.
 `pq_check` decides the (p,q) property by a depth-first search for p
 distinct edges that load no point q times, the shape of a counterexample;
 it reads the distinct edges' point bitmasks from the solve context below.
@@ -23,10 +26,11 @@ edge are never disjoint and never enrich a p-subset); max_depth counts
 every copy.  The solvers share one solve context per instance (`_context`):
 the distinct edges, the point->edge bitmasks that the LP kernel and both
 branch-and-bounds read, and every LP solved, by column mask, so that no
-mask's LP is solved twice and the root LP of `fractional_pair` is the root
-bound and the incumbent guide of both searches.  LP solutions stay integer
-numerators over one denominator inside this module; `fractional_pair`
-builds the only Fractions, for the value and weights it returns.
+mask's LP is solved twice and the certified root pair of `_root_lp` is
+the root bound and the incumbent guide of both searches.  LP solutions
+stay integer numerators over one denominator inside this module;
+`fractional_pair` builds the only Fractions, for the value and weights it
+returns.
 """
 
 from __future__ import annotations
@@ -102,8 +106,11 @@ class _SolveContext:
     and point mask `masks[j]`.  `point_masks`: {point: bit j for each
     distinct edge j through it}, keys in increasing id, and `conflicts[j]`:
     the bits of the distinct edges meeting edge j, j included; both are
-    built on first use.  `by_cols`: `_incidence_lp`'s answer for each
-    column mask.
+    built on first use.  `plain_matching` and `plain_cover`: the greedies
+    that start both searches and make the root sandwich, built on first use.
+    `by_cols`: `_incidence_lp`'s answer for each column mask; `root`: the
+    certified answer of `_root_lp`, also kept in `by_cols` under the full
+    mask.
     """
 
     def __init__(self, instance: HypergraphInstance):
@@ -113,6 +120,7 @@ class _SolveContext:
         self.masks = list(firsts)
         self.firsts = list(firsts.values())
         self.by_cols: dict[int, tuple[list[int], LPSolution]] = {}
+        self.root: tuple[list[int], LPSolution] | None = None
         self._sets = instance.edges
 
     @cached_property
@@ -134,6 +142,16 @@ class _SolveContext:
                 mask |= member[pt]
             conflicts.append(mask)
         return conflicts
+
+    @cached_property
+    def plain_matching(self) -> list[int]:
+        """The first-fit matching in index order; shared, so never changed in place."""
+        return _greedy_matching(self, range(len(self.masks)))
+
+    @cached_property
+    def plain_cover(self) -> list[int]:
+        """The unweighted greedy cover over all points; shared, so never changed in place."""
+        return _greedy_cover(self, dict.fromkeys(self.point_masks, 0))
 
 
 def _context(instance: HypergraphInstance) -> _SolveContext:
@@ -180,6 +198,97 @@ def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]
     return hit
 
 
+def _root_lp(ctx: _SolveContext) -> tuple[list[int], LPSolution]:
+    """(points, solution) of the whole instance's tau* LP, certified.
+
+    The only reader of the root LP.  Its sources are tried in order, and
+    the first whose pair passes `_certificate_problem` is kept: uniform
+    weights, then the greedy sandwich, then the simplex on the kernel
+    (`_incidence_lp` of every distinct edge).  A candidate that fails falls
+    through to the next source and is never reported; a simplex answer that
+    fails raises.  The pair is kept in `ctx.by_cols` under the full mask, so
+    the root node of each search reads it.
+    """
+    if ctx.root is not None:
+        return ctx.root
+    full = (1 << len(ctx.masks)) - 1
+    for source in (_uniform_pair, _sandwich_pair):
+        pair = source(ctx)
+        if pair is not None and _certificate_problem(ctx, *pair) is None:
+            break
+    else:
+        pair = _incidence_lp(ctx, full)
+        problem = _certificate_problem(ctx, *pair)
+        if problem is not None:
+            raise RuntimeError(problem)
+    ctx.root = ctx.by_cols[full] = pair
+    return pair
+
+
+def _uniform_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
+    """Weight 1/r on every edge and 1/s on every point, if the instance allows.
+
+    It does when every distinct edge has s points and every point lies on r
+    distinct edges (every PG(k,q) does).  Then each edge is covered and each
+    point loaded exactly 1, and both sides sum to N*s = P*r over D = r*s, N
+    edges and P points, by double counting the incidences.
+    """
+    sizes = {m.bit_count() for m in ctx.masks}
+    degrees = {m.bit_count() for m in ctx.point_masks.values()}
+    if len(sizes) != 1 or len(degrees) != 1:
+        return None
+    (s,), (r,) = sizes, degrees
+    n, points = len(ctx.masks), list(ctx.point_masks)
+    return points, LPSolution(r * s, n * s, (s,) * n, (r,) * len(points), 0)
+
+
+def _sandwich_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
+    """Weight 1 on the plain greedy matching and cover, if they have equal size.
+
+    A matching M and a cover C with |M| = |C| give nu = tau* = tau = |M|
+    by weak duality, so both are optimal, over D = 1.
+    """
+    matching, cover = ctx.plain_matching, ctx.plain_cover
+    if len(matching) != len(cover):
+        return None
+    chosen = set(matching)
+    primal = tuple(int(j in chosen) for j in range(len(ctx.masks)))
+    return sorted(cover), LPSolution(1, len(cover), primal, (1,) * len(cover), 0)
+
+
+def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution) -> str | None:
+    """Why `sol` is not an optimal tau* pair of the whole instance, or None.
+
+    `sol.primal` weighs the distinct edges and `sol.dual` the `points`, as
+    integer numerators over `sol.den`.  Non-negativity and feasibility of
+    both on every edge and point of the instance (every edge covered, no
+    point of any edge overloaded), not only on the kernel rows, and
+    equality of their values are checked on those integers (strong duality
+    as an executable certificate): each check is the rational one
+    multiplied through by D.
+    """
+    D = sol.den
+    if D <= 0:
+        return f"LP denominator {D} is not positive"
+    packing = {ctx.firsts[j]: w for j, w in enumerate(sol.primal) if w}
+    cover = {points[i]: w for i, w in enumerate(sol.dual) if w}
+    if any(w < 0 for w in cover.values()) or any(w < 0 for w in packing.values()):
+        return "fractional solution has a negative weight"
+    edges = ctx._sets
+    for i in ctx.firsts:
+        if sum(cover.get(pt, 0) for pt in edges[i]) < D:
+            return "fractional cover misses an edge constraint"
+    load: dict[int, int] = {}
+    for i, w in packing.items():
+        for pt in edges[i]:
+            load[pt] = load.get(pt, 0) + w
+    if any(v > D for v in load.values()):
+        return "fractional matching overloads a point"
+    if not (sum(cover.values()) == sum(packing.values()) == sol.value):
+        return "LP duality certificate failed"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # integral solvers
 # ---------------------------------------------------------------------------
@@ -189,8 +298,9 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
 
     Branch and bound from the smaller of two greedy covers: one over all
     points and, unless it meets the root's disjoint-edge packing bound or
-    the ceiling of the root LP (the LP the root solves unless the packing
-    bound closes it), one over the support of that LP's fractional cover.
+    the ceiling of the root LP (`_root_lp`, which the root reads unless the
+    packing bound closes it), one over the support of that LP's fractional
+    cover.
     Lower bounds are a disjoint-edge packing and then the exact fractional
     optimum; the search branches on an uncovered edge with fewest points,
     all ties to lowest id.
@@ -199,9 +309,9 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
     if not ctx.masks:
         return SolveResult(0, frozenset(), 0)
     full = (1 << len(ctx.masks)) - 1
-    best = _greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
+    best = ctx.plain_cover
     if len(best) > _packing_bound(ctx.masks, full):
-        sol = _incidence_lp(ctx, full)[1]
+        sol = _root_lp(ctx)[1]
         if len(best) > -(-sol.value // sol.den):
             lp = _lp_cover(ctx)
             if len(lp) < len(best):
@@ -233,7 +343,7 @@ def _lp_cover(ctx: _SolveContext) -> list[int]:
     column j; its weights break the greedy's ties (their numerators share a
     positive denominator, so they order the same).
     """
-    points, sol = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
+    points, sol = _root_lp(ctx)
     return _greedy_cover(ctx, {pt: y for pt, y in zip(points, sol.dual) if y})
 
 
@@ -293,19 +403,18 @@ def matching_number(instance: HypergraphInstance) -> SolveResult:
 
     Branch and bound from the larger of two greedy matchings: first fit in
     index order and, unless that takes every edge or meets the floor of the
-    root LP (the LP the root then solves), first fit in decreasing weight
-    of that LP's fractional matching.  The search branches on a point of
-    highest degree among the still-available edges (take one of its edges,
-    or none).
+    root LP (`_root_lp`, which the root then reads), first fit in
+    decreasing weight of that LP's fractional matching.  The search
+    branches on a point of highest degree among the still-available edges
+    (take one of its edges, or none).
     """
     ctx = _context(instance)
     n = len(ctx.masks)
     if not n:
         return SolveResult(0, frozenset(), 0)
-    full = (1 << n) - 1
-    best = _greedy_matching(ctx, range(n))
+    best = ctx.plain_matching
     if len(best) < n:
-        sol = _incidence_lp(ctx, full)[1]
+        sol = _root_lp(ctx)[1]
         if len(best) < sol.value // sol.den:
             lp = _lp_matching(ctx)
             if len(lp) > len(best):
@@ -331,7 +440,7 @@ def _lp_matching(ctx: _SolveContext) -> list[int]:
     The weights are read as their numerators over the LP's positive
     denominator, which order the same.
     """
-    x = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)[1].primal
+    x = _root_lp(ctx)[1].primal
     support = [j for j, w in enumerate(x) if w]
     # a stable sort keeps equal weights in index order; the edges of weight 0
     # then follow in index order (a support edge met again is no longer free)
@@ -391,46 +500,29 @@ def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> Solv
 def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, FractionalSolution]:
     """Exact optimal fractional cover and fractional matching.
 
-    One simplex run on the kernel LP yields the matching side as the primal
-    and the cover side as the dual, as integer numerators over one positive
-    denominator D.  Non-negativity and feasibility of both on the whole
-    instance (every edge covered, no point of any edge overloaded) and
-    equality of their values are re-verified on those integers (strong
-    duality as an executable certificate); cover weights sit on kernel
-    points only.  Only the value and the nonzero weights returned become
-    Fractions.
+    Both come from `_root_lp`: the matching side as the primal and the cover
+    side as the dual, as integer numerators over one positive denominator
+    D, from uniform weights, the greedy sandwich or a simplex run on the
+    kernel LP, whichever comes first to pass the certificate on the whole
+    instance.  So the weights are one optimal pair, not always a vertex of
+    the kernel LP: uniform cover weights sit on every point, and sandwich
+    ones on the greedy cover.  Only the value and the nonzero weights
+    returned become Fractions.
     """
     ctx = _context(instance)
     if not ctx.masks:
         zero = Fraction(0)
         return FractionalSolution(zero, {}), FractionalSolution(zero, {})
-    points, sol = _incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
+    points, sol = _root_lp(ctx)
     D = sol.den
-    packing = {ctx.firsts[j]: w for j, w in enumerate(sol.primal) if w}
-    cover = {points[i]: w for i, w in enumerate(sol.dual) if w}
-
-    # certified on the whole instance, not only on the kernel rows: each
-    # check is the rational one multiplied through by D
-    if D <= 0:
-        raise RuntimeError(f"LP denominator {D} is not positive")
-    if any(w < 0 for w in cover.values()) or any(w < 0 for w in packing.values()):
-        raise RuntimeError("fractional solution has a negative weight")
-    for i in ctx.firsts:
-        if sum(w for pt, w in cover.items() if pt in instance.edges[i]) < D:
-            raise RuntimeError("fractional cover misses an edge constraint")
-    load: dict[int, int] = {}
-    for i, w in packing.items():
-        for pt in instance.edges[i]:
-            load[pt] = load.get(pt, 0) + w
-    if any(v > D for v in load.values()):
-        raise RuntimeError("fractional matching overloads a point")
-    if not (sum(cover.values()) == sum(packing.values()) == sol.value):
-        raise RuntimeError("LP duality certificate failed")
-
     value = Fraction(sol.value, D)
     return (
-        FractionalSolution(value, {pt: Fraction(w, D) for pt, w in cover.items()}),
-        FractionalSolution(value, {i: Fraction(w, D) for i, w in packing.items()}),
+        FractionalSolution(
+            value, {points[i]: Fraction(w, D) for i, w in enumerate(sol.dual) if w}
+        ),
+        FractionalSolution(
+            value, {ctx.firsts[j]: Fraction(w, D) for j, w in enumerate(sol.primal) if w}
+        ),
     )
 
 

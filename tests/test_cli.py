@@ -161,7 +161,7 @@ def test_verify_reads_k_from_the_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "FILE", "--kin", "DPQ_TAU"], "the following arguments are required: --kind"),
+        (["verify", "FILE", "--kin", "DPQ_TAU"], "unrecognized arguments: --kin DPQ_TAU"),
         (["gen", "--kind", "projective", "--se", "3"], "unrecognized arguments: --se 3"),
     ],
     ids=["verify-kin", "gen-se"],
@@ -173,6 +173,33 @@ def test_long_options_must_be_spelled_out(tmp_path, capsys, argv, message):
         main([str(inst) if arg == "FILE" else arg for arg in argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--kin", "projective"], "unrecognized arguments: --kin projective"),
+        (["check-pq", "FILE", "--pp", "3", "--q", "2"], "unrecognized arguments: --pp 3"),
+        (["check-pq", "FILE", "--p", "3", "--qq", "2"], "unrecognized arguments: --qq 2"),
+        (["verify", "FILE", "--kinds", "DPQ_TAU"], "unrecognized arguments: --kinds DPQ_TAU"),
+        (["campaign", "--conf", "c.json"], "unrecognized arguments: --conf c.json"),
+        (["sharpness", "--dimension", "2", "--primes", "2"],
+         "unrecognized arguments: --dimension 2"),
+        (["sharpness", "--dim", "2", "--prime", "2"], "unrecognized arguments: --prime 2"),
+        # with nothing left over, a missing option is still named as one
+        (["check-pq", "FILE"], "the following arguments are required: --p, --q"),
+        (["sharpness", "--primes", "2"], "the following arguments are required: --dim"),
+    ],
+)
+def test_a_mistyped_required_option_is_named_unrecognized(tmp_path, capsys, argv, message):
+    inst = tmp_path / "fam.json"
+    run(capsys, "gen", "--kind", "random-intervals", "-o", str(inst))
+    with pytest.raises(SystemExit) as exc:
+        main([str(inst) if arg == "FILE" else arg for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert ("required" in message) == ("required" in err)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from dpierce import (
     verify_cover,
     verify_matching,
 )
-from dpierce.bounds import solve_measures, verify_bundle
+from dpierce.bounds import sharpness_probe, solve_measures, verify_bundle
 from dpierce.generators import (
     GenConfig,
     planted_pq_family,
@@ -123,7 +124,36 @@ def _root_lp(instance):
     return A, (1,) * len(points), (1,) * len(edge_sets)
 
 
+def _uniform_and_regular(instance):
+    """Every distinct edge has one size and every point lies on one number of them."""
+    edge_sets = list(dict.fromkeys(instance.edges))
+    points = set().union(*edge_sets)
+    sizes = {len(e) for e in edge_sets}
+    degrees = {sum(pt in e for e in edge_sets) for pt in points}
+    return len(sizes) == len(degrees) == 1
+
+
+def _greedies_meet(instance):
+    """First-fit matching in index order and the most-uncovered-edges greedy
+    cover (ties to the lowest point) have equal size, by plain sets."""
+    edge_sets = list(dict.fromkeys(instance.edges))
+    taken, matching = set(), 0
+    for e in edge_sets:
+        if not e & taken:
+            taken |= e
+            matching += 1
+    points = sorted(set().union(*edge_sets))
+    uncovered, cover = edge_sets, 0
+    while uncovered:
+        pt = max(points, key=lambda p: sum(p in e for e in uncovered))
+        uncovered = [e for e in uncovered if pt not in e]
+        cover += 1
+    return matching == cover
+
+
 def test_solve_measures_solves_root_lp_once(monkeypatch):
+    # at most once: never where uniform weights or the greedy sandwich
+    # settle tau*, once where neither does
     real = solvers.solve_lp_max
     solved = []
 
@@ -132,12 +162,16 @@ def test_solve_measures_solves_root_lp_once(monkeypatch):
         return real(A, b, c)
 
     monkeypatch.setattr(solvers, "solve_lp_max", recording)
+    settled = 0
     for instance in _root_families():
         solved.clear()
         solve_measures(instance)
-        assert solved.count(_root_lp(instance)) == 1
+        candidate = _uniform_and_regular(instance) or _greedies_meet(instance)
+        assert solved.count(_root_lp(instance)) == (0 if candidate else 1)
+        settled += candidate
         # no LP, root or node, is solved twice for one instance
         assert len(set(solved)) == len(solved)
+    assert 0 < settled < 36
 
 
 def _fresh(instance):
@@ -346,25 +380,30 @@ def test_kernel_keeps_every_point_of_pg23():
     assert Fraction(sol.value, sol.den) == Fraction(13, 4)
 
 
-@pytest.mark.parametrize(
-    "value, primal, dual, reason",
-    [
-        # a negative matching weight, with every sum and value in order
-        (3, (2, -1, 2), (1, 2), "negative weight"),
-        (2, (1, 0, 1), (2, 0), "misses an edge"),  # nothing on edge {1}
-        (2, (1, 1, 0), (1, 1), "overloads a point"),  # point 0 carries 2
-        (3, (1, 0, 1), (1, 1), "duality"),  # both sides sum to 2, not 3
-    ],
-)
+# edges {0,1}, {0}, {1}: tau* = 2, points 0 and 1 both in the kernel, and
+# neither candidate settles it (the sizes differ, and first fit takes only
+# {0,1} while the greedy cover takes two points), so the simplex runs
+UNSETTLED = ({0, 1}, {0}, {1})
+
+# forged (value, primal, dual) over D = 1 on UNSETTLED, each caught by one check
+FORGED = [
+    # a negative matching weight, with every sum and value in order
+    (3, (-1, 2, 2), (1, 2), "negative weight"),
+    (2, (0, 1, 1), (2, 0), "misses an edge"),  # nothing on edge {1}
+    (2, (1, 1, 0), (1, 1), "overloads a point"),  # point 0 carries 2
+    (3, (0, 1, 1), (1, 1), "duality"),  # both sides sum to 2, not 3
+]
+
+
+@pytest.mark.parametrize("value, primal, dual, reason", FORGED)
 def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, dual, reason):
     def forged(A, b, c):
         return LPSolution(1, value, primal, dual, 0)
 
     monkeypatch.setattr(solvers, "solve_lp_max", forged)
-    # edges {0}, {0,1}, {1}: tau* = 2, points 0 and 1 both in the kernel.  A
-    # fresh instance per case, so that each case's forged solution is solved
+    # a fresh instance per case, so that each case's forged solution is solved
     with pytest.raises(RuntimeError, match=reason):
-        fractional_pair(inst({0}, {0, 1}, {1}))
+        fractional_pair(inst(*UNSETTLED))
 
 
 @pytest.mark.parametrize("den", [0, -1])
@@ -375,7 +414,75 @@ def test_fractional_pair_rejects_a_denominator_below_one(monkeypatch, den):
 
     monkeypatch.setattr(solvers, "solve_lp_max", forged)
     with pytest.raises(RuntimeError, match="denominator"):
-        fractional_pair(inst({0}, {0, 1}, {1}))
+        fractional_pair(inst(*UNSETTLED))
+
+
+def _candidate_families():
+    yield from _root_families()
+    yield from _kernel_families()
+    for k, q in ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)):
+        yield projective_instance(ProjectiveParams(k, q)).instance
+
+
+def test_candidates_agree_with_the_simplex():
+    # every candidate a source offers passes the certificate and has the
+    # value of the kernel LP, solved on a fresh context
+    offered = {solvers._uniform_pair: 0, solvers._sandwich_pair: 0}
+    for instance in _candidate_families():
+        ctx = solvers._context(_fresh(instance))
+        for source in offered:
+            pair = source(ctx)
+            if pair is None:
+                continue
+            offered[source] += 1
+            assert solvers._certificate_problem(ctx, *pair) is None
+            sol = pair[1]
+            fresh = solvers._context(_fresh(instance))
+            lp = solvers._incidence_lp(fresh, (1 << len(fresh.masks)) - 1)[1]
+            assert Fraction(sol.value, sol.den) == Fraction(lp.value, lp.den)
+    assert min(offered.values()) > 5
+
+
+@pytest.mark.parametrize("source", ["_uniform_pair", "_sandwich_pair"])
+@pytest.mark.parametrize(
+    "forged, reason",
+    [(LPSolution(1, value, primal, dual, 0), reason) for value, primal, dual, reason in FORGED]
+    + [(LPSolution(den, 0, (0, 0, 0), (0, 0), 0), "denominator") for den in (0, -1)],
+)
+def test_a_forged_candidate_falls_through_to_the_simplex(monkeypatch, source, forged, reason):
+    real = solvers.solve_lp_max
+    solved = []
+
+    def recording(A, b, c):
+        solved.append(A)
+        return real(A, b, c)
+
+    monkeypatch.setattr(solvers, "solve_lp_max", recording)
+    offered = []
+
+    def forging(ctx):
+        offered.append(ctx)
+        return [0, 1], forged
+
+    monkeypatch.setattr(solvers, source, forging)
+    instance = inst(*UNSETTLED)
+    ctx = solvers._context(instance)
+    assert re.search(reason, solvers._certificate_problem(ctx, [0, 1], forged))
+    cover, matching = fractional_pair(instance)
+    assert cover.value == matching.value == 2
+    assert offered == [ctx] and len(solved) == 1
+    assert ctx.root[1].pivots > 0  # the simplex's answer, not the forged one
+
+
+def test_sharpness_probe_needs_no_simplex_on_projective_spaces(monkeypatch):
+    def refuse(A, b, c):
+        raise AssertionError("simplex called")
+
+    monkeypatch.setattr(solvers, "solve_lp_max", refuse)
+    for k, q in ((2, 13), (3, 7), (4, 3)):
+        (row,) = sharpness_probe(k, [q])
+        assert (row["dimension"], row["field_order"]) == (k, q)
+        assert Fraction(row["tau_star"]) == q + Fraction(1, sum(q**i for i in range(k)))
 
 
 def test_sandwich_nu_le_fractional_le_tau():
