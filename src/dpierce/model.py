@@ -14,8 +14,8 @@ Two continuous/combinatorial families are supported:
 
 Both reduce, without changing any of the four optimization quantities
 (matching number, piercing number and their fractional relaxations), to a
-`HypergraphInstance`: ground points and edges as point sets, a repeated
-member as a repeated edge.  All coordinates are exact rationals
+`HypergraphInstance`: ground points and edges as point bitmasks, a
+repeated member as a repeated edge.  All coordinates are exact rationals
 (`fractions.Fraction`), and interval endpoints are ranked as integers;
 nothing in this module touches floating point.
 """
@@ -340,7 +340,7 @@ class PQParameters:
             raise ValueError(f"need p >= q >= 2, got p={self.p}, q={self.q}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class HypergraphInstance:
     """Finite incidence form consumed by every solver.
 
@@ -348,48 +348,48 @@ class HypergraphInstance:
     the family: a family is a multiset, and a repeated member is a repeated
     edge.  Point ids are ints (bool is rejected).  `provenance` names the
     family class the instance was built from, which decides the bound kinds
-    that apply to it.  `edge_masks`, one point bitmask per edge (bit pt for
-    point pt), is built with the instance; `max_depth`, counted on those
-    masks, and the solvers' context (their distinct edges, point->edge masks
-    and solved LPs) are built the first time they are read and kept on the
-    instance.  None is a field, so equality, hashing and repr see only the
-    three fields, and an instance pickles through its constructor, with no
-    cache.
+    that apply to it.  Each edge is stored only as its point bitmask in
+    `edge_masks` (bit pt for point pt).  `edges`, the masks' points as
+    frozensets, `max_depth` and the solvers' context are built the first
+    time they are read and kept on the instance; equality and hashing see
+    only the three fields, and an instance pickles through its constructor.
 
     Two paths build an instance.  The constructor checks every incidence of
-    what it is given (ints only, inside the ground, no empty edge) and
-    builds `edge_masks` in the same pass; tests, `instance_io`, unpickling
-    and the tree, tree-width and projective instances come this way.
-    `to_incidence` builds interval instances with `_from_rank_ranges`, which
-    checks each part's rank range instead: the points of a range in the
-    ground are valid by construction.
+    the point collections it is given (ints only, inside the ground, no
+    empty edge) and builds their masks in the same pass; tests,
+    `instance_io`, unpickling and the tree, tree-width and projective
+    instances come this way.  `to_incidence` builds interval instances with
+    `_from_rank_ranges`, which checks each part's rank range instead: the
+    points of a range in the ground are valid by construction.
     """
 
     ground_size: int
-    edges: tuple[frozenset[int], ...]
-    provenance: str = "abstract"
+    edge_masks: tuple[int, ...]
+    provenance: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(frozenset(e) for e in self.edges))
-        if self.ground_size < 1:
-            raise ValueError(f"ground_size must be positive, got {self.ground_size}")
-        if self.provenance not in ("interval", "tree", "abstract"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        # every incidence is checked, and each edge's point bitmask built, in
-        # one pass; the first bad point is named
+    def __init__(self, ground_size: int, edges, provenance: str = "abstract"):
+        if ground_size < 1:
+            raise ValueError(f"ground_size must be positive, got {ground_size}")
+        if provenance not in ("interval", "tree", "abstract"):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        # one pass checks every incidence and builds the masks; the first bad point is named
         masks = []
-        for i, e in enumerate(self.edges):
-            if not e:
-                raise ValueError(f"edges[{i}] is empty")
+        for i, e in enumerate(edges):
             m = 0
             for pt in e:
                 if type(pt) is not int:
                     raise ValueError(f"edges[{i}]: point {pt!r} is not an int")
-                if not (0 <= pt < self.ground_size):
-                    raise ValueError(f"edges[{i}]: point {pt} outside ground 0..{self.ground_size - 1}")
+                if not (0 <= pt < ground_size):
+                    raise ValueError(f"edges[{i}]: point {pt} outside ground 0..{ground_size - 1}")
                 m |= 1 << pt
+            if not m:
+                raise ValueError(f"edges[{i}] is empty")
             masks.append(m)
-        object.__setattr__(self, "edge_masks", tuple(masks))
+        vars(self).update(ground_size=ground_size, edge_masks=tuple(masks), provenance=provenance)
+
+    @cached_property
+    def edges(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(mask_points(m)) for m in self.edge_masks)
 
     @cached_property
     def max_depth(self) -> tuple[int, int | None]:
@@ -398,48 +398,45 @@ class HypergraphInstance:
 
     @classmethod
     def _from_rank_ranges(cls, ground_size: int, ranges) -> HypergraphInstance:
-        """The "interval" instance whose edge i holds the ids lo..hi of each pair in ranges[i].
-
-        The pairs of an edge are the rank ranges of its parts; the edge's
-        frozenset and its `edge_masks` entry are both built from them, in
-        one pass, without `__post_init__`.
-        """
-        # This check is complete for this input: every point is taken from
-        # `ids`, so it is an int (never a bool) inside the ground, and an edge
-        # with a pair lo <= hi is nonempty.  The generic scan of every
-        # incidence would find nothing more.
+        """The "interval" instance whose edge i is one run of bits lo..hi per pair in ranges[i]."""
+        # This check is complete for this input: every bit set is a rank in the
+        # ground, and a pair lo <= hi is nonempty; `__init__` would find no more.
         if ground_size < 1:
             raise ValueError(f"ground_size must be positive, got {ground_size}")
-        ids = list(range(ground_size))
-        edges, masks = [], []
+        masks = []
         for i, parts in enumerate(ranges):
             if not parts:
                 raise ValueError(f"edges[{i}] is empty")
-            points, mask = [], 0
+            mask = 0
             for lo, hi in parts:
                 if not 0 <= lo <= hi < ground_size:
                     raise ValueError(
                         f"edges[{i}]: ranks {lo}..{hi} are not a range in ground "
                         f"0..{ground_size - 1}"
                     )
-                points += ids[lo : hi + 1]
-                # a part's ids are one run of bits
                 mask |= (1 << hi + 1) - (1 << lo)
-            edges.append(frozenset(points))
             masks.append(mask)
         instance = object.__new__(cls)
-        vars(instance).update(
-            ground_size=ground_size,
-            edges=tuple(edges),
-            provenance="interval",
-            edge_masks=tuple(masks),
-        )
+        vars(instance).update(ground_size=ground_size, edge_masks=tuple(masks), provenance="interval")
         return instance
+
+    def __repr__(self):
+        fields = f"ground_size={self.ground_size!r}, edges={self.edges!r}, provenance={self.provenance!r}"
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # through the constructor: it validates again and rebuilds the masks,
         # and the cached depth and solve context never travel
         return type(self), (self.ground_size, self.edges, self.provenance)
+
+
+_BYTE_BITS = [tuple(i for i in range(8) if v >> i & 1) for v in range(256)]
+
+
+def mask_points(mask: int) -> list[int]:
+    """The set bits of `mask`, lowest first, read a byte at a time."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * k + i for k, byte in enumerate(data) for i in _BYTE_BITS[byte]]
 
 
 def _deepest_point(masks) -> tuple[int, int | None]:
@@ -590,11 +587,11 @@ def to_incidence(family) -> HypergraphInstance:
     `candidate_points(family, "all_endpoints")`.  A part [lo, hi] then holds
     exactly the ids rank(lo)..rank(hi), and an edge is the union of its
     parts' id ranges.  `HypergraphInstance._from_rank_ranges` builds the
-    edges and their `edge_masks` from these ranges in one pass; checking
-    that each range lies in the ground is its whole validation, so the
-    interval path never re-scans the incidences.  Subforests: ground points
-    are the host vertices, and, like a `TwInstance`, they go through the
-    validating constructor.
+    edges' masks, and no point sets, from these ranges; checking that each
+    range lies in the ground is its whole validation, so the interval path
+    never re-scans the incidences.  Subforests: ground points are the host
+    vertices, and, like a `TwInstance`, they go through the validating
+    constructor.
     Either way nu, tau, nu* and tau* of the instance equal those of the
     family: intersections are witnessed at endpoints, and optimal covers may
     be slid onto right endpoints.  A `TwInstance` becomes the "abstract"

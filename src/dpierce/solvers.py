@@ -23,14 +23,14 @@ suite to certify the main solvers on small instances.
 Copies: a family is a multiset, and a repeated member is a repeated edge.
 nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
-every copy.  The solvers share one solve context per instance (`_context`):
-the distinct edges, the point->edge bitmasks that the LP kernel and both
+every copy.  All but `naive_oracle` read the edges as `edge_masks` and
+share one solve context per instance (`_context`): the distinct edges,
+their points and the point->edge bitmasks that the LP kernel and both
 branch-and-bounds read, and every LP solved, by column mask, so that no
 mask's LP is solved twice and the certified root pair of `_root_lp` is
 the root bound and the incumbent guide of both searches.  LP solutions
 stay integer numerators over one denominator inside this module;
-`fractional_pair` builds the only Fractions, for the value and weights it
-returns.
+`fractional_pair` builds the only Fractions, for its value and weights.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .model import HypergraphInstance, PQParameters
+from .model import HypergraphInstance, PQParameters, mask_points
 from .simplex import LPSolution, solve_lp_max
 
 
@@ -72,21 +72,21 @@ class PQVerdict:
 
 
 def verify_cover(instance: HypergraphInstance, points) -> bool:
-    """Containment check, independent of any solver internals."""
-    pts = set(points)
-    return all(e & pts for e in instance.edges)
+    """Containment check on the instance's masks; a value that is not an int point covers nothing."""
+    cover = 0
+    for pt in points:
+        if type(pt) is int and 0 <= pt < instance.ground_size:
+            cover |= 1 << pt
+    return all(m & cover for m in instance.edge_masks)
 
 
 def verify_matching(instance: HypergraphInstance, edge_ids) -> bool:
-    """Pairwise disjointness check, independent of any solver internals."""
-    ids = sorted(set(edge_ids))
-    if any(not (0 <= i < len(instance.edges)) for i in ids):
-        return False
-    if len({instance.edges[i] for i in ids}) != len(ids):
-        return False  # two copies of one edge are never disjoint
-    for a, b in itertools.combinations(ids, 2):
-        if instance.edges[a] & instance.edges[b]:
+    """Pairwise disjointness check on the instance's masks; copies of an edge always meet."""
+    masks, taken = instance.edge_masks, 0
+    for i in sorted(set(edge_ids)):
+        if not (0 <= i < len(masks)) or masks[i] & taken:
             return False
+        taken |= masks[i]
     return True
 
 
@@ -103,11 +103,11 @@ class _SolveContext:
     """What the solvers of one instance share, kept on it by `_context`.
 
     Distinct edge j has its first occurrence at `firsts[j]`, in index order,
-    and point mask `masks[j]`.  `point_masks`: {point: bit j for each
-    distinct edge j through it}, keys in increasing id, and `conflicts[j]`:
-    the bits of the distinct edges meeting edge j, j included; both are
-    built on first use.  `plain_matching` and `plain_cover`: the greedies
-    that start both searches and make the root sandwich, built on first use.
+    point mask `masks[j]` and points `edge_points[j]`, in increasing id.
+    Built on first use: those points, `point_masks` ({point: bit j for each
+    distinct edge j through it}, in increasing id), `conflicts[j]` (the bits
+    of the distinct edges meeting edge j, j included) and the greedies
+    `plain_matching` and `plain_cover`, of both searches and the sandwich.
     `by_cols`: `_incidence_lp`'s answer for each column mask; `root`: the
     certified answer of `_root_lp`, also kept in `by_cols` under the full
     mask.
@@ -121,14 +121,17 @@ class _SolveContext:
         self.firsts = list(firsts.values())
         self.by_cols: dict[int, tuple[list[int], LPSolution]] = {}
         self.root: tuple[list[int], LPSolution] | None = None
-        self._sets = instance.edges
+
+    @cached_property
+    def edge_points(self) -> list[list[int]]:
+        return [mask_points(m) for m in self.masks]
 
     @cached_property
     def point_masks(self) -> dict[int, int]:
         masks: dict[int, int] = {}
-        for j, i in enumerate(self.firsts):
+        for j, points in enumerate(self.edge_points):
             bit = 1 << j
-            for pt in self._sets[i]:
+            for pt in points:
                 masks[pt] = masks.get(pt, 0) | bit
         return {pt: masks[pt] for pt in sorted(masks)}
 
@@ -136,9 +139,9 @@ class _SolveContext:
     def conflicts(self) -> list[int]:
         member = self.point_masks
         conflicts = []
-        for i in self.firsts:
+        for points in self.edge_points:
             mask = 0
-            for pt in self._sets[i]:
+            for pt in points:
                 mask |= member[pt]
             conflicts.append(mask)
         return conflicts
@@ -155,7 +158,7 @@ class _SolveContext:
 
 
 def _context(instance: HypergraphInstance) -> _SolveContext:
-    """The instance's solve context, built on first use; not a field, like `edge_masks`."""
+    """The instance's solve context, built on first use; not a field, like `max_depth`."""
     ctx = vars(instance).get("_solve_context")
     if ctx is None:
         ctx = _SolveContext(instance)
@@ -270,17 +273,17 @@ def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution)
     D = sol.den
     if D <= 0:
         return f"LP denominator {D} is not positive"
-    packing = {ctx.firsts[j]: w for j, w in enumerate(sol.primal) if w}
+    packing = {j: w for j, w in enumerate(sol.primal) if w}
     cover = {points[i]: w for i, w in enumerate(sol.dual) if w}
     if any(w < 0 for w in cover.values()) or any(w < 0 for w in packing.values()):
         return "fractional solution has a negative weight"
-    edges = ctx._sets
-    for i in ctx.firsts:
-        if sum(cover.get(pt, 0) for pt in edges[i]) < D:
+    edges = ctx.edge_points
+    for edge in edges:
+        if sum(cover.get(pt, 0) for pt in edge) < D:
             return "fractional cover misses an edge constraint"
     load: dict[int, int] = {}
-    for i, w in packing.items():
-        for pt in edges[i]:
+    for j, w in packing.items():
+        for pt in edges[j]:
             load[pt] = load.get(pt, 0) + w
     if any(v > D for v in load.values()):
         return "fractional matching overloads a point"
@@ -385,7 +388,7 @@ def _cover_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveRe
             (j for j in range(n) if mask >> j & 1),
             key=lambda j: (masks[j].bit_count(), j),
         )
-        for pt in sorted(instance.edges[ctx.firsts[branch]]):
+        for pt in ctx.edge_points[branch]:
             chosen.append(pt)
             search(mask & ~covers[pt], chosen)
             chosen.pop()

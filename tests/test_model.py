@@ -423,6 +423,40 @@ def test_interval_instances_equal_the_validated_build():
     assert to_incidence(families[0]).edges == () and to_incidence(families[0]).ground_size == 1
 
 
+def _given_and_built():
+    """(given edge sets, instance built from them) on each constructor path."""
+    host = HostTree(6, ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5)))
+    trees = SubforestFamily(host, 2, ([5, 4], {0, 2}, (3,), [2, 1, 0], {5, 4}))
+    yield trees.edges, to_incidence(trees)
+    graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+    bags = (frozenset({0, 1, 4}), frozenset({1, 2, 4}), frozenset({2, 3, 4}))
+    tw = TwInstance(
+        graph=graph,
+        decomposition=TreeDecomposition(bags=bags, tree=HostTree(3, ((0, 1), (1, 2)))),
+        subgraphs=(frozenset({4, 0}), frozenset({2}), frozenset({3, 1})),
+        d=2,
+    )
+    yield tw.subgraphs, to_incidence(tw)
+    for k, q in ((2, 2), (2, 3), (3, 2)):
+        instance = projective_incidence(ProjectiveParams(k, q))[0]
+        yield instance.edges, instance
+    # points given out of increasing order, as lists, with repeats
+    given = (frozenset({9, 1}), frozenset({17, 8, 0}), frozenset({9, 1}), frozenset({12}))
+    yield given, HypergraphInstance(18, ([9, 1], (17, 8, 0, 8), {1, 9}, [12, 12]))
+
+
+def test_constructed_instances_equal_a_fresh_build():
+    for given, built in _given_and_built():
+        assert built.edges == tuple(given)
+        fresh = HypergraphInstance(built.ground_size, given, built.provenance)
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        assert pickle.dumps(built) == pickle.dumps(fresh)
+        assert built.edge_masks == tuple(sum(1 << pt for pt in e) for e in given)
+    assert repr(HypergraphInstance(3, [[1, 0], [2]], "tree")) == (
+        "HypergraphInstance(ground_size=3, edges=(frozenset({0, 1}), frozenset({2})), provenance='tree')"
+    )
+
+
 @pytest.mark.parametrize(
     "ranges, message",
     [

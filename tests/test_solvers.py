@@ -751,3 +751,74 @@ def test_witnesses_reverify():
         assert verify_cover(i, tau.witness)
         assert verify_matching(i, nu.witness)
         assert not verify_cover(i, frozenset()) or not i.edges
+
+
+def _set_cover(instance, points) -> bool:
+    """`verify_cover` on the point sets."""
+    pts = set(points)
+    return all(e & pts for e in instance.edges)
+
+
+def _set_matching(instance, edge_ids) -> bool:
+    """`verify_matching` on the point sets."""
+    ids = sorted(set(edge_ids))
+    if any(not (0 <= i < len(instance.edges)) for i in ids):
+        return False
+    sets = [instance.edges[i] for i in ids]
+    if len(set(sets)) != len(sets):
+        return False
+    return not any(a & b for a, b in itertools.combinations(sets, 2))
+
+
+def test_verify_cover_and_matching_agree_with_the_point_sets():
+    instances = [
+        inst({0, 1}, {1, 2}, {3}, ground=5),
+        inst({0, 1}, {0, 1}, {2}, {3, 4}),  # two copies of edge 0
+        FANO,
+        to_incidence(make_family(1, [])),  # no edge, one ground point
+        HypergraphInstance(3, ()),
+    ]
+    covers = [[], [1], [1, 3], [0, 2, 3], [-1, 3], [1, 3, -2, 5, 100], [7, -7], list(range(8))]
+    matchings = [[], [0], [0, 2], [0, 1], [1, 1], [0, 2, 2], [-1], [3], [10], [0, 3], [0, 3, 3]]
+    for instance in instances:
+        for points in covers:
+            assert verify_cover(instance, points) == _set_cover(instance, points), (instance, points)
+        for ids in matchings:
+            assert verify_matching(instance, ids) == _set_matching(instance, ids), (instance, ids)
+    assert verify_cover(instances[3], []) and verify_matching(instances[3], [])
+    assert not verify_matching(instances[3], [0])
+    assert not verify_matching(instances[1], [0, 1])  # copies are never disjoint
+    assert verify_matching(instances[1], [0, 2, 3])
+
+
+@pytest.mark.parametrize("point", [1.0, True, Fraction(1)])
+def test_verify_cover_counts_only_int_points(point):
+    # a value equal to the int point 1 is not that point: it covers nothing,
+    # where a set of points would take it for 1
+    i = inst({1}, {0, 1})
+    assert verify_cover(i, [1])
+    assert not verify_cover(i, [point])
+    assert _set_cover(i, [point])
+    # the int point still counts next to an equal value, in either order
+    assert verify_cover(i, [point, 1]) and verify_cover(i, [1, point])
+
+
+def test_pq_pipeline_never_builds_the_edge_sets():
+    families = [
+        fam(2, [(-3, -1), (2, 5)], [(-2, 0)], [(-3, -1), (2, 5)], [(5, 5)]),
+        fam(1, [(0, 1)], [(2, 3)], [(4, 5)]),
+        make_family(1, []),
+        random_d_intervals(GenConfig(seed=23, n_edges=200, d=4)),
+    ]
+    for family in families:
+        decided = to_incidence(family)
+        pq_check(decided, PQParameters(3, 2))
+        max_depth(decided)
+        assert "edges" not in vars(decided)
+        solved = to_incidence(family)
+        nu, tau, _, _ = solve_measures(solved)
+        assert verify_cover(solved, tau.witness) and verify_matching(solved, nu.witness)
+        assert "edges" not in vars(solved)
+        # read on demand, the sets are the ones the masks hold
+        assert solved.edges == tuple(frozenset(model.mask_points(m)) for m in solved.edge_masks)
+        assert "edges" in vars(solved)
