@@ -23,6 +23,7 @@ from .model import (
     Interval,
     PQParameters,
     SubforestFamily,
+    mask_points,
     to_incidence,
 )
 from .solvers import pq_check
@@ -57,10 +58,16 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class ProjectiveParams:
+    """PG(k,q): ints (a float or bool is a TypeError), k >= 2 and q prime."""
+
     dimension: int  # the construction's k
     field_order: int  # the construction's q, a prime
 
     def __post_init__(self):
+        for name in ("dimension", "field_order"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name}: expected an int, got {value!r}")
         if self.dimension < 2:
             raise ValueError(f"dimension must be >= 2, got {self.dimension}")
         if not is_prime(self.field_order):
@@ -198,21 +205,45 @@ def projective_points(dimension: int, q: int) -> list[tuple[int, ...]]:
 def projective_incidence(params: ProjectiveParams) -> tuple[HypergraphInstance, int]:
     """(points vs hyperplanes of P^k(F_q), d) with d the uniform edge size.
 
-    Ground ids follow lex order of normalized coordinates; hyperplanes are
-    normalized dual vectors, incidence being a zero dot product mod q.
+    Ground ids follow lex order of normalized coordinates, and edge j is the
+    hyperplane of the j-th normalized dual vector a: the points x with
+    a.x = 0 mod q.  Each hyperplane's point mask comes from a residue sweep
+    over coordinate masks, with no loop over point pairs.  col[i][v] is the
+    mask of the points whose coordinate i is v.  Over the nonzero coordinates
+    of a, res[s] holds the points whose partial sum of a_t*x_t is s mod q:
+    the first (a_i = 1) sets res = col[i], each later one combines res with
+    col[i] in q^2 AND/OR steps, and the last builds only residue 0, which is
+    the edge.  The masks' points then go through the constructor, which
+    checks every incidence.
     """
     k, q = params.dimension, params.field_order
     pts = projective_points(k, q)
-    index = {v: i for i, v in enumerate(pts)}
-    edges = []
+    col = [[0] * q for _ in range(k + 1)]
+    for pid, vec in enumerate(pts):
+        bit = 1 << pid
+        for i, v in enumerate(vec):
+            col[i][v] |= bit
+    masks = []
     for dual in pts:
-        members = frozenset(
-            index[p] for p in pts if sum(a * b for a, b in zip(p, dual)) % q == 0
-        )
-        edges.append(members)
+        nonzero = [(i, a) for i, a in enumerate(dual) if a]
+        res = col[nonzero[0][0]]
+        for i, a in nonzero[1:-1]:
+            new = [0] * q
+            for v, cv in enumerate(col[i]):
+                shift = a * v
+                for s, r in enumerate(res):
+                    new[(s + shift) % q] |= r & cv
+            res = new
+        mask = res[0]
+        if len(nonzero) > 1:
+            i, a = nonzero[-1]
+            mask = 0
+            for v, cv in enumerate(col[i]):
+                mask |= res[-a * v % q] & cv
+        masks.append(mask)
     instance = HypergraphInstance(
         ground_size=len(pts),
-        edges=tuple(edges),
+        edges=[mask_points(m) for m in masks],
         provenance="abstract",
     )
     return instance, (q**k - 1) // (q - 1)
@@ -222,15 +253,16 @@ def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
     """`projective_incidence` with its d-interval realization.
 
     The realization places ground point i at integer coordinate i and turns
-    every edge into a union of point-intervals, one per incident point;
-    distinct points get distinct coordinates, so it is in general position.
+    every edge into a union of point-intervals, one per incident point in
+    increasing order; distinct points get distinct coordinates, so it is in
+    general position.
     """
     instance, d = projective_incidence(params)
     realization = DIntervalFamily(
         d=d,
         edges=tuple(
-            DInterval(tuple(Interval(Fraction(i), Fraction(i)) for i in sorted(e)))
-            for e in instance.edges
+            DInterval(tuple(Interval(Fraction(i), Fraction(i)) for i in mask_points(m)))
+            for m in instance.edge_masks
         ),
     )
     return ProjectiveFamily(instance=instance, realization=realization, d=d)

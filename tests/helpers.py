@@ -65,6 +65,27 @@ def reference_interval_incidence(family: DIntervalFamily) -> tuple[int, tuple[fr
     return max(1, len(points)), edges
 
 
+def reference_projective_incidence(dimension: int, q: int) -> tuple[int, tuple[int, ...], int]:
+    """(ground size, edge masks, d) of PG(dimension, q), by its definition.
+
+    Points and hyperplanes are the normalized vectors of F_q^(dimension+1) (first
+    nonzero entry 1) in lex order; a point lies on a hyperplane when their
+    dot product is 0 mod q, tested pair by pair.  d is the common edge size.
+    """
+    pts = [
+        v
+        for v in itertools.product(range(q), repeat=dimension + 1)
+        if next((x for x in v if x), 0) == 1
+    ]
+    masks = tuple(
+        sum(1 << i for i, p in enumerate(pts) if sum(a * b for a, b in zip(p, dual)) % q == 0)
+        for dual in pts
+    )
+    sizes = {bin(m).count("1") for m in masks}
+    assert len(sizes) == 1, f"PG({dimension},{q}) is not uniform: sizes {sizes}"
+    return len(pts), masks, sizes.pop()
+
+
 def brute_nu_continuous(family: DIntervalFamily) -> int:
     """Maximum number of pairwise disjoint edges, brute force.
 

@@ -142,20 +142,20 @@ def test_criterion_1_projective_exactness(witness_ledger):
 
 def test_criterion_2_sharpness_probe():
     t0 = time.perf_counter()
-    rows2 = sharpness_probe(2, [2, 3, 5, 7, 11])
-    rows3 = sharpness_probe(3, [2, 3, 5])
+    rows2 = sharpness_probe(2, [2, 3, 5, 7, 11, 13])
+    rows3 = sharpness_probe(3, [2, 3, 5, 7])
     # the probe itself asserts exact LP agreement with the closed form and
     # the d^{1/(k-1)} - 1 floor; re-check the formula values here
     ok = True
-    for row, q in zip(rows2, (2, 3, 5, 7, 11)):
+    for row, q in zip(rows2, (2, 3, 5, 7, 11, 13), strict=True):
         expected = Fraction(q) + Fraction(1, 1 + q)
         ok = ok and Fraction(row["tau_star"]) == expected and row["d"] == 1 + q
-    for row, q in zip(rows3, (2, 3, 5)):
+    for row, q in zip(rows3, (2, 3, 5, 7), strict=True):
         expected = Fraction(q) + Fraction(1, 1 + q + q * q)
         ok = ok and Fraction(row["tau_star"]) == expected and row["d"] == 1 + q + q * q
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
-    report_line(2, ok, f"8 projective LPs match q + 1/sum(q^i) exactly in {elapsed:.1f}s")
+    report_line(2, ok, f"10 projective LPs match q + 1/sum(q^i) exactly in {elapsed:.1f}s")
     assert ok
 
 

@@ -9,6 +9,7 @@ from dpierce import (
     PQParameters,
     ProjectiveParams,
     pq_check,
+    projective_incidence,
     projective_instance,
     random_d_intervals,
     random_subforests,
@@ -21,7 +22,7 @@ from dpierce.generators import anchor_count, planted_pq_family, planted_pq_subfo
 from dpierce.instance_io import dumps_instance
 from dpierce.model import connected_components, general_position_violations
 
-from helpers import reference_pq_check
+from helpers import reference_pq_check, reference_projective_incidence
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,27 @@ def test_projective_realization_in_general_position():
 def test_projective_kk_property():
     pf = projective_instance(ProjectiveParams(3, 2))
     assert pq_check(pf.instance, PQParameters(3, 3)).holds
+
+
+# the eight spaces the sharpness benchmark builds, then the larger ones
+@pytest.mark.parametrize(
+    "k, q",
+    [(2, 2), (2, 3), (3, 2), (2, 5), (4, 2), (3, 3), (2, 7), (5, 2),
+     (2, 11), (3, 5), (4, 3), (2, 13)],
+)
+def test_projective_incidence_matches_the_dot_product_oracle(k, q):
+    instance, d = projective_incidence(ProjectiveParams(k, q))
+    assert (instance.ground_size, instance.edge_masks, d) == reference_projective_incidence(k, q)
+
+
+@pytest.mark.parametrize(
+    "k, q, field",
+    [(2.0, 2, "dimension"), (2, 3.0, "field_order"), (True, 2, "dimension"),
+     (2, True, "field_order"), ("2", 2, "dimension"), (2.5, 4, "dimension")],
+)
+def test_projective_params_reject_non_int(k, q, field):
+    with pytest.raises(TypeError, match=f"^{field}: expected an int"):
+        ProjectiveParams(k, q)
 
 
 def test_not_prime_rejected():
