@@ -1,20 +1,13 @@
-"""Tour of d-interval families: construction, depth, endpoint witnesses.
+"""Tour of d-interval families: construction, incidence form, depth.
 
 A d-interval is a union of at most d disjoint closed intervals with exact
 rational endpoints.  This script builds a few families by hand and shows
-the elementary geometric operations everything else is built on.
+how the package turns one into the finite instance every solver reads.
 """
 
-from fractions import Fraction
-
 from dpierce import (
-    candidate_points,
-    common_intersection,
-    depth,
-    endpoint_witnesses,
     general_position_violations,
     make_family,
-    repair_general_position,
     subset_intersection_point,
     to_incidence,
 )
@@ -30,34 +23,21 @@ family = make_family(
 )
 print("edges:", len(family), " d =", family.d)
 
-# endpoint values are the entire search space: covers slide right onto
-# right endpoints, intersections are witnessed at endpoints
-print("all endpoints:  ", [str(x) for x in candidate_points(family)])
-print("right endpoints:", [str(x) for x in candidate_points(family, "right_endpoints")])
-
-# depth = how many edges contain a point; its maximum is the r of the proofs
-for x in ("3/2", "8/5", "4"):
-    print(f"depth at {x}: {depth(family, Fraction(x))}")
-
-# the common part of intersecting intervals is [max lo, min hi], and both
-# of its ends are endpoint witnesses lying in every interval
-intervals = [family.edges[0].parts[0], family.edges[1].parts[0], family.edges[2].parts[0]]
-print("common intersection:", common_intersection(intervals))
-w1, w2 = endpoint_witnesses(intervals)
-print(f"witness 1: x={w1.point} owned by interval {w1.owner}, inside all of {sorted(w1.others)}")
-print(f"witness 2: x={w2.point} owned by interval {w2.owner}, inside all of {sorted(w2.others)}")
-
-print("point piercing edges 0,1,2:", subset_intersection_point(family, {0, 1, 2}))
-
-# discretization: the finite incidence instance with identical nu/tau/tau*
+# discretization: the ground points are the endpoint values in increasing
+# order, and each edge becomes the points its parts contain.  Any point of
+# the line slides right onto an endpoint without leaving an edge, so the
+# instance has the family's nu, tau and tau*
 inst = to_incidence(family)
 print("incidence ground size:", inst.ground_size)
 print("incidence edges:", [sorted(e) for e in inst.edges])
+
+# depth r = the most edges through one point; an endpoint attains it
+r, point = inst.max_depth
+print(f"depth r = {r}, first reached at ground point {point}")
+
+print("point piercing edges 0,1,2:", subset_intersection_point(family, {0, 1, 2}))
 
 # general position: distinct intervals must not share endpoint values
 touching = make_family(1, [[("0", "2")], [("2", "5")]])
 bad = general_position_violations(touching)
 print("violation at value:", bad[0][0])
-repaired = repair_general_position(touching)
-print("repaired family general position:", general_position_violations(repaired) == [])
-print("note: repair shifts parts, so intervals that merely touch separate")

@@ -14,21 +14,14 @@ certified high-precision arithmetic.
 from .model import (
     DInterval,
     DIntervalFamily,
-    EmptyIntersection,
-    EndpointWitness,
     Graph,
     HostTree,
     HypergraphInstance,
     Interval,
     PQParameters,
     SubforestFamily,
-    candidate_points,
-    common_intersection,
-    depth,
-    endpoint_witnesses,
     general_position_violations,
     make_family,
-    repair_general_position,
     subset_intersection_point,
     to_incidence,
 )

@@ -193,13 +193,16 @@ class ProjectiveFamily:
 
 
 def projective_points(dimension: int, q: int) -> list[tuple[int, ...]]:
-    """Normalized homogeneous coordinates, first nonzero entry 1, lex order."""
-    pts = []
-    for vec in itertools.product(range(q), repeat=dimension + 1):
-        nz = next((v for v in vec if v != 0), 0)
-        if nz == 1:
-            pts.append(vec)
-    return pts
+    """Normalized homogeneous coordinates, first nonzero entry 1, lex order.
+
+    Built directly: the vectors whose first nonzero entry is at position j
+    are (0,)*j + (1,) + any tail, and more leading zeros sort first.
+    """
+    return [
+        (0,) * j + (1,) + tail
+        for j in reversed(range(dimension + 1))
+        for tail in itertools.product(range(q), repeat=dimension - j)
+    ]
 
 
 def projective_incidence(params: ProjectiveParams) -> tuple[HypergraphInstance, int]:

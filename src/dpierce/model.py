@@ -29,10 +29,6 @@ from functools import cached_property
 from math import lcm
 
 
-class EmptyIntersection(ValueError):
-    """Raised when an interval list required to intersect does not."""
-
-
 def rational(value) -> Fraction:
     """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
     if isinstance(value, Fraction):
@@ -157,35 +153,6 @@ def general_position_violations(
                 elif prev[0] != shape:
                     out.append((x, (prev[1], (ei, pi))))
     return out
-
-
-def repair_general_position(family: DIntervalFamily) -> DIntervalFamily:
-    """Separate coinciding endpoints by shifting each part i by i*eps.
-
-    eps = 1 / (lcm of all endpoint denominators * 1000 * (#parts + 1)), so
-    all originally distinct values keep their order and within-edge gaps
-    survive.  This is an explicit, order-changing repair: closed intervals
-    that merely touched may stop intersecting.  Never applied silently.
-    """
-    denoms = [1]
-    total_parts = 0
-    for edge in family.edges:
-        for part in edge.parts:
-            denoms.append(part.lo.denominator)
-            denoms.append(part.hi.denominator)
-            total_parts += 1
-    eps = Fraction(1, lcm(*denoms) * 1000 * (total_parts + 1))
-
-    new_edges = []
-    index = 0
-    for edge in family.edges:
-        parts = []
-        for part in edge.parts:
-            shift = index * eps
-            parts.append(Interval(part.lo + shift, part.hi + shift))
-            index += 1
-        new_edges.append(DInterval(tuple(parts)))
-    return DIntervalFamily(d=family.d, edges=tuple(new_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -470,84 +437,6 @@ def _deepest_point(masks) -> tuple[int, int | None]:
 # operations on interval families
 # ---------------------------------------------------------------------------
 
-def candidate_points(family: DIntervalFamily, mode: str = "all_endpoints") -> list[Fraction]:
-    """Deduplicated sorted endpoint values of the family's interval parts.
-
-    mode='all_endpoints' lists every lo and hi; mode='right_endpoints' lists
-    only hi values.  Any point x of the line can be slid right, inside every
-    interval currently containing it, to the nearest right endpoint among
-    those intervals (each closed part containing x extends to its own hi).
-    Hence covers restricted to right endpoints are still optimal, and common
-    points of any edge subset are witnessed at endpoints; `all_endpoints` is
-    a superset that also supports depth maximization.
-    """
-    if mode not in ("all_endpoints", "right_endpoints"):
-        raise ValueError(f"unknown mode {mode!r}")
-    values: set[Fraction] = set()
-    for edge in family.edges:
-        for part in edge.parts:
-            if mode == "all_endpoints":
-                values.add(part.lo)
-            values.add(part.hi)
-    return sorted(values)
-
-
-def depth(family: DIntervalFamily, x) -> int:
-    """Number of edges whose union of parts contains x."""
-    x = rational(x)
-    return sum(1 for edge in family.edges if edge.contains(x))
-
-
-def common_intersection(intervals) -> Interval | None:
-    """[max lo, min hi] of the list, or None when that is empty."""
-    intervals = list(intervals)
-    if not intervals:
-        return None
-    lo = max(p.lo for p in intervals)
-    hi = min(p.hi for p in intervals)
-    if lo > hi:
-        return None
-    return Interval(lo, hi)
-
-
-@dataclass(frozen=True)
-class EndpointWitness:
-    """A point x, the interval whose endpoint x is, and the other intervals.
-
-    x lies in every interval of the family the witness was produced from.
-    """
-
-    point: Fraction
-    owner: int
-    others: frozenset[int]
-
-
-def endpoint_witnesses(intervals) -> tuple[EndpointWitness, EndpointWitness]:
-    """The two endpoint witnesses of an intersecting interval list.
-
-    The common part of an intersecting list is [x1, x2] with x1 the largest
-    left endpoint and x2 the smallest right endpoint; each is an endpoint of
-    an achieving interval and lies in all of them.  Owners are the lowest
-    achieving index.  When all endpoint values across distinct intervals
-    differ and no point-interval achieves both extremes, the two returned
-    pairs differ (distinct points or distinct owners); a point-interval that
-    is the whole common part makes the two pairs coincide.
-    """
-    intervals = list(intervals)
-    if not intervals:
-        raise EmptyIntersection("no intervals given")
-    common = common_intersection(intervals)
-    if common is None:
-        raise EmptyIntersection("intervals have no common point")
-    i1 = min(i for i, p in enumerate(intervals) if p.lo == common.lo)
-    i2 = min(i for i, p in enumerate(intervals) if p.hi == common.hi)
-    everyone = frozenset(range(len(intervals)))
-    return (
-        EndpointWitness(common.lo, i1, everyone - {i1}),
-        EndpointWitness(common.hi, i2, everyone - {i2}),
-    )
-
-
 def subset_intersection_point(family: DIntervalFamily, subset) -> Fraction | None:
     """A point contained in every edge of `subset`, or None.
 
@@ -579,12 +468,12 @@ def to_incidence(family) -> HypergraphInstance:
     """Reduce a family to its finite incidence instance.
 
     This is the one conversion from a family to the instance every solver
-    consumes.  Intervals: ground points are the sorted all-endpoint
-    candidates, and each edge becomes the ids of the candidates its parts
-    contain.  The endpoints are ranked once, exactly, in integers: each x
-    is scaled to x * L, L the lcm of all endpoint denominators, a strictly
-    increasing map, so the sorted distinct integers give the ids of
-    `candidate_points(family, "all_endpoints")`.  A part [lo, hi] then holds
+    consumes.  Intervals: ground points are the distinct endpoint values
+    (every lo and hi) in increasing order, and each edge becomes the ids of
+    the endpoints its parts contain.  The endpoints are ranked once,
+    exactly, in integers: each x is scaled to x * L, L the lcm of all
+    endpoint denominators, a strictly increasing map, so the sorted
+    distinct integers give the ids of the sorted endpoints.  A part [lo, hi] then holds
     exactly the ids rank(lo)..rank(hi), and an edge is the union of its
     parts' id ranges.  `HypergraphInstance._from_rank_ranges` builds the
     edges' masks, and no point sets, from these ranges; checking that each
@@ -593,8 +482,10 @@ def to_incidence(family) -> HypergraphInstance:
     vertices, and, like a `TwInstance`, they go through the validating
     constructor.
     Either way nu, tau, nu* and tau* of the instance equal those of the
-    family: intersections are witnessed at endpoints, and optimal covers may
-    be slid onto right endpoints.  A `TwInstance` becomes the "abstract"
+    family: a point slides right, inside every part containing it, to the
+    nearest right endpoint among those parts, so intersections are witnessed
+    at endpoints, optimal covers may be slid onto right endpoints, and the
+    depth r is attained at an endpoint.  A `TwInstance` becomes the "abstract"
     instance of its subgraphs over the graph's vertices.
     """
     if isinstance(family, DIntervalFamily):

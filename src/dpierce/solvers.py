@@ -17,8 +17,10 @@ unchanged.
 `pq_check` decides the (p,q) property by a depth-first search for p
 distinct edges that load no point q times, the shape of a counterexample;
 it reads the distinct edges' point bitmasks from the solve context below.
-`naive_oracle` is a deliberately unpruned enumeration used by the test
-suite to certify the main solvers on small instances.
+`naive_oracle` is a deliberately unpruned enumeration: the test suite
+certifies the main solvers on small instances by it, and
+`perfbench/make_reference.py` confirms the benchmark's reference answers
+by it.
 
 Copies: a family is a multiset, and a repeated member is a repeated edge.
 nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an

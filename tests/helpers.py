@@ -19,7 +19,6 @@ from dpierce import (
     DIntervalFamily,
     HypergraphInstance,
     Interval,
-    candidate_points,
     make_family,
 )
 from dpierce.simplex import SimplexError
@@ -34,13 +33,18 @@ def fam(d: int, *edges) -> DIntervalFamily:
     return make_family(d, edges)
 
 
+def endpoints(family: DIntervalFamily) -> list[Fraction]:
+    """The distinct endpoint values of the family's parts, in increasing order."""
+    return sorted({x for e in family.edges for p in e.parts for x in (p.lo, p.hi)})
+
+
 def brute_tau_continuous(family: DIntervalFamily) -> int:
-    """Minimum piercing set size, brute force over the endpoint candidates.
+    """Minimum piercing set size, brute force over the endpoints.
 
     Works directly on interval containment; optimal covers can always be
     slid onto endpoint values, so this search space is exact.
     """
-    points = candidate_points(family, "all_endpoints")
+    points = endpoints(family)
     edges = family.edges
     if not edges:
         return 0
@@ -54,10 +58,10 @@ def brute_tau_continuous(family: DIntervalFamily) -> int:
 def reference_interval_incidence(family: DIntervalFamily) -> tuple[int, tuple[frozenset[int], ...]]:
     """(ground size, edges) of an interval family, point by point.
 
-    Tests every endpoint candidate against every edge by plain containment;
+    Tests every endpoint against every edge by plain containment;
     `to_incidence` must produce the same ground size and edges.
     """
-    points = candidate_points(family, "all_endpoints")
+    points = endpoints(family)
     edges = tuple(
         frozenset(i for i, x in enumerate(points) if edge.contains(x))
         for edge in family.edges

@@ -189,7 +189,7 @@ def test_projective_kk_property():
 @pytest.mark.parametrize(
     "k, q",
     [(2, 2), (2, 3), (3, 2), (2, 5), (4, 2), (3, 3), (2, 7), (5, 2),
-     (2, 11), (3, 5), (4, 3), (2, 13)],
+     (2, 11), (3, 5), (4, 3), (2, 13), (3, 7)],
 )
 def test_projective_incidence_matches_the_dot_product_oracle(k, q):
     instance, d = projective_incidence(ProjectiveParams(k, q))

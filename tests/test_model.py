@@ -5,13 +5,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dpierce import (
     DInterval,
     DIntervalFamily,
-    EmptyIntersection,
     Graph,
     HostTree,
     HypergraphInstance,
@@ -21,14 +18,9 @@ from dpierce import (
     SubforestFamily,
     TreeDecomposition,
     TwInstance,
-    candidate_points,
-    common_intersection,
-    depth,
-    endpoint_witnesses,
     general_position_violations,
     projective_incidence,
     projective_instance,
-    repair_general_position,
     subset_intersection_point,
     to_incidence,
 )
@@ -39,6 +31,7 @@ from helpers import (
     brute_nu_continuous,
     brute_tau_continuous,
     crowded_family,
+    endpoints,
     fam,
     iv,
     reference_interval_incidence,
@@ -59,126 +52,19 @@ def test_pq_parameters_reject_non_int(p, q, field):
 
 
 # ---------------------------------------------------------------------------
-# candidate points and depth
+# depth
 # ---------------------------------------------------------------------------
 
-def test_candidate_points_single_interval():
-    f = fam(1, [(0, 2)])
-    assert candidate_points(f, "all_endpoints") == [0, 2]
-
-
-def test_candidate_points_right_endpoints():
-    f = fam(2, [(0, 2), (5, 6)], [(1, 3)])
-    assert candidate_points(f, "right_endpoints") == [2, 3, 6]
-
-
-def test_candidate_points_fano_realization():
-    pf = projective_instance(ProjectiveParams(2, 2))
-    assert candidate_points(pf.realization) == [Fraction(i) for i in range(7)]
-
-
-def test_candidate_points_bad_mode():
-    with pytest.raises(ValueError):
-        candidate_points(fam(1, [(0, 1)]), "midpoints")
-
-
-def test_depth_examples():
-    f = fam(1, [(0, 2)], [(1, 3)])
-    assert depth(f, Fraction(3, 2)) == 2
-    assert depth(f, 10) == 0
-
-
-def test_depth_fano_every_point_is_three():
-    pf = projective_instance(ProjectiveParams(2, 2))
-    for i in range(7):
-        assert depth(pf.realization, i) == 3
-
-
-def test_depth_maximum_attained_on_candidates():
-    # candidate endpoints realize the max depth: compare against a refined
-    # grid of midpoints between consecutive endpoints plus outside points
+def test_interval_instance_depth_is_the_family_maximum_depth():
+    # r of the interval instance is the family's deepest point on the line:
+    # count containment at the endpoints, the midpoints between consecutive
+    # endpoints and one point outside on each side
     for seed in range(20):
         f = random_d_intervals(GenConfig(seed=seed, n_edges=7, d=3))
-        pts = candidate_points(f)
-        grid = list(pts)
-        grid.append(pts[0] - 1)
-        grid.append(pts[-1] + 1)
-        for a, b in zip(pts, pts[1:]):
-            grid.append((a + b) / 2)
-        best_on_candidates = max(depth(f, x) for x in pts)
-        best_on_grid = max(depth(f, x) for x in grid)
-        assert best_on_candidates == best_on_grid
-
-
-# ---------------------------------------------------------------------------
-# common intersection and endpoint witnesses
-# ---------------------------------------------------------------------------
-
-def test_common_intersection_examples():
-    assert common_intersection([iv(0, 2), iv(1, 3), iv(Fraction(3, 2), 4)]) == iv(Fraction(3, 2), 2)
-    assert common_intersection([iv(0, 1), iv(2, 3)]) is None
-    assert common_intersection([iv(5, 5)]) == iv(5, 5)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-50, 50), st.integers(0, 30)).map(lambda t: iv(t[0], t[0] + t[1])),
-        min_size=1,
-        max_size=8,
-    ),
-    st.tuples(st.integers(-50, 50), st.integers(0, 30)).map(lambda t: iv(t[0], t[0] + t[1])),
-)
-def test_common_intersection_monotone(intervals, extra):
-    before = common_intersection(intervals)
-    after = common_intersection(intervals + [extra])
-    if after is None:
-        return
-    assert before is not None
-    assert before.lo <= after.lo and after.hi <= before.hi
-
-
-def test_endpoint_witnesses_forced_by_max_lo_min_hi():
-    w1, w2 = endpoint_witnesses([iv(0, 2), iv(1, 3), iv(Fraction(3, 2), 4)])
-    assert (w1.point, w1.owner, w1.others) == (Fraction(3, 2), 2, frozenset({0, 1}))
-    assert (w2.point, w2.owner, w2.others) == (Fraction(2), 0, frozenset({1, 2}))
-
-
-def test_endpoint_witnesses_single_interval():
-    w1, w2 = endpoint_witnesses([iv(0, 10)])
-    assert (w1.point, w1.owner, w1.others) == (0, 0, frozenset())
-    assert (w2.point, w2.owner, w2.others) == (10, 0, frozenset())
-
-
-def test_endpoint_witnesses_nested():
-    w1, w2 = endpoint_witnesses([iv(0, 4), iv(1, 3)])
-    assert (w1.point, w1.owner, w1.others) == (1, 1, frozenset({0}))
-    assert (w2.point, w2.owner, w2.others) == (3, 1, frozenset({0}))
-
-
-def test_endpoint_witnesses_empty_intersection_raises():
-    with pytest.raises(EmptyIntersection):
-        endpoint_witnesses([iv(0, 1), iv(2, 3)])
-    with pytest.raises(EmptyIntersection):
-        endpoint_witnesses([])
-
-
-@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=16, unique=True))
-def test_endpoint_witnesses_property(values):
-    # k intervals in strict general position, intersecting by construction:
-    # left endpoints from the lower half, right endpoints from the upper half
-    if len(values) % 2:
-        values = values[:-1]
-    values = sorted(Fraction(v) for v in values)
-    k = len(values) // 2
-    intervals = [iv(values[i], values[k + i]) for i in range(k)]
-    w1, w2 = endpoint_witnesses(intervals)
-    for w in (w1, w2):
-        assert all(p.contains(w.point) for p in intervals)
-        owner = intervals[w.owner]
-        assert w.point in (owner.lo, owner.hi)
-        assert w.others == frozenset(range(k)) - {w.owner}
-    if k >= 2:
-        assert (w1.point, w1.owner) != (w2.point, w2.owner)
+        pts = endpoints(f)
+        probes = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
+        deepest = max(sum(e.contains(x) for e in f.edges) for x in probes)
+        assert to_incidence(f).max_depth[0] == deepest
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +376,8 @@ def test_cover_restricted_to_right_endpoints_is_optimal():
         f = random_d_intervals(GenConfig(seed=seed, n_edges=6, d=2))
         inst = to_incidence(f)
         tau = covering_number(inst).optimum
-        points = candidate_points(f, "all_endpoints")
-        rights = {points.index(x) for x in candidate_points(f, "right_endpoints")}
+        points = endpoints(f)
+        rights = {points.index(p.hi) for e in f.edges for p in e.parts}
         best_restricted = None
         for k in range(len(rights) + 1):
             for combo in itertools.combinations(sorted(rights), k):
@@ -504,7 +390,7 @@ def test_cover_restricted_to_right_endpoints_is_optimal():
 
 
 # ---------------------------------------------------------------------------
-# general position and repair
+# general position
 # ---------------------------------------------------------------------------
 
 def test_general_position_validator_rejects_shared_value():
@@ -516,16 +402,6 @@ def test_general_position_validator_rejects_shared_value():
 def test_general_position_allows_point_intervals_and_repeats():
     f = fam(1, [(5, 5)], [(5, 5)])  # identical parts
     assert general_position_violations(f) == []
-
-
-def test_repair_general_position():
-    f = fam(2, [(0, 2)], [(2, 5)])  # distinct intervals sharing value 2
-    assert general_position_violations(f)
-    repaired = repair_general_position(f)
-    assert general_position_violations(repaired) == []
-    # originally distinct values keep their order
-    assert repaired.edges[0].parts[0].lo < repaired.edges[0].parts[0].hi
-    assert repaired.edges[0].parts[0].hi < repaired.edges[1].parts[0].hi
 
 
 def test_dinterval_validation():
