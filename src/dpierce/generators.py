@@ -216,8 +216,7 @@ def projective_incidence(params: ProjectiveParams) -> tuple[HypergraphInstance, 
     of a, res[s] holds the points whose partial sum of a_t*x_t is s mod q:
     the first (a_i = 1) sets res = col[i], each later one combines res with
     col[i] in q^2 AND/OR steps, and the last builds only residue 0, which is
-    the edge.  The masks' points then go through the constructor, which
-    checks every incidence.
+    the edge.  The masks go to `HypergraphInstance._from_masks` as they are.
     """
     k, q = params.dimension, params.field_order
     pts = projective_points(k, q)
@@ -244,11 +243,7 @@ def projective_incidence(params: ProjectiveParams) -> tuple[HypergraphInstance, 
             for v, cv in enumerate(col[i]):
                 mask |= res[-a * v % q] & cv
         masks.append(mask)
-    instance = HypergraphInstance(
-        ground_size=len(pts),
-        edges=[mask_points(m) for m in masks],
-        provenance="abstract",
-    )
+    instance = HypergraphInstance._from_masks(len(pts), masks, "abstract")
     return instance, (q**k - 1) // (q - 1)
 
 

@@ -164,7 +164,8 @@ class Graph:
     """Undirected graph on vertices 0..n-1 (not necessarily connected).
 
     Each edge is stored as (min, max), in the order given: a graph read
-    from a file writes its edges back in the file's order.
+    from a file writes its edges back in the file's order.  Vertices are
+    ints (bool is rejected).
     """
 
     n: int
@@ -176,7 +177,10 @@ class Graph:
         )
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
+            for w in (u, v):
+                if type(w) is not int:
+                    raise ValueError(f"edges[{i}]: vertex {w!r} is not an int")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range 0..{self.n - 1}")
             if u == v:
@@ -242,9 +246,10 @@ def _checked_subgraphs(graph, subgraphs, d: int) -> tuple[frozenset[int], ...]:
     """The members of a d-tree or tree-width family, checked and frozen.
 
     `graph` is the host, a `Graph` (a `HostTree` for a d-tree family), and
-    each member is any collection of its vertices: it must be nonempty, lie
-    in 0..n-1 and induce at most d >= 1 components.  A vertex out of range
-    is named by its position in the member as given.
+    each member is any collection of its vertices: it must be nonempty, its
+    vertices ints (bool is rejected) in 0..n-1, and it must induce at most
+    d >= 1 components.  A bad vertex is named by its position in the member
+    as given.
     """
     if d < 1:
         raise ValueError(f"d: must be positive, got {d}")
@@ -253,6 +258,8 @@ def _checked_subgraphs(graph, subgraphs, d: int) -> tuple[frozenset[int], ...]:
     members = []
     for i, h in enumerate(subgraphs):
         for j, v in enumerate(h):
+            if type(v) is not int:
+                raise ValueError(f"subgraphs[{i}][{j}]: vertex {v!r} is not an int")
             if not (0 <= v < n):
                 raise ValueError(f"subgraphs[{i}][{j}]: vertex {v} outside graph 0..{n - 1}")
         h = frozenset(h)
@@ -307,6 +314,16 @@ class PQParameters:
             raise ValueError(f"need p >= q >= 2, got p={self.p}, q={self.q}")
 
 
+def _check_ground_and_provenance(ground_size, provenance) -> None:
+    """The checks both `HypergraphInstance` entries share."""
+    if type(ground_size) is not int:
+        raise ValueError(f"ground_size must be an int, got {ground_size!r}")
+    if ground_size < 1:
+        raise ValueError(f"ground_size must be positive, got {ground_size}")
+    if provenance not in ("interval", "tree", "abstract"):
+        raise ValueError(f"unknown provenance {provenance!r}")
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class HypergraphInstance:
     """Finite incidence form consumed by every solver.
@@ -321,13 +338,16 @@ class HypergraphInstance:
     time they are read and kept on the instance; equality and hashing see
     only the three fields, and an instance pickles through its constructor.
 
-    Two paths build an instance.  The constructor checks every incidence of
-    the point collections it is given (ints only, inside the ground, no
-    empty edge) and builds their masks in the same pass; tests,
-    `instance_io`, unpickling and the tree, tree-width and projective
-    instances come this way.  `to_incidence` builds interval instances with
-    `_from_rank_ranges`, which checks each part's rank range instead: the
-    points of a range in the ground are valid by construction.
+    Every instance the package builds itself (`to_incidence` for interval,
+    tree and tree-width families, `projective_incidence` for PG(k,q)) comes
+    from its edge masks through `_from_masks`, which checks each mask with
+    0 < mask < 2**ground_size: that holds exactly when the mask is a
+    nonempty set of points in the ground.  The constructor takes edges as
+    point collections, checks every incidence (ints only, inside the
+    ground, no empty edge) and builds the masks in the same pass; it is
+    the entry for tests, API callers and unpickling.  Both check the
+    ground size (an int, bool rejected, at least 1) and the provenance
+    alike.
     """
 
     ground_size: int
@@ -335,10 +355,7 @@ class HypergraphInstance:
     provenance: str
 
     def __init__(self, ground_size: int, edges, provenance: str = "abstract"):
-        if ground_size < 1:
-            raise ValueError(f"ground_size must be positive, got {ground_size}")
-        if provenance not in ("interval", "tree", "abstract"):
-            raise ValueError(f"unknown provenance {provenance!r}")
+        _check_ground_and_provenance(ground_size, provenance)
         # one pass checks every incidence and builds the masks; the first bad point is named
         masks = []
         for i, e in enumerate(edges):
@@ -364,27 +381,19 @@ class HypergraphInstance:
         return _deepest_point(self.edge_masks)
 
     @classmethod
-    def _from_rank_ranges(cls, ground_size: int, ranges) -> HypergraphInstance:
-        """The "interval" instance whose edge i is one run of bits lo..hi per pair in ranges[i]."""
-        # This check is complete for this input: every bit set is a rank in the
-        # ground, and a pair lo <= hi is nonempty; `__init__` would find no more.
-        if ground_size < 1:
-            raise ValueError(f"ground_size must be positive, got {ground_size}")
-        masks = []
-        for i, parts in enumerate(ranges):
-            if not parts:
-                raise ValueError(f"edges[{i}] is empty")
-            mask = 0
-            for lo, hi in parts:
-                if not 0 <= lo <= hi < ground_size:
-                    raise ValueError(
-                        f"edges[{i}]: ranks {lo}..{hi} are not a range in ground "
-                        f"0..{ground_size - 1}"
-                    )
-                mask |= (1 << hi + 1) - (1 << lo)
-            masks.append(mask)
+    def _from_masks(cls, ground_size: int, masks, provenance: str) -> HypergraphInstance:
+        """The instance whose edge i is the point bitmask masks[i]."""
+        _check_ground_and_provenance(ground_size, provenance)
+        masks = tuple(masks)
+        full = 1 << ground_size
+        for i, m in enumerate(masks):
+            if not 0 < m < full:
+                raise ValueError(
+                    f"edges[{i}]: mask {m:#x} is not a nonempty set of points in ground "
+                    f"0..{ground_size - 1}"
+                )
         instance = object.__new__(cls)
-        vars(instance).update(ground_size=ground_size, edge_masks=tuple(masks), provenance="interval")
+        vars(instance).update(ground_size=ground_size, edge_masks=masks, provenance=provenance)
         return instance
 
     def __repr__(self):
@@ -468,25 +477,24 @@ def to_incidence(family) -> HypergraphInstance:
     """Reduce a family to its finite incidence instance.
 
     This is the one conversion from a family to the instance every solver
-    consumes.  Intervals: ground points are the distinct endpoint values
-    (every lo and hi) in increasing order, and each edge becomes the ids of
-    the endpoints its parts contain.  The endpoints are ranked once,
-    exactly, in integers: each x is scaled to x * L, L the lcm of all
-    endpoint denominators, a strictly increasing map, so the sorted
-    distinct integers give the ids of the sorted endpoints.  A part [lo, hi] then holds
-    exactly the ids rank(lo)..rank(hi), and an edge is the union of its
-    parts' id ranges.  `HypergraphInstance._from_rank_ranges` builds the
-    edges' masks, and no point sets, from these ranges; checking that each
-    range lies in the ground is its whole validation, so the interval path
-    never re-scans the incidences.  Subforests: ground points are the host
-    vertices, and, like a `TwInstance`, they go through the validating
-    constructor.
+    consumes, and every branch hands the edges' point bitmasks to
+    `HypergraphInstance._from_masks`, with no point sets.  Intervals:
+    ground points are the distinct endpoint values (every lo and hi) in
+    increasing order, and each edge becomes the ids of the endpoints its
+    parts contain.  The endpoints are ranked once, exactly, in integers:
+    each x is scaled to x * L, L the lcm of all endpoint denominators, a
+    strictly increasing map, so the sorted distinct integers give the ids
+    of the sorted endpoints.  A part [lo, hi] then holds exactly the ids
+    rank(lo)..rank(hi), and an edge's mask is the OR of its parts' runs of
+    bits.  Subforests: ground points are the host vertices, and an edge's
+    mask is the OR of its member's vertices; a `TwInstance` becomes, the
+    same way, the "abstract" instance of its subgraphs over the graph's
+    vertices.
     Either way nu, tau, nu* and tau* of the instance equal those of the
     family: a point slides right, inside every part containing it, to the
     nearest right endpoint among those parts, so intersections are witnessed
     at endpoints, optimal covers may be slid onto right endpoints, and the
-    depth r is attained at an endpoint.  A `TwInstance` becomes the "abstract"
-    instance of its subgraphs over the graph's vertices.
+    depth r is attained at an endpoint.
     """
     if isinstance(family, DIntervalFamily):
         denominators = {
@@ -506,13 +514,26 @@ def to_incidence(family) -> HypergraphInstance:
         ]
         values = sorted({v for span in spans for pair in span for v in pair})
         rank = {v: i for i, v in enumerate(values)}
-        ranges = [[(rank[lo], rank[hi]) for lo, hi in span] for span in spans]
-        return HypergraphInstance._from_rank_ranges(max(1, len(rank)), ranges)
+        masks = []
+        for span in spans:
+            mask = 0
+            for lo, hi in span:
+                mask |= (1 << rank[hi] + 1) - (1 << rank[lo])
+            masks.append(mask)
+        return HypergraphInstance._from_masks(max(1, len(rank)), masks, "interval")
+    # tested before the import, which would otherwise run on every tree family
     if isinstance(family, SubforestFamily):
-        return HypergraphInstance(ground_size=family.host.n, edges=family.edges, provenance="tree")
-    from .treewidth import TwInstance  # treewidth imports this module
+        ground_size, members, provenance = family.host.n, family.edges, "tree"
+    else:
+        from .treewidth import TwInstance  # treewidth imports this module
 
-    if isinstance(family, TwInstance):
-        return HypergraphInstance(ground_size=family.graph.n, edges=family.subgraphs)
-    raise TypeError(f"cannot discretize {type(family).__name__}")
-
+        if not isinstance(family, TwInstance):
+            raise TypeError(f"cannot discretize {type(family).__name__}")
+        ground_size, members, provenance = family.graph.n, family.subgraphs, "abstract"
+    masks = []
+    for member in members:
+        mask = 0
+        for v in member:
+            mask |= 1 << v
+        masks.append(mask)
+    return HypergraphInstance._from_masks(ground_size, masks, provenance)

@@ -24,7 +24,7 @@ from dpierce import (
     subset_intersection_point,
     to_incidence,
 )
-from dpierce.generators import GenConfig, random_d_intervals
+from dpierce.generators import GenConfig, planted_pq_subforests, random_d_intervals, random_tw_graph
 from dpierce.model import connected_components
 
 from helpers import (
@@ -150,8 +150,10 @@ def test_host_tree_validation():
         (2, ((1, 1),), "self-loop at vertex 1", True),
         (3, ((0, 1),), "tree on 3 vertices needs 2 edges, got 1", False),
         (4, ((0, 1), (1, 0), (2, 3)), "edge list is not connected", False),
+        (3, ((0, True), (1, 2)), "edges[0]: vertex True is not an int", True),
+        (3, ((0, 1), (1.0, 2)), "edges[1]: vertex 1.0 is not an int", True),
     ],
-    ids=["n=0", "out-of-range", "self-loop", "n-1-edges", "not-connected"],
+    ids=["n=0", "out-of-range", "self-loop", "n-1-edges", "not-connected", "bool-vertex", "float-vertex"],
 )
 def test_graph_and_host_tree_fail_alike(n, edges, message, graph_too):
     # a host tree is a Graph that is a tree: the graph checks are shared, word
@@ -198,8 +200,10 @@ def test_subforest_family_validation():
         (([0], []), 1, "subgraphs[1]: subgraph must be nonempty"),
         (({0, 2},), 1, "subgraphs[0]: induces 2 components > d=1"),
         (({0},), 0, "d: must be positive, got 0"),
+        (([0], [1, True]), 1, "subgraphs[1][1]: vertex True is not an int"),
+        (([1.0],), 1, "subgraphs[0][0]: vertex 1.0 is not an int"),
     ],
-    ids=["out-of-range", "empty", "too-many-components", "d=0"],
+    ids=["out-of-range", "empty", "too-many-components", "d=0", "bool-vertex", "float-vertex"],
 )
 def test_tree_and_tree_width_members_fail_alike(members, d, message):
     # a d-tree member and a tree-width subgraph are one object, checked once:
@@ -310,7 +314,7 @@ def test_interval_instances_equal_the_validated_build():
 
 
 def _given_and_built():
-    """(given edge sets, instance built from them) on each constructor path."""
+    """(given edge sets, instance built from them): tree, tree-width and PG masks, and points."""
     host = HostTree(6, ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5)))
     trees = SubforestFamily(host, 2, ([5, 4], {0, 2}, (3,), [2, 1, 0], {5, 4}))
     yield trees.edges, to_incidence(trees)
@@ -323,7 +327,12 @@ def _given_and_built():
         d=2,
     )
     yield tw.subgraphs, to_incidence(tw)
-    for k, q in ((2, 2), (2, 3), (3, 2)):
+    for seed in range(10):
+        trees = planted_pq_subforests(GenConfig(seed=seed, host_size=12), PQParameters(3, 2))
+        yield trees.edges, to_incidence(trees)
+        tw = random_tw_graph(GenConfig(seed=seed), 2)
+        yield tw.subgraphs, to_incidence(tw)
+    for k, q in ((2, 2), (2, 3), (3, 2), (2, 13), (3, 7)):
         instance = projective_incidence(ProjectiveParams(k, q))[0]
         yield instance.edges, instance
     # points given out of increasing order, as lists, with repeats
@@ -344,17 +353,21 @@ def test_constructed_instances_equal_a_fresh_build():
 
 
 @pytest.mark.parametrize(
-    "ranges, message",
+    "ground_size, masks, message",
     [
-        ([[(0, 1)], [(2, 1)]], "edges[1]: ranks 2..1 are not a range in ground 0..3"),
-        ([[(0, 1)], [(0, 0), (3, 4)]], "edges[1]: ranks 3..4 are not a range in ground 0..3"),
-        ([[(-1, 0)]], "edges[0]: ranks -1..0 are not a range in ground 0..3"),
-        ([[(0, 0)], [(1, 1)], []], "edges[2] is empty"),
+        (4, [0b1, 0], "edges[1]: mask 0x0 is not a nonempty set of points in ground 0..3"),
+        (4, [0b1111, 0b10000], "edges[1]: mask 0x10 is not a nonempty set of points in ground 0..3"),
+        (4, [-1], "edges[0]: mask -0x1 is not a nonempty set of points in ground 0..3"),
+        (0, [], "ground_size must be positive, got 0"),
+        (2.5, [0b1], "ground_size must be an int, got 2.5"),
+        (True, [0b1], "ground_size must be an int, got True"),
     ],
+    ids=["empty", "bit-at-ground-size", "negative", "ground=0", "ground=2.5", "ground=True"],
 )
-def test_rank_ranges_are_checked(ranges, message):
+def test_masks_are_checked(ground_size, masks, message):
+    # 0 < mask < 2**ground_size is a nonempty set of points in the ground
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        HypergraphInstance._from_rank_ranges(4, ranges)
+        HypergraphInstance._from_masks(ground_size, masks, "interval")
 
 
 def test_to_incidence_preserves_nu_and_tau():
@@ -427,6 +440,15 @@ def test_hypergraph_instance_validation():
         HypergraphInstance(ground_size=2, edges=(frozenset({5}),))
     with pytest.raises(ValueError):
         HypergraphInstance(ground_size=2, edges=(frozenset({0}),), provenance="nope")
+    # the ground size is an int of at least 1: not a float, not a bool
+    for ground, message in (
+        (0, "ground_size must be positive, got 0"),
+        (2.5, "ground_size must be an int, got 2.5"),
+        (True, "ground_size must be an int, got True"),
+        (2.0, "ground_size must be an int, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HypergraphInstance(ground, [[0]])
     # a repeated member is a repeated edge
     inst = HypergraphInstance(ground_size=2, edges=(frozenset({0}),) * 4)
     assert inst.edges == (frozenset({0}),) * 4
