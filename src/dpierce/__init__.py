@@ -28,6 +28,7 @@ from .model import (
 from .simplex import LPSolution, SimplexError, solve_lp_max
 from .solvers import (
     FractionalSolution,
+    Measures,
     PQVerdict,
     SolveResult,
     TooLarge,
@@ -37,6 +38,7 @@ from .solvers import (
     max_depth,
     naive_oracle,
     pq_check,
+    solve,
     verify_cover,
     verify_matching,
 )

@@ -1,12 +1,12 @@
 """Covering-bound formulas, instance verification, and proof procedures.
 
 Each `BoundKind` pins one inequality on one family class.  `verify_bundle`
-solves an instance once, exactly (nu, tau, tau* and the depth r), and
-checks each requested kind against that one solve; `verify_instance` is
-the one-kind case.  d and k are read off the family: k is a `TwInstance`'s
-validated decomposition width, and None for the other families, so TW_TAU
-is checked only at a width some decomposition has and is inapplicable to
-a family without one.  A kind whose hypothesis fails (the (p,q) property,
+solves an instance once, exactly, by `solvers.solve`, and checks each
+requested kind against that one record of nu, tau, tau* and the depth r;
+`verify_instance` is the one-kind case.  d and k are read off the family:
+k is a `TwInstance`'s validated decomposition width, and None for the
+other families, so TW_TAU is checked only at a width some decomposition
+has and is inapplicable to a family without one.  A kind whose hypothesis fails (the (p,q) property,
 the family class, d = 1 for GALLAI) is reported as inapplicable, never as
 a vacuous success.
 
@@ -37,22 +37,13 @@ from mpmath import mp, mpf, nstr
 from .model import (
     DIntervalFamily,
     HostTree,
-    HypergraphInstance,
     PQParameters,
     SubforestFamily,
     _checked_subgraphs,
     to_incidence,
 )
 from .generators import ProjectiveParams, projective_incidence
-from .solvers import (
-    covering_number,
-    fractional_pair,
-    matching_number,
-    max_depth,
-    pq_check,
-    verify_cover,
-    verify_matching,
-)
+from .solvers import fractional_pair, pq_check, solve, verify_cover, verify_matching
 from .treewidth import TwInstance
 
 with mp.workdps(50):
@@ -233,36 +224,24 @@ def _exact_to_mpf(x: Fraction) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
 
 
-def solve_measures(instance: HypergraphInstance):
-    """(nu result, tau result, fractional cover, r).
-
-    Every LP is solved at most once per instance: the certified root pair
-    that `fractional_pair` reads is the root bound of both
-    branch-and-bounds, and the root LP is not solved at all where uniform
-    weights or the greedy sandwich certify tau*.
-    """
-    cover_sol, _ = fractional_pair(instance)
-    nu_res = matching_number(instance)
-    tau_res = covering_number(instance)
-    r, _ = max_depth(instance)
-    return nu_res, tau_res, cover_sol, r
-
-
 def verify_bundle(
     family,
     kinds,
     params: PQParameters | None = None,
     seed: int = 0,
 ) -> list[BoundReport]:
-    """Check several bound kinds on one family with a single exact solve."""
+    """Check several bound kinds on one family against one `solve` of it.
+
+    Both witnesses of the solve are re-validated on the instance first.
+    """
     d, k = _d_and_k(family)
     instance = to_incidence(family)
-    nu_res, tau_res, cover_sol, r = solve_measures(instance)
-    if not verify_cover(instance, tau_res.witness) or not verify_matching(
-        instance, nu_res.witness
+    solved = solve(instance)
+    if not verify_cover(instance, solved.tau.witness) or not verify_matching(
+        instance, solved.nu.witness
     ):
         raise RuntimeError("witness failed its independent re-validation")
-    nu, tau, tau_star = nu_res.optimum, tau_res.optimum, cover_sol.value
+    nu, tau, tau_star = solved.nu.optimum, solved.tau.optimum, solved.tau_star
     p, q = (params.p, params.q) if params else (None, None)
     # the fields every report of this instance shares
     shared = dict(
@@ -273,9 +252,9 @@ def verify_bundle(
         nu=nu,
         tau=tau,
         tau_star=tau_star,
-        r=r,
-        witness_cover=tuple(sorted(tau_res.witness)),
-        witness_matching=tuple(sorted(nu_res.witness)),
+        r=solved.r,
+        witness_cover=tuple(sorted(solved.tau.witness)),
+        witness_matching=tuple(sorted(solved.nu.witness)),
         seed=seed,
     )
     verdict = None

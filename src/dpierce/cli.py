@@ -15,11 +15,11 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .bounds import BoundKind, sharpness_probe, solve_measures, verify_instance
+from .bounds import BoundKind, sharpness_probe, verify_instance
 from .campaign import _instances, run_campaign_file
 from .instance_io import dumps_instance, load_instance
 from .model import PQParameters, to_incidence
-from .solvers import pq_check
+from .solvers import pq_check, solve
 
 
 def _emit(doc, out) -> None:
@@ -60,15 +60,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    nu, tau, cover_sol, r = solve_measures(to_incidence(load_instance(args.file)))
+    solved = solve(to_incidence(load_instance(args.file)))
     _emit(
         {
-            "nu": nu.optimum,
-            "tau": tau.optimum,
-            "tau_star": str(cover_sol.value),
-            "witness_cover": sorted(tau.witness),
-            "witness_matching": sorted(nu.witness),
-            "r": r,
+            "nu": solved.nu.optimum,
+            "tau": solved.tau.optimum,
+            "tau_star": str(solved.tau_star),
+            "witness_cover": sorted(solved.tau.witness),
+            "witness_matching": sorted(solved.nu.witness),
+            "r": solved.r,
         },
         args.output,
     )

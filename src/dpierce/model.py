@@ -164,8 +164,8 @@ class Graph:
     """Undirected graph on vertices 0..n-1 (not necessarily connected).
 
     Each edge is stored as (min, max), in the order given: a graph read
-    from a file writes its edges back in the file's order.  Vertices are
-    ints (bool is rejected).
+    from a file writes its edges back in the file's order.  n and the
+    vertices are ints (bool is rejected).
     """
 
     n: int
@@ -175,6 +175,8 @@ class Graph:
         object.__setattr__(
             self, "edges", tuple((min(u, v), max(u, v)) for u, v in self.edges)
         )
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
         for i, (u, v) in enumerate(self.edges):

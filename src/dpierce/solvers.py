@@ -14,6 +14,8 @@ solves (tau* and each node bound of the branch-and-bounds) is solved on
 its dominance kernel: a point whose set of edges is contained in another
 point's adds only a redundant row, so it is left out, and the optimum is
 unchanged.
+`solve` gives the one record, `Measures`, that every bound kind reads:
+nu, tau, tau* and the depth r of an instance.
 `pq_check` decides the (p,q) property by a depth-first search for p
 distinct edges that load no point q times, the shape of a counterexample;
 it reads the distinct edges' point bitmasks from the solve context below.
@@ -32,7 +34,8 @@ branch-and-bounds read, and every LP solved, by column mask, so that no
 mask's LP is solved twice and the certified root pair of `_root_lp` is
 the root bound and the incumbent guide of both searches.  LP solutions
 stay integer numerators over one denominator inside this module;
-`fractional_pair` builds the only Fractions, for its value and weights.
+`fractional_pair` builds Fractions for its value and weights, and `solve`
+for tau* alone.
 """
 
 from __future__ import annotations
@@ -63,6 +66,20 @@ class FractionalSolution:
 
     value: Fraction
     weights: dict
+
+
+@dataclass(frozen=True)
+class Measures:
+    """One exact solve of an instance, as `solve` returns it.
+
+    `nu` and `tau` are the searches' results, with their witnesses and node
+    counts; `tau_star` is the fractional optimum and `r` the depth.
+    """
+
+    nu: SolveResult
+    tau: SolveResult
+    tau_star: Fraction
+    r: int
 
 
 @dataclass(frozen=True)
@@ -528,6 +545,29 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
         FractionalSolution(
             value, {ctx.firsts[j]: Fraction(w, D) for j, w in enumerate(sol.primal) if w}
         ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# one solve per instance, for every bound kind
+# ---------------------------------------------------------------------------
+
+def solve(instance: HypergraphInstance) -> Measures:
+    """nu, tau, tau* and the depth r of `instance`, from one shared solve.
+
+    No LP is solved twice: tau* is read first, from `_root_lp`, whose
+    certified pair is then the root bound of both branch-and-bounds, and
+    each node LP is kept in the solve context by its column mask.  The root
+    LP is not solved at all where uniform weights or the greedy sandwich
+    certify tau*.  An edgeless instance has tau* = 0.
+    """
+    ctx = _context(instance)
+    tau_star = Fraction(0)
+    if ctx.masks:
+        sol = _root_lp(ctx)[1]
+        tau_star = Fraction(sol.value, sol.den)
+    return Measures(
+        matching_number(instance), covering_number(instance), tau_star, instance.max_depth[0]
     )
 
 

@@ -32,7 +32,11 @@ class NotACover(ValueError):
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """A tree whose node i carries bag i, a nonempty set of graph vertices."""
+    """A tree whose node i carries bag i, a nonempty set of graph vertices.
+
+    The vertices are ints (bool is rejected); their range is checked against
+    a graph by `validate_decomposition`.
+    """
 
     tree: HostTree
     bags: tuple[frozenset[int], ...]
@@ -46,6 +50,9 @@ class TreeDecomposition:
         for i, bag in enumerate(self.bags):
             if not bag:
                 raise ValueError(f"bag {i} is empty")
+            for v in bag:
+                if type(v) is not int:
+                    raise ValueError(f"bags[{i}]: vertex {v!r} is not an int")
 
     @property
     def width(self) -> int:

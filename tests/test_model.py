@@ -152,8 +152,13 @@ def test_host_tree_validation():
         (4, ((0, 1), (1, 0), (2, 3)), "edge list is not connected", False),
         (3, ((0, True), (1, 2)), "edges[0]: vertex True is not an int", True),
         (3, ((0, 1), (1.0, 2)), "edges[1]: vertex 1.0 is not an int", True),
+        (2.5, ((0, 1),), "n must be an int, got 2.5", True),
+        (True, (), "n must be an int, got True", True),
     ],
-    ids=["n=0", "out-of-range", "self-loop", "n-1-edges", "not-connected", "bool-vertex", "float-vertex"],
+    ids=[
+        "n=0", "out-of-range", "self-loop", "n-1-edges", "not-connected", "bool-vertex",
+        "float-vertex", "float-n", "bool-n",
+    ],
 )
 def test_graph_and_host_tree_fail_alike(n, edges, message, graph_too):
     # a host tree is a Graph that is a tree: the graph checks are shared, word

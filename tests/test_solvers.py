@@ -23,12 +23,13 @@ from dpierce import (
     naive_oracle,
     pq_check,
     projective_instance,
+    solve,
     solvers,
     to_incidence,
     verify_cover,
     verify_matching,
 )
-from dpierce.bounds import sharpness_probe, solve_measures, verify_bundle
+from dpierce.bounds import sharpness_probe, verify_bundle
 from dpierce.generators import (
     GenConfig,
     planted_pq_family,
@@ -151,7 +152,7 @@ def _greedies_meet(instance):
     return matching == cover
 
 
-def test_solve_measures_solves_root_lp_once(monkeypatch):
+def test_solve_solves_root_lp_once(monkeypatch):
     # at most once: never where uniform weights or the greedy sandwich
     # settle tau*, once where neither does
     real = solvers.solve_lp_max
@@ -165,7 +166,7 @@ def test_solve_measures_solves_root_lp_once(monkeypatch):
     settled = 0
     for instance in _root_families():
         solved.clear()
-        solve_measures(instance)
+        solve(instance)
         candidate = _uniform_and_regular(instance) or _greedies_meet(instance)
         assert solved.count(_root_lp(instance)) == (0 if candidate else 1)
         settled += candidate
@@ -178,17 +179,29 @@ def _fresh(instance):
     return HypergraphInstance(instance.ground_size, instance.edges, instance.provenance)
 
 
+def test_solve_equals_the_separate_solvers():
+    # each public solver on a fresh instance gives what the one record holds
+    for instance in [*_root_families(), to_incidence(make_family(1, []))]:
+        measures = solve(instance)
+        assert measures == solvers.Measures(
+            matching_number(_fresh(instance)),
+            covering_number(_fresh(instance)),
+            fractional_pair(_fresh(instance))[0].value,
+            max_depth(_fresh(instance))[0],
+        )
+
+
 def test_warm_instance_gives_fresh_results():
     # same results, witnesses and node counts on an instance every solver has
     # already solved as on a fresh one
     params = PQParameters(3, 2)
     solves = (lambda i: pq_check(i, params), covering_number, matching_number, fractional_pair)
     for instance in _root_families():
-        for solve in solves:
+        for solver in solves:
             warm = _fresh(instance)
-            solve_measures(warm)
+            solve(warm)
             pq_check(warm, params)
-            assert solve(warm) == solve(_fresh(instance))
+            assert solver(warm) == solver(_fresh(instance))
 
 
 def _matching_reference_cases():
@@ -676,7 +689,7 @@ def test_read_depth_leaves_equality_hash_and_pickle_alone():
     assert max_depth(read) == (3, 1)
     # solved by every solver and by the (p,q) check, which fails here
     solved = inst(*edges, {0, 1}, {2})
-    solve_measures(solved)
+    solve(solved)
     assert not pq_check(solved, PQParameters(2, 2)).holds
     for used, fresh in ((read, inst(*edges)), (solved, inst(*edges, {0, 1}, {2}))):
         assert used == fresh
@@ -816,8 +829,9 @@ def test_pq_pipeline_never_builds_the_edge_sets():
         max_depth(decided)
         assert "edges" not in vars(decided)
         solved = to_incidence(family)
-        nu, tau, _, _ = solve_measures(solved)
-        assert verify_cover(solved, tau.witness) and verify_matching(solved, nu.witness)
+        measures = solve(solved)
+        assert verify_cover(solved, measures.tau.witness)
+        assert verify_matching(solved, measures.nu.witness)
         assert "edges" not in vars(solved)
         # read on demand, the sets are the ones the masks hold
         assert solved.edges == tuple(frozenset(model.mask_points(m)) for m in solved.edge_masks)

@@ -193,6 +193,9 @@ def test_tw_instance_validates_in_memory():
         TwInstance(graph, bad, ({0, 1}, {1, 2}), d=1)
     with pytest.raises(ValueError, match="^bag 1 is empty$"):
         TreeDecomposition(tree=HostTree(n=2, edges=((0, 1),)), bags=({0, 1, 2}, ()))
+    # equal to vertices 1 and 2, these bags would otherwise pass validation
+    with pytest.raises(ValueError, match=r"^bags\[0\]: vertex True is not an int$"):
+        TreeDecomposition(tree=HostTree(n=2, edges=((0, 1),)), bags=({0, True}, {1, 2.0}))
     tw = TwInstance(graph, dec, ([0, 2], [1]), d=2)
     assert tw.subgraphs == (frozenset({0, 2}), frozenset({1}))
     assert loads_instance(dumps_instance(tw)) == tw
