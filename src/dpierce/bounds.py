@@ -13,14 +13,19 @@ a vacuous success.
 The closed-form bounds involve e and fractional powers.  `_closed_form`
 evaluates each of them, with the active branch of a max-form bound, once
 per (kind, p, q, d, k), with mpmath at 50 digits whatever the caller's
-precision (certified error far below 1e-9); the slack, the check against
-the bound and the tightness ratios are computed at the same 50 digits, so
-no report depends on the caller's precision, and importing the module
-leaves mpmath's global precision alone.  The checks allow a 1e-6
-slack above the bound; measured quantities are exact rationals, so no
-true violation is masked at the scales handled here.  The ratio and
-equality kinds (tau <= d*tau*, and tau = nu for plain interval families)
-are compared exactly in rational arithmetic.
+precision (certified error far below 1e-9).  A report's whole outcome
+(bound text, verdict, slack and active branch) is evaluated once per
+exact input, at the same 50 digits: by `_closed_outcome` on (kind, p, q,
+d, k, measured), and by `_measured_outcome` on (kind, right-hand side,
+tau) for ALON and GALLAI.  So no report depends on the caller's
+precision, and importing the module leaves mpmath's global precision
+alone.  Both memos hold no more entries than the distinct reports made,
+and a campaign's reports repeat few distinct inputs: measured values are
+small integers and fractions.  The checks allow a 1e-6 slack above the
+bound; measured quantities are exact rationals, so no true violation is
+masked at the scales handled here.  The ratio and equality kinds (tau <=
+d*tau*, and tau = nu for plain interval families) are compared exactly in
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -220,8 +225,35 @@ def _fmt(x: mpf) -> str:
     return nstr(x, 17)
 
 
-def _exact_to_mpf(x: Fraction) -> mpf:
+def _exact_to_mpf(x: Fraction | int) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
+
+
+@functools.cache
+def _closed_outcome(kind, p, q, d, k, measured) -> tuple[str, bool, str, str | None]:
+    """(bound_value, satisfied, slack, active_branch) of a closed-form kind.
+
+    `measured` is tau* (a Fraction) for the star kinds, tau (an int) for the
+    others, checked against `_closed_form` with the 1e-6 slack.  Evaluated
+    at 50 digits whatever the caller's precision, like the bound itself.
+    """
+    with mp.workdps(50):
+        bound, active, text = _closed_form(kind, p, q, d, k)
+        value = _exact_to_mpf(measured)
+        ok = value < bound + _TOL if _KINDS[kind].star else value <= bound + _TOL
+        return text, bool(ok), _fmt(bound - value), active
+
+
+@functools.cache
+def _measured_outcome(kind, rhs, tau) -> tuple[str, bool, str, None]:
+    """(bound_value, satisfied, slack, None) of ALON or GALLAI, compared exactly.
+
+    `rhs` is d tau* for ALON (tau <= rhs) and nu for GALLAI (tau = rhs); the
+    kind is part of the key because the two compare the same pair differently.
+    """
+    with mp.workdps(50):
+        ok = tau == rhs if kind is BoundKind.GALLAI else tau <= rhs
+        return _fmt(_exact_to_mpf(rhs)), ok, _fmt(_exact_to_mpf(rhs - tau)), None
 
 
 def verify_bundle(
@@ -267,42 +299,32 @@ def verify_bundle(
         return verdict
 
     reports = []
-    # the report arithmetic runs at the precision of the closed forms,
-    # whatever the caller's
-    with mp.workdps(50):
-        for kind in kinds:
-            problem = _hypothesis_problem(kind, instance, params, d, k, pq_verdict)
-            # (bound_value, satisfied, slack, active_branch)
-            if problem is not None:
-                outcome = ("", None, None, None)
-            elif _KINDS[kind].form is None:
-                # ALON (tau <= d tau*) and GALLAI (tau = nu), compared exactly
-                gallai = kind is BoundKind.GALLAI
-                rhs = nu if gallai else d * tau_star
-                ok = tau == rhs if gallai else tau <= rhs
-                slack = _fmt(_exact_to_mpf(rhs - tau))
-                outcome = (_fmt(_exact_to_mpf(rhs)), ok, slack, None)
-            else:
-                bound, active, text = _closed_form(kind, p, q, d, k)
-                star = _KINDS[kind].star
-                measured = _exact_to_mpf(tau_star) if star else mpf(tau)
-                ok = measured < bound + _TOL if star else measured <= bound + _TOL
-                outcome = (text, bool(ok), _fmt(bound - measured), active)
-            bound_value, satisfied, slack, active = outcome
-            reason, counterexample = problem or (None, None)
-            reports.append(
-                BoundReport(
-                    kind=kind,
-                    applicable=problem is None,
-                    reason=reason,
-                    counterexample=counterexample,
-                    bound_value=bound_value,
-                    satisfied=satisfied,
-                    slack=slack,
-                    active_branch=active,
-                    **shared,
-                )
+    for kind in kinds:
+        problem = _hypothesis_problem(kind, instance, params, d, k, pq_verdict)
+        if problem is not None:
+            outcome = ("", None, None, None)
+        elif _KINDS[kind].form is None:
+            # ALON (tau <= d tau*) and GALLAI (tau = nu), compared exactly
+            rhs = nu if kind is BoundKind.GALLAI else d * tau_star
+            outcome = _measured_outcome(kind, rhs, tau)
+        else:
+            measured = tau_star if _KINDS[kind].star else tau
+            outcome = _closed_outcome(kind, p, q, d, k, measured)
+        bound_value, satisfied, slack, active = outcome
+        reason, counterexample = problem or (None, None)
+        reports.append(
+            BoundReport(
+                kind=kind,
+                applicable=problem is None,
+                reason=reason,
+                counterexample=counterexample,
+                bound_value=bound_value,
+                satisfied=satisfied,
+                slack=slack,
+                active_branch=active,
+                **shared,
             )
+        )
     return reports
 
 

@@ -125,8 +125,9 @@ class _SolveContext:
     point mask `masks[j]` and points `edge_points[j]`, in increasing id.
     Built on first use: those points, `point_masks` ({point: bit j for each
     distinct edge j through it}, in increasing id), `conflicts[j]` (the bits
-    of the distinct edges meeting edge j, j included) and the greedies
-    `plain_matching` and `plain_cover`, of both searches and the sandwich.
+    of the distinct edges meeting edge j, j included; read only when the
+    matching search branches) and the greedies `plain_matching` and
+    `plain_cover`, of both searches and the sandwich.
     `by_cols`: `_incidence_lp`'s answer for each column mask; `root`: the
     certified answer of `_root_lp`, also kept in `by_cols` under the full
     mask.
@@ -445,14 +446,20 @@ def matching_number(instance: HypergraphInstance) -> SolveResult:
 
 
 def _greedy_matching(ctx: _SolveContext, order) -> list[int]:
-    """Distinct edges taken in `order` whenever they miss every edge taken."""
-    conflicts = ctx.conflicts
+    """Distinct edges taken in `order` whenever they miss every edge taken.
+
+    An edge misses them all when its point mask misses their union `taken`;
+    an edge is never empty, so one already taken, met again in `order`, is
+    never taken twice.
+    """
+    masks = ctx.masks
     chosen: list[int] = []
-    avail = (1 << len(ctx.masks)) - 1
+    taken = 0
     for j in order:
-        if avail >> j & 1:
+        m = masks[j]
+        if not m & taken:
             chosen.append(j)
-            avail &= ~conflicts[j]
+            taken |= m
     return chosen
 
 
@@ -478,7 +485,6 @@ def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> Solv
     """
     ctx = _context(instance)
     member = ctx.point_masks
-    conflict = ctx.conflicts
     best = list(incumbent)
     best_size = len(best)
     node_count = 0
@@ -498,6 +504,7 @@ def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> Solv
             return
         pt = max(member, key=lambda p: ((member[p] & mask).bit_count(), -p))
         through = member[pt] & mask
+        conflict = ctx.conflicts  # built on the first branch, then kept
         k = through
         while k:
             j = (k & -k).bit_length() - 1

@@ -34,8 +34,10 @@ from dpierce import (
 )
 from dpierce import bounds
 from dpierce.bounds import _fmt
+from dpierce.campaign import _instances
 
 from helpers import fam
+from test_golden import GOLDEN_CONFIG
 
 
 # frozen from an independent float evaluation of the closed forms
@@ -147,6 +149,12 @@ def test_closed_form_ignores_the_callers_precision():
     assert _fmt(low) == "63.494168275108695"
 
 
+def _clear_report_memos():
+    bounds._closed_form.cache_clear()
+    bounds._closed_outcome.cache_clear()
+    bounds._measured_outcome.cache_clear()
+
+
 def test_report_arithmetic_ignores_the_callers_precision():
     params = PQParameters(5, 3)
     family = planted_pq_family(GenConfig(seed=4, n_edges=8, d=7), params)
@@ -157,7 +165,11 @@ def test_report_arithmetic_ignores_the_callers_precision():
         summary = [(r.bound_value, r.satisfied, r.slack) for r in reports]
         return summary, bounds.max_measured_over_bound(reports), sharpness_probe(3, [2])
 
-    expected = measured()
+    # from cold memos, first at 15 digits: a memo that kept an outcome
+    # evaluated at the caller's precision would return it from then on
+    _clear_report_memos()
+    with mp.workdps(15):
+        expected = measured()
     star = expected[0][0]
     assert star[1] is True and star[2] == "61.494168275108695"
     assert expected[1] == {"ALON": "0.14285714285714286", "DPQ_STAR": "0.031498955799127305"}
@@ -167,6 +179,72 @@ def test_report_arithmetic_ignores_the_callers_precision():
     for dps in (15, 30, 60):
         with mp.workdps(dps):
             assert measured() == expected
+
+
+def _memo_corpus():
+    """(family, kinds, params) triples: every kind applicable, both max-form branches."""
+    for camp in GOLDEN_CONFIG["campaigns"]:
+        params = PQParameters(camp["p"], camp["q"]) if "p" in camp else None
+        kinds = [BoundKind(name) for name in camp["kinds"]]
+        for _, family in _instances(camp["source"], params, "source"):
+            yield family, kinds, params
+    planted = {
+        (5, 3): [BoundKind.DPQ_STAR, BoundKind.DPQ_TAU, BoundKind.ALON],
+        (2, 2): [BoundKind.DPP_STAR, BoundKind.DPP_TAU, BoundKind.KAISER_P2, BoundKind.ALON],
+    }
+    for (p, q), kinds in planted.items():
+        params = PQParameters(p, q)
+        for seed, d in itertools.product(range(3), (2, 7)):
+            yield planted_pq_family(GenConfig(seed=seed, n_edges=8, d=d), params), kinds, params
+    # tau* = 5/3 at d = 2: ALON's slack 4/3 is not exact at 15 digits
+    yield random_d_intervals(GenConfig(seed=27, n_edges=10, d=2)), [BoundKind.ALON], None
+
+
+def _memo_entry(report):
+    """(memo, key) that gave an applicable report its outcome."""
+    if report.kind is BoundKind.GALLAI:
+        return bounds._measured_outcome, (report.kind, report.nu, report.tau)
+    if report.kind is BoundKind.ALON:
+        return bounds._measured_outcome, (report.kind, report.d * report.tau_star, report.tau)
+    measured = report.tau_star if bounds._KINDS[report.kind].star else report.tau
+    key = (report.kind, report.p, report.q, report.d, report.k, measured)
+    return bounds._closed_outcome, key
+
+
+def test_report_memo_never_changes_a_report():
+    corpus = list(_memo_corpus())
+    cold = []
+    for family, kinds, params in corpus:
+        _clear_report_memos()
+        cold.append(verify_bundle(family, kinds, params=params))
+    for family, kinds, params in corpus:
+        verify_bundle(family, kinds, params=params)
+    warm = [verify_bundle(family, kinds, params=params) for family, kinds, params in corpus]
+    assert warm == cold
+    assert bounds._closed_outcome.cache_info().hits > 0
+    assert bounds._measured_outcome.cache_info().hits > 0
+
+    applicable = [r for bundle in warm for r in bundle if r.applicable]
+    assert {r.kind for r in applicable} == set(BoundKind)
+    assert {r.active_branch for r in applicable} == {None, "power", "quadratic"}
+    for report in applicable:
+        memo, key = _memo_entry(report)
+        outcome = (report.bound_value, report.satisfied, report.slack, report.active_branch)
+        assert memo(*key) == outcome
+        for dps in (15, 60):
+            with mp.workdps(dps):
+                assert memo.__wrapped__(*key) == outcome
+
+
+def test_measured_memo_keys_on_the_kind():
+    # ALON (tau <= d tau*) and GALLAI (tau = nu) see the same pair here,
+    # d tau* = nu = 3 and tau = 2, and give different verdicts
+    rhs = {BoundKind.ALON: Fraction(3), BoundKind.GALLAI: 3}
+    for first, second in ((BoundKind.ALON, BoundKind.GALLAI), (BoundKind.GALLAI, BoundKind.ALON)):
+        _clear_report_memos()
+        outcomes = {kind: bounds._measured_outcome(kind, rhs[kind], 2) for kind in (first, second)}
+        assert outcomes[BoundKind.ALON] == ("3.0", True, "1.0", None)
+        assert outcomes[BoundKind.GALLAI] == ("3.0", False, "1.0", None)
 
 
 def test_bad_call_raises_every_time():
