@@ -42,7 +42,6 @@ from .bounds import BoundKind, BoundReport, max_measured_over_bound, verify_bund
 from .generators import (
     GenConfig,
     ProjectiveParams,
-    anchor_count,
     is_prime,
     planted_pq_family,
     planted_pq_subforests,
@@ -107,9 +106,9 @@ def _instances(spec: dict, params: PQParameters | None, where: str):
         if f.name != "seed"
     }
     width = _cfg_int(spec, "width", where, 0, 1) if generator == "tw" else None
-    if generator == "planted_subforests" and knobs["host_size"] < anchor_count(params):
+    if generator == "planted_subforests" and knobs["host_size"] < params.pigeonhole_points:
         raise CampaignConfigError(
-            f"{where}.host_size: expected at least {anchor_count(params)} for "
+            f"{where}.host_size: expected at least {params.pigeonhole_points} for "
             f"the anchors of p={params.p}, q={params.q}, got {knobs['host_size']}"
         )
     for i in range(count):

@@ -85,17 +85,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def anchor_count(params: PQParameters) -> int:
-    """Largest anchor count for which the pigeonhole plant works.
-
-    With every edge containing one of A anchors, any p edges force
-    ceil(p/A) of them onto a common anchor; ceil(p/A) >= q holds exactly
-    when A < p/(q-1).
-    """
-    a = (params.p + params.q - 2) // (params.q - 1) - 1  # ceil(p/(q-1)) - 1
-    return max(1, a)
-
-
 # ---------------------------------------------------------------------------
 # interval families
 # ---------------------------------------------------------------------------
@@ -143,12 +132,15 @@ def planted_pq_family(cfg: GenConfig, params: PQParameters) -> DIntervalFamily:
     Every endpoint is drawn without replacement from a pool of its own
     anchor, 16n+32 units from the next, or from the region's pool, so the
     family is in general position.
-    The property is re-verified; failure raises PlantFailed (a bug, not an
-    input condition).
+    There are `params.pigeonhole_points` anchors, the most for which any p
+    edges put q on one anchor.  The property is re-verified; failure raises
+    PlantFailed (a bug, not an input condition).  The re-verification is
+    independent of the plant: `pq_check` searches its pigeonhole cover in
+    the edges' masks and never reads the anchors.
     """
     rng = random.Random(cfg.seed)
     n, d, cd = cfg.n_edges, cfg.d, cfg.coord_denominator
-    anchors = anchor_count(params)
+    anchors = params.pigeonhole_points
     span = 8 * n + 16  # grid units between anchor sites
     left_pools = [list(range(1, 2 * n + 5)) for _ in range(anchors)]
     right_pools = [list(range(1, 2 * n + 5)) for _ in range(anchors)]
@@ -318,12 +310,13 @@ def planted_pq_subforests(cfg: GenConfig, params: PQParameters) -> SubforestFami
     """d-tree family over a random host tree satisfying (p,q) by anchors.
 
     Same pigeonhole as `planted_pq_family`: edge i grows one patch from its
-    round-robin anchor vertex, plus up to d-1 free patches.
+    round-robin anchor vertex, plus up to d-1 free patches.  It is
+    re-verified the same way, with no reading of the anchors.
     """
     rng = random.Random(cfg.seed)
     host = _attachment_tree(rng, cfg.host_size)
     adj = host.adjacency()
-    anchors = anchor_count(params)
+    anchors = params.pigeonhole_points
     if anchors > host.n:
         raise ValueError(f"host too small for {anchors} anchors")
     anchor_vertices = sorted(rng.sample(range(host.n), anchors))

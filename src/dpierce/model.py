@@ -315,6 +315,16 @@ class PQParameters:
         if not (self.p >= self.q >= 2):
             raise ValueError(f"need p >= q >= 2, got p={self.p}, q={self.q}")
 
+    @property
+    def pigeonhole_points(self) -> int:
+        """The most points t whose meeting every edge forces the property: (p-1)//(q-1).
+
+        Any p edges then put ceil(p/t) >= q of themselves on one of the t
+        points, and ceil(p/t) >= q holds exactly when t*(q-1) < p.  It is
+        at least 1, since p >= q.
+        """
+        return (self.p - 1) // (self.q - 1)
+
 
 def _check_ground_and_provenance(ground_size, provenance) -> None:
     """The checks both `HypergraphInstance` entries share."""

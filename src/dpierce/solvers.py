@@ -16,9 +16,12 @@ point's adds only a redundant row, so it is left out, and the optimum is
 unchanged.
 `solve` gives the one record, `Measures`, that every bound kind reads:
 nu, tau, tau* and the depth r of an instance.
-`pq_check` decides the (p,q) property by a depth-first search for p
-distinct edges that load no point q times, the shape of a counterexample;
-it reads the distinct edges' point bitmasks from the solve context below.
+`pq_check` decides the (p,q) property from the distinct edges' point
+bitmasks in the solve context below.  It first searches for the
+pigeonhole certificate, (p-1)//(q-1) points meeting every edge, by a
+bounded hitting-set recursion, and only when there is none runs a
+depth-first search for p distinct edges that load no point q times, the
+shape of a counterexample.
 `naive_oracle` is a deliberately unpruned enumeration: the test suite
 certifies the main solvers on small instances by it, and
 `perfbench/make_reference.py` confirms the benchmark's reference answers
@@ -40,12 +43,14 @@ for tau* alone.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
-from .model import HypergraphInstance, PQParameters, mask_points
+from .model import HypergraphInstance, PQParameters, _deepest_point, mask_points
 from .simplex import LPSolution, solve_lp_max
 
 
@@ -585,33 +590,117 @@ def solve(instance: HypergraphInstance) -> Measures:
 def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     """Decide whether among every p distinct edges some q share a point.
 
-    The property fails exactly when some p distinct edges form a
-    (q-1)-packing: no point lies in q of them.  An include-first depth-first
-    search over the distinct edges, in first-occurrence order, looks for one;
-    loads are kept on the edges' point masks from the solve context.  It
-    extends a packing by an edge only if the edge misses every point that is
-    already loaded q-1 times, and drops a prefix once fewer edges are left
-    than it still needs.  Include-first order meets p-subsets
-    lexicographically, so the first packing found is the lexicographically
-    first failing p-subset; it is the counterexample.  Fewer than p distinct
-    edges satisfy the property vacuously.
+    Fewer than p distinct edges satisfy the property vacuously.  Otherwise
+    it holds by pigeonhole when t = (p-1)//(q-1) points meet every distinct
+    edge: any p edges then put ceil(p/t) >= q of themselves on one of them.
+    `_pigeonhole_cover` decides exactly whether such t points exist, from
+    the edges' masks alone, and re-validates the cover it finds.  When they
+    do not, `_packing_search` decides: the property fails exactly when some
+    p distinct edges form a (q-1)-packing, no point lying in q of them, and
+    the first one that search finds, the lexicographically first failing
+    p-subset, is the counterexample.  A failing family has no such cover,
+    so its verdict always comes from that search.
     """
     r, _ = max_depth(instance)
     ctx = _context(instance)
     masks = ctx.masks
-    p, n = params.p, len(masks)
-    if n < p:
+    if len(masks) < params.p:
         return PQVerdict(True, None, r, vacuous=True)
-    # layers[k] holds the points loaded at least k+1 times by the chosen edges
-    layers = [0] * (params.q - 1)
+    if _pigeonhole_cover(masks, params.pigeonhole_points, r) is not None:
+        return PQVerdict(True, None, r)
+    chosen = _packing_search(masks, params.p, params.q)
+    if chosen is None:
+        return PQVerdict(True, None, r)
+    return PQVerdict(False, frozenset(ctx.firsts[k] for k in chosen), r)
+
+
+def _pigeonhole_cover(masks: list[int], t: int, r: int) -> int | None:
+    """The point mask of at most t points meeting every mask of `masks`, or None.
+
+    Exact: None means no t points meet every mask.  `r` bounds the number
+    of masks through any point, so more than t*r masks need more than t
+    points.  Otherwise `_cover_within` searches the masks in increasing
+    size, which makes its first-fit packings large, and the cover it
+    returns is checked on every mask before it is trusted.
+    """
+    if len(masks) > t * r:
+        return None
+    cover = _cover_within(sorted(masks, key=int.bit_count), t)
+    if cover is not None and (cover.bit_count() > t or not all(m & cover for m in masks)):
+        raise RuntimeError("pq_check produced an invalid pigeonhole cover")
+    return cover
+
+
+def _cover_within(live: list[int], k: int) -> int | None:
+    """A mask of at most k >= 1 points meeting every mask of `live`, or None.
+
+    `live` is in nondecreasing size, and so is every child's list.  With one
+    point left, the cover is the lowest point common to every mask.
+    Otherwise a node is dropped when a first-fit set of pairwise disjoint
+    masks has more than k members, or when more than k times its own depth
+    (the most masks through one point) are live.  It branches on the points
+    of the first mask, a smallest one, one of which every cover contains.
+    A point whose live masks are strictly contained in another of those
+    points' is skipped, as is every point but the lowest of equal ones:
+    swapping it for that point keeps a cover a cover.  The rest are tried
+    in decreasing number of live masks, then increasing id.
+    """
+    if not live:
+        return 0
+    if k == 1:
+        common = reduce(and_, live)
+        return common & -common or None
+    if _packing_bound(live, (1 << len(live)) - 1) > k or len(live) > k * _deepest_point(live)[0]:
+        return None
+    # each live mask's trace on the first mask, shifted down to its lowest
+    # point `low`, with its multiplicity
+    first = live[0]
+    low = (first & -first).bit_length() - 1
+    traces = collections.Counter((m & first) >> low for m in live)
+    traces.pop(0, None)
+    # beside[i]: the points on every live mask through point low + i, i among them
+    degree: dict[int, int] = {}
+    beside: dict[int, int] = {}
+    for trace, count in traces.items():
+        for i in mask_points(trace):
+            degree[i] = degree.get(i, 0) + count
+            beside[i] = beside.get(i, trace) & trace
+    # i is kept when it is its lowest companion and each companion has the
+    # same live masks, so has i as a companion too
+    branches = [
+        i for i, common in beside.items()
+        if common & -common == 1 << i and all(beside[o] >> i & 1 for o in mask_points(common))
+    ]
+    branches.sort(key=lambda i: (-degree[i], i))
+    for i in branches:
+        bit = 1 << low + i
+        cover = _cover_within([m for m in live if not m & bit], k - 1)
+        if cover is not None:
+            return cover | bit
+    return None
+
+
+def _packing_search(masks: list[int], p: int, q: int) -> list[int] | None:
+    """Positions in `masks` of the first p of them forming a (q-1)-packing, or None.
+
+    An include-first depth-first search in index order.  The loads are q-1
+    bitmask layers, layer k holding the points loaded at least k+1 times by
+    the masks chosen.  A mask may join only if it misses the top layer, and
+    a prefix is dropped once fewer masks are left than it still needs.
+    Include-first order meets p-subsets lexicographically, so the packing
+    returned is the lexicographically first; None means there is none.
+    """
+    n = len(masks)
+    # layers[k] holds the points loaded at least k+1 times by the chosen masks
+    layers = [0] * (q - 1)
     chosen: list[int] = []
-    saved: list[list[int]] = []  # the layers before each chosen edge
+    saved: list[list[int]] = []  # the layers before each chosen mask
     need = p  # p - len(chosen)
     j = 0
     while need:
         if n - j < need:
             if not chosen:
-                return PQVerdict(True, None, r)
+                return None
             j = chosen.pop() + 1
             layers = saved.pop()
             need += 1
@@ -619,14 +708,14 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
         m = masks[j]
         if not m & layers[-1]:
             saved.append(layers)
-            # adding the edge carries each of its points up one layer
+            # adding the mask carries each of its points up one layer
             layers = [layers[0] | m] + [
                 hi | lo & m for lo, hi in zip(layers, layers[1:])
             ]
             chosen.append(j)
             need -= 1
         j += 1
-    return PQVerdict(False, frozenset(ctx.firsts[k] for k in chosen), r)
+    return chosen
 
 
 # ---------------------------------------------------------------------------

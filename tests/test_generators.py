@@ -18,7 +18,7 @@ from dpierce import (
     to_incidence,
     validate_decomposition,
 )
-from dpierce.generators import anchor_count, planted_pq_family, planted_pq_subforests
+from dpierce.generators import planted_pq_family, planted_pq_subforests
 from dpierce.instance_io import dumps_instance
 from dpierce.model import connected_components, general_position_violations
 
@@ -57,12 +57,13 @@ def test_gen_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_anchor_counts():
-    assert anchor_count(PQParameters(2, 2)) == 1
-    assert anchor_count(PQParameters(3, 2)) == 2
-    assert anchor_count(PQParameters(3, 3)) == 1
-    assert anchor_count(PQParameters(4, 3)) == 1
-    assert anchor_count(PQParameters(5, 3)) == 2
-    assert anchor_count(PQParameters(4, 2)) == 3
+    # the planted generators place this many anchors: ceil(p/(q-1)) - 1
+    for (p, q), anchors in (((2, 2), 1), ((3, 2), 2), ((3, 3), 1), ((4, 3), 1), ((5, 3), 2), ((4, 2), 3)):
+        assert PQParameters(p, q).pigeonhole_points == anchors == (p + q - 2) // (q - 1) - 1
+    # the count is ceil(p/(q-1)) - 1 everywhere, so no planted family moves
+    for p in range(2, 16):
+        for q in range(2, p + 1):
+            assert PQParameters(p, q).pigeonhole_points == (p + q - 2) // (q - 1) - 1
 
 
 def test_planted_22_is_intersecting():

@@ -33,6 +33,7 @@ from dpierce.bounds import sharpness_probe, verify_bundle
 from dpierce.generators import (
     GenConfig,
     planted_pq_family,
+    planted_pq_subforests,
     random_d_intervals,
     random_subforests,
     random_tree,
@@ -584,22 +585,152 @@ def _pq_corpus():
         )
 
 
-def test_pq_check_matches_unpruned_enumeration():
+def test_pq_check_matches_unpruned_enumeration(monkeypatch):
+    real_search, searches = solvers._packing_search, []
+
+    def counted_search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(solvers, "_packing_search", counted_search)
     pairs = ((2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 3), (6, 3))
     outcomes = set()
+    holding_paths = set()  # (p, q) and whether the packing search decided
     for instance in _pq_corpus():
         first = {}
         for i, e in enumerate(instance.edges):
             first.setdefault(e, i)
         for p, q in pairs:
+            before = len(searches)
             verdict = pq_check(instance, PQParameters(p, q))
             expected = reference_pq_check(instance, p, q)
             assert (verdict.holds, verdict.counterexample) == expected
             if verdict.counterexample is not None:
                 assert all(first[instance.edges[i]] == i for i in verdict.counterexample)
+            searched = len(searches) > before
+            if not verdict.holds:
+                assert searched
+            elif not verdict.vacuous:
+                holding_paths.add((p, q, searched))
             outcomes.add((p, q, verdict.holds, verdict.vacuous))
     # every pair sees holding, failing and vacuous instances
     assert len(outcomes) == 3 * len(pairs)
+    # every pair sees holding verdicts from the pigeonhole cover, and some
+    # come from an exhausted packing search
+    assert {(p, q, False) for p, q in pairs} <= holding_paths
+    assert any(searched for _, _, searched in holding_paths)
+
+
+def _tau_at_most(instance, t) -> bool:
+    """naive_oracle's tau <= t, on the distinct edges (copies never change tau)."""
+    distinct = HypergraphInstance(
+        ground_size=instance.ground_size,
+        edges=tuple(dict.fromkeys(instance.edges)),
+        provenance="abstract",
+    )
+    return naive_oracle(distinct, "tau") <= t
+
+
+def test_pigeonhole_cover_is_exact():
+    instances = list(_pq_corpus()) + [random_abstract_instance(seed + 4500) for seed in range(200)]
+    found = set()
+    for instance in instances:
+        masks, r = solvers._context(instance).masks, instance.max_depth[0]
+        for t in (1, 2, 3, 4):
+            cover = solvers._pigeonhole_cover(masks, t, r)
+            assert (cover is not None) == _tau_at_most(instance, t)
+            if cover is not None:
+                assert cover.bit_count() <= t
+                assert verify_cover(instance, model.mask_points(cover))
+            found.add((t, cover is not None))
+    assert len(found) == 8
+
+
+def _cover_nodes(monkeypatch) -> list:
+    """Record each `_cover_within` node as [live, k, children visited, result], in call order."""
+    real, nodes, open_nodes = solvers._cover_within, [], []
+
+    def recorded(live, k):
+        if open_nodes:
+            open_nodes[-1][2] += 1
+        node = [list(live), k, 0, None]
+        nodes.append(node)
+        open_nodes.append(node)
+        node[3] = real(live, k)
+        open_nodes.pop()
+        return node[3]
+
+    monkeypatch.setattr(solvers, "_cover_within", recorded)
+    return nodes
+
+
+def _masks(*edges):
+    return [sum(1 << pt for pt in e) for e in edges]
+
+
+def _packing_prunes(live, k):
+    return solvers._packing_bound(live, (1 << len(live)) - 1) > k
+
+
+def _depth_prunes(live, k):
+    return len(live) > k * model._deepest_point(live)[0]
+
+
+FANO_LINES = [set(e) for e in FANO.edges]
+
+
+@pytest.mark.parametrize(
+    "edges, t, holds, fires",
+    [
+        # t = 1 closes with the AND of the masks: a common point, or none
+        ([{0, 1}, {0, 2}, {0, 3}], 1, True, "and"),
+        # copies count in the depth r, so 2 distinct masks pass 1 * r = 3
+        ([{0, 1}, {0, 1}, {0, 1}, {2}], 1, False, "and"),
+        # a first-fit packing {4}, {5}, {0, 1} of three masks needs three points
+        ([{0, 1}, {0, 2}, {0, 3}, {4}, {5}], 2, False, "packing"),
+        # taking point 7 leaves the Fano lines: 7 of them, 3 through each point
+        ([{7}] + FANO_LINES, 3, False, "depth"),
+        # on the first mask {0, 3}, point 0 lies on no other: only 3 is tried
+        ([{1, 2, 5}, {1, 2, 4}, {1, 3, 4}, {0, 3}, {4, 5}, {2, 3}], 2, False, "dominated"),
+        # on the first mask {3, 5}, both points lie on the same masks: only 3 is tried
+        ([{3, 5}, {0, 1, 4}, {1, 2}, {0, 2}, {1, 3, 5}], 2, False, "dominated"),
+    ],
+)
+def test_pigeonhole_cover_prunes(monkeypatch, edges, t, holds, fires):
+    nodes = _cover_nodes(monkeypatch)
+    instance = inst(*edges)
+    masks = solvers._context(instance).masks
+    cover = solvers._pigeonhole_cover(masks, t, instance.max_depth[0])
+    assert (cover is not None) == holds == _tau_at_most(instance, t)
+    assert nodes, "the search ran"
+    if fires == "and":
+        assert [(k, children) for _, k, children, _ in nodes] == [(1, 0)]
+    elif fires in ("packing", "depth"):
+        # a node with room for more than one point, dropped unvisited by this prune alone
+        assert any(
+            k > 1 and children == 0 and result is None and live
+            and _packing_prunes(live, k) == (fires == "packing")
+            and _depth_prunes(live, k) == (fires == "depth")
+            for live, k, children, result in nodes
+        )
+    else:
+        live, k, children, _ = nodes[0]
+        assert k > 1 and not _packing_prunes(live, k) and not _depth_prunes(live, k)
+        assert children < live[0].bit_count()
+
+
+def test_pq_check_decides_planted_families_by_their_cover(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the packing search ran on a planted family")
+
+    monkeypatch.setattr(solvers, "_packing_search", no_search)
+    for p, q in ((2, 2), (3, 2), (4, 3), (5, 3), (6, 3), (7, 3)):
+        params = PQParameters(p, q)
+        for n in (9, 30, 40):
+            cfg = GenConfig(seed=4600 + 7 * p + n, n_edges=n, d=3, host_size=12)
+            for family in (planted_pq_family(cfg, params), planted_pq_subforests(cfg, params)):
+                verdict = pq_check(to_incidence(family), params)
+                assert verdict.holds and not verdict.vacuous
 
 
 # ---------------------------------------------------------------------------
