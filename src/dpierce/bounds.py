@@ -17,9 +17,10 @@ precision (certified error far below 1e-9).  A report's whole outcome
 (bound text, verdict, slack and active branch) is evaluated once per
 exact input, at the same 50 digits: by `_closed_outcome` on (kind, p, q,
 d, k, measured), and by `_measured_outcome` on (kind, right-hand side,
-tau) for ALON and GALLAI.  So no report depends on the caller's
+tau) for ALON and GALLAI; a campaign's measured/bound ratio by `_ratio`
+on (bound text, measured).  So no report depends on the caller's
 precision, and importing the module leaves mpmath's global precision
-alone.  Both memos hold no more entries than the distinct reports made,
+alone.  The memos hold no more entries than the distinct reports made,
 and a campaign's reports repeat few distinct inputs: measured values are
 small integers and fractions.  The checks allow a 1e-6 slack above the
 bound; measured quantities are exact rationals, so no true violation is
@@ -392,26 +393,35 @@ def max_measured_over_bound(reports) -> dict[str, str]:
     """Largest measured/bound ratio per kind, as 17-digit decimal strings.
 
     Tightness telemetry over the applicable reports with a positive bound;
-    measured is tau* for the fractional kinds and tau for the others.  The
-    ratios are taken at 50 digits whatever the caller's precision.
+    measured is tau* for the fractional kinds and tau for the others.  Each
+    distinct ratio is taken once, by `_ratio`, at 50 digits whatever the
+    caller's precision.
     """
     best: dict[str, mpf] = {}
+    for report in reports:
+        if not report.applicable:
+            continue
+        measured = report.tau_star if _KINDS[report.kind].star else report.tau
+        ratio = _ratio(report.bound_value, measured)
+        if ratio is not None:
+            key = report.kind.value
+            if key not in best or ratio > best[key]:
+                best[key] = ratio
     with mp.workdps(50):
-        for report in reports:
-            if not report.applicable:
-                continue
-            bound = mpf(report.bound_value)
-            if bound > 0:
-                measured = (
-                    _exact_to_mpf(report.tau_star)
-                    if _KINDS[report.kind].star
-                    else mpf(report.tau)
-                )
-                ratio = measured / bound
-                key = report.kind.value
-                if key not in best or ratio > best[key]:
-                    best[key] = ratio
         return {k: _fmt(v) for k, v in sorted(best.items())}
+
+
+@functools.cache
+def _ratio(bound_value: str, measured) -> mpf | None:
+    """measured / bound at 50 digits, or None unless the bound is positive.
+
+    `bound_value` is a report's 17-digit text and `measured` its exact tau*
+    (a Fraction) or tau (an int); an integral tau* and the equal tau give
+    the same ratio, so the kind need not be part of the key.
+    """
+    with mp.workdps(50):
+        bound = mpf(bound_value)
+        return _exact_to_mpf(measured) / bound if bound > 0 else None
 
 
 # ---------------------------------------------------------------------------

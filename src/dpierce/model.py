@@ -427,13 +427,12 @@ def mask_points(mask: int) -> list[int]:
     return [8 * k + i for k, byte in enumerate(data) for i in _BYTE_BITS[byte]]
 
 
-def _deepest_point(masks) -> tuple[int, int | None]:
-    """(r, point) of `HypergraphInstance.max_depth`, from the edges' point bitmasks.
+def _depth_layers(masks) -> list[int]:
+    """Every point's load by `masks` as a bit-sliced counter, lowest bit first.
 
-    A bit-sliced counter: layer k holds bit k of every point's load, and
-    each mask is added to it with a ripple carry.  r is read from the top
-    layer down, keeping the points that reach each bit of the maximum; the
-    lowest of the points left is the deepest point.
+    Layer k holds bit k of each point's load, the number of masks through
+    it, and each mask is added to the layers with a ripple carry.  The top
+    layer is nonzero, and no masks give no layers.
     """
     layers: list[int] = []
     for carry in masks:
@@ -444,6 +443,17 @@ def _deepest_point(masks) -> tuple[int, int | None]:
                 break
             layers[k], carry = layers[k] ^ carry, layers[k] & carry
             k += 1
+    return layers
+
+
+def _deepest_point(masks) -> tuple[int, int | None]:
+    """(r, point) of `HypergraphInstance.max_depth`, from the edges' point bitmasks.
+
+    r is read from the `_depth_layers` of the masks, top layer down,
+    keeping the points that reach each bit of the maximum; the lowest of
+    the points left is the deepest point.
+    """
+    layers = _depth_layers(masks)
     if not layers:
         return 0, None
     r, deepest = 0, -1

@@ -31,11 +31,14 @@ Copies: a family is a multiset, and a repeated member is a repeated edge.
 nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
 every copy.  All but `naive_oracle` read the edges as `edge_masks` and
-share one solve context per instance (`_context`): the distinct edges,
-their points and the point->edge bitmasks that the LP kernel and both
+share one solve context per instance (`_context`): the distinct edges'
+point masks, the point->edge bitmasks that the LP kernel and both
 branch-and-bounds read, and every LP solved, by column mask, so that no
 mask's LP is solved twice and the certified root pair of `_root_lp` is
-the root bound and the incumbent guide of both searches.  LP solutions
+the root bound and the incumbent guide of both searches.  Uniform
+weights, the greedy sandwich and the certificate run on the edge masks
+alone, so an instance whose root pair they settle and whose searches
+close at the root never builds the point->edge masks.  LP solutions
 stay integer numerators over one denominator inside this module;
 `fractional_pair` builds Fractions for its value and weights, and `solve`
 for tau* alone.
@@ -48,9 +51,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, or_
 
-from .model import HypergraphInstance, PQParameters, _deepest_point, mask_points
+from .model import HypergraphInstance, PQParameters, _deepest_point, _depth_layers, mask_points
 from .simplex import LPSolution, solve_lp_max
 
 
@@ -127,12 +130,13 @@ class _SolveContext:
     """What the solvers of one instance share, kept on it by `_context`.
 
     Distinct edge j has its first occurrence at `firsts[j]`, in index order,
-    point mask `masks[j]` and points `edge_points[j]`, in increasing id.
-    Built on first use: those points, `point_masks` ({point: bit j for each
-    distinct edge j through it}, in increasing id), `conflicts[j]` (the bits
-    of the distinct edges meeting edge j, j included; read only when the
-    matching search branches) and the greedies `plain_matching` and
-    `plain_cover`, of both searches and the sandwich.
+    and point mask `masks[j]`.  Built on first use: `point_masks` ({point:
+    bit j for each distinct edge j through it}, in increasing id; read by
+    the kernel LPs, the root-LP greedy cover and the searches' branches),
+    `conflicts[j]` (the bits of the distinct edges meeting edge j, j
+    included; read only when the matching search branches) and the
+    greedies `plain_matching` and `plain_cover`, of both searches and the
+    sandwich, which read the edge masks only.
     `by_cols`: `_incidence_lp`'s answer for each column mask; `root`: the
     certified answer of `_root_lp`, also kept in `by_cols` under the full
     mask.
@@ -148,15 +152,11 @@ class _SolveContext:
         self.root: tuple[list[int], LPSolution] | None = None
 
     @cached_property
-    def edge_points(self) -> list[list[int]]:
-        return [mask_points(m) for m in self.masks]
-
-    @cached_property
     def point_masks(self) -> dict[int, int]:
         masks: dict[int, int] = {}
-        for j, points in enumerate(self.edge_points):
+        for j, m in enumerate(self.masks):
             bit = 1 << j
-            for pt in points:
+            for pt in mask_points(m):
                 masks[pt] = masks.get(pt, 0) | bit
         return {pt: masks[pt] for pt in sorted(masks)}
 
@@ -164,9 +164,9 @@ class _SolveContext:
     def conflicts(self) -> list[int]:
         member = self.point_masks
         conflicts = []
-        for points in self.edge_points:
+        for m in self.masks:
             mask = 0
-            for pt in points:
+            for pt in mask_points(m):
                 mask |= member[pt]
             conflicts.append(mask)
         return conflicts
@@ -178,8 +178,20 @@ class _SolveContext:
 
     @cached_property
     def plain_cover(self) -> list[int]:
-        """The unweighted greedy cover over all points; shared, so never changed in place."""
-        return _greedy_cover(self, dict.fromkeys(self.point_masks, 0))
+        """The unweighted greedy cover over all points; shared, so never changed in place.
+
+        Each step takes the deepest point of the uncovered distinct edges,
+        the one on most of them, then the lowest id (`_greedy_cover`'s pick
+        at weight 0), and drops the edges through it.
+        """
+        cover: list[int] = []
+        live = self.masks
+        while live:
+            pt = _deepest_point(live)[1]
+            cover.append(pt)
+            bit = 1 << pt
+            live = [m for m in live if not m & bit]
+        return cover
 
 
 def _context(instance: HypergraphInstance) -> _SolveContext:
@@ -259,14 +271,21 @@ def _uniform_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
     It does when every distinct edge has s points and every point lies on r
     distinct edges (every PG(k,q) does).  Then each edge is covered and each
     point loaded exactly 1, and both sides sum to N*s = P*r over D = r*s, N
-    edges and P points, by double counting the incidences.
+    edges and P points, by double counting the incidences.  Regularity is
+    read from the `_depth_layers` of the distinct edges: every point of
+    their union has load r exactly when each nonzero layer, a set bit of r,
+    is that whole union.
     """
     sizes = {m.bit_count() for m in ctx.masks}
-    degrees = {m.bit_count() for m in ctx.point_masks.values()}
-    if len(sizes) != 1 or len(degrees) != 1:
+    if len(sizes) != 1:
         return None
-    (s,), (r,) = sizes, degrees
-    n, points = len(ctx.masks), list(ctx.point_masks)
+    union = reduce(or_, ctx.masks)
+    layers = _depth_layers(ctx.masks)
+    if any(layer and layer != union for layer in layers):
+        return None
+    (s,) = sizes
+    r = sum(1 << k for k, layer in enumerate(layers) if layer)
+    n, points = len(ctx.masks), mask_points(union)
     return points, LPSolution(r * s, n * s, (s,) * n, (r,) * len(points), 0)
 
 
@@ -288,31 +307,38 @@ def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution)
     """Why `sol` is not an optimal tau* pair of the whole instance, or None.
 
     `sol.primal` weighs the distinct edges and `sol.dual` the `points`, as
-    integer numerators over `sol.den`.  Non-negativity and feasibility of
-    both on every edge and point of the instance (every edge covered, no
-    point of any edge overloaded), not only on the kernel rows, and
-    equality of their values are checked on those integers (strong duality
-    as an executable certificate): each check is the rational one
-    multiplied through by D.
+    integer numerators over `sol.den`; the points must be strictly
+    increasing point ids.  Non-negativity and feasibility of both on every
+    edge and point of the instance (every edge covered, no point of any
+    edge overloaded), not only on the kernel rows, and equality of their
+    values are checked on those integers (strong duality as an executable
+    certificate): each check is the rational one multiplied through by D.
+    The cover's points are grouped into one mask per weight, so an edge's
+    cover is a sum of popcounts; loads are summed over the points of the
+    matching's support edges only, the only points they can overload.
     """
     D = sol.den
     if D <= 0:
         return f"LP denominator {D} is not positive"
-    packing = {j: w for j, w in enumerate(sol.primal) if w}
-    cover = {points[i]: w for i, w in enumerate(sol.dual) if w}
-    if any(w < 0 for w in cover.values()) or any(w < 0 for w in packing.values()):
+    if any(a >= b for a, b in zip(points, points[1:])) or (points and points[0] < 0):
+        return "fractional cover points are not strictly increasing point ids"
+    if any(w < 0 for w in sol.dual) or any(w < 0 for w in sol.primal):
         return "fractional solution has a negative weight"
-    edges = ctx.edge_points
-    for edge in edges:
-        if sum(cover.get(pt, 0) for pt in edge) < D:
+    by_weight: dict[int, int] = {}
+    for pt, w in zip(points, sol.dual):
+        if w:
+            by_weight[w] = by_weight.get(w, 0) | 1 << pt
+    for m in ctx.masks:
+        if sum(w * (m & group).bit_count() for w, group in by_weight.items()) < D:
             return "fractional cover misses an edge constraint"
     load: dict[int, int] = {}
-    for j, w in packing.items():
-        for pt in edges[j]:
-            load[pt] = load.get(pt, 0) + w
+    for m, w in zip(ctx.masks, sol.primal):
+        if w:
+            for pt in mask_points(m):
+                load[pt] = load.get(pt, 0) + w
     if any(v > D for v in load.values()):
         return "fractional matching overloads a point"
-    if not (sum(cover.values()) == sum(packing.values()) == sol.value):
+    if not (sum(sol.dual) == sum(sol.primal) == sol.value):
         return "LP duality certificate failed"
     return None
 
@@ -390,7 +416,6 @@ def _cover_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveRe
     ctx = _context(instance)
     masks = ctx.masks
     n = len(masks)
-    covers = ctx.point_masks
     best = list(incumbent)
     best_size = len(best)
     node_count = 0
@@ -413,7 +438,8 @@ def _cover_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveRe
             (j for j in range(n) if mask >> j & 1),
             key=lambda j: (masks[j].bit_count(), j),
         )
-        for pt in ctx.edge_points[branch]:
+        covers = ctx.point_masks  # built on the first branch, then kept
+        for pt in mask_points(masks[branch]):
             chosen.append(pt)
             search(mask & ~covers[pt], chosen)
             chosen.pop()
@@ -489,7 +515,6 @@ def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> Solv
     of first occurrences).
     """
     ctx = _context(instance)
-    member = ctx.point_masks
     best = list(incumbent)
     best_size = len(best)
     node_count = 0
@@ -507,9 +532,10 @@ def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> Solv
         sol = _incidence_lp(ctx, mask)[1]
         if len(chosen) + sol.value // sol.den <= best_size:
             return
+        # both built on the first branch, then kept
+        member, conflict = ctx.point_masks, ctx.conflicts
         pt = max(member, key=lambda p: ((member[p] & mask).bit_count(), -p))
         through = member[pt] & mask
-        conflict = ctx.conflicts  # built on the first branch, then kept
         k = through
         while k:
             j = (k & -k).bit_length() - 1

@@ -235,6 +235,37 @@ def reference_verify(A, b, c, primal, dual, value) -> None:
         raise SimplexError(f"duality gap: c.x={cx}, y.b={yb}, value={value}")
 
 
+def reference_certificate_problem(edge_sets, points, sol) -> str | None:
+    """Why `sol` is not an optimal tau* pair on `edge_sets`, or None, over dicts.
+
+    `edge_sets` are the distinct edges' point collections in the order of
+    `sol.primal`, and `sol.dual` weighs `points`, all as integer numerators
+    over `sol.den`.  Each check is made point by point on dicts of the
+    nonzero weights: D > 0, no negative weight, every edge covered, no
+    point overloaded, and equal values; the solvers' mask-based certificate
+    must find the same problem, in the same order.
+    """
+    D = sol.den
+    if D <= 0:
+        return f"LP denominator {D} is not positive"
+    packing = {j: w for j, w in enumerate(sol.primal) if w}
+    cover = {points[i]: w for i, w in enumerate(sol.dual) if w}
+    if any(w < 0 for w in cover.values()) or any(w < 0 for w in packing.values()):
+        return "fractional solution has a negative weight"
+    for edge in edge_sets:
+        if sum(cover.get(pt, 0) for pt in edge) < D:
+            return "fractional cover misses an edge constraint"
+    load: dict[int, int] = {}
+    for j, w in packing.items():
+        for pt in edge_sets[j]:
+            load[pt] = load.get(pt, 0) + w
+    if any(v > D for v in load.values()):
+        return "fractional matching overloads a point"
+    if not (sum(cover.values()) == sum(packing.values()) == sol.value):
+        return "LP duality certificate failed"
+    return None
+
+
 def reference_max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
     """(r, point) of `max_depth`, by counting every incidence of every edge.
 

@@ -153,6 +153,7 @@ def _clear_report_memos():
     bounds._closed_form.cache_clear()
     bounds._closed_outcome.cache_clear()
     bounds._measured_outcome.cache_clear()
+    bounds._ratio.cache_clear()
 
 
 def test_report_arithmetic_ignores_the_callers_precision():
@@ -234,6 +235,37 @@ def test_report_memo_never_changes_a_report():
         for dps in (15, 60):
             with mp.workdps(dps):
                 assert memo.__wrapped__(*key) == outcome
+
+
+def _reference_max_ratios(reports) -> dict[str, str]:
+    """`max_measured_over_bound` with every report's ratio taken afresh, at 50 digits."""
+    best = {}
+    with mp.workdps(50):
+        for report in reports:
+            if report.applicable and mpf(report.bound_value) > 0:
+                bound = mpf(report.bound_value)
+                measured = report.tau_star if bounds._KINDS[report.kind].star else report.tau
+                ratio = mpf(measured.numerator) / mpf(measured.denominator) / bound
+                best[report.kind.value] = max(ratio, best.get(report.kind.value, ratio))
+        return {k: _fmt(v) for k, v in sorted(best.items())}
+
+
+def test_ratio_memo_never_changes_the_telemetry():
+    reports = [
+        report
+        for family, kinds, params in _memo_corpus()
+        for report in verify_bundle(family, kinds, params=params)
+    ]
+    expected = _reference_max_ratios(reports)
+    # from a cold memo at 15 digits, then warm: a memo that kept a ratio
+    # taken at the caller's precision would return it from then on
+    _clear_report_memos()
+    with mp.workdps(15):
+        cold = bounds.max_measured_over_bound(reports)
+        warm = bounds.max_measured_over_bound(reports)
+    assert cold == warm == bounds.max_measured_over_bound(reports) == expected
+    info = bounds._ratio.cache_info()
+    assert info.hits > info.misses > 0
 
 
 def test_measured_memo_keys_on_the_kind():

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from dpierce import (
     verify_cover,
     verify_matching,
 )
+from dpierce.model import mask_points
 from dpierce.bounds import sharpness_probe, verify_bundle
 from dpierce.generators import (
     GenConfig,
@@ -43,6 +45,7 @@ from helpers import (
     crowded_family,
     fam,
     random_abstract_instance,
+    reference_certificate_problem,
     reference_kernel,
     reference_matching_number,
     reference_max_depth,
@@ -486,6 +489,184 @@ def test_a_forged_candidate_falls_through_to_the_simplex(monkeypatch, source, fo
     assert cover.value == matching.value == 2
     assert offered == [ctx] and len(solved) == 1
     assert ctx.root[1].pivots > 0  # the simplex's answer, not the forged one
+
+
+def _distinct_edges(instance):
+    return list(dict.fromkeys(instance.edges))
+
+
+def _certified_pairs(instance):
+    """Every pair a source offers on `instance`, and the kernel simplex's."""
+    ctx = solvers._context(_fresh(instance))
+    for source in (solvers._uniform_pair, solvers._sandwich_pair):
+        pair = source(ctx)
+        if pair is not None:
+            yield pair
+    yield solvers._incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
+
+
+def test_certificate_agrees_with_the_dict_reference_on_candidates():
+    for instance in _candidate_families():
+        ctx = solvers._context(_fresh(instance))
+        edge_sets = _distinct_edges(instance)
+        for points, sol in _certified_pairs(instance):
+            got = solvers._certificate_problem(ctx, points, sol)
+            assert got == reference_certificate_problem(edge_sets, points, sol) is None
+
+
+def _forge(rng, case, ctx, points, sol):
+    """A copy of the certified pair (points, sol) broken, or maybe not, as `case` says."""
+    D, primal, dual, value = sol.den, list(sol.primal), list(sol.dual), sol.value
+    if case == "negative":
+        side = rng.choice([primal, dual])
+        side[rng.randrange(len(side))] = -rng.randint(1, D)
+    elif case == "missed":
+        # the cover's weight taken off every point of one edge, or off one point
+        edge = set(mask_points(rng.choice(ctx.masks)))
+        drop = edge if rng.random() < 0.7 else {rng.choice(points)}
+        dual = [0 if pt in drop else w for pt, w in zip(points, dual)]
+    elif case == "overloaded":
+        primal[rng.randrange(len(primal))] += rng.randint(1, D)
+    elif case == "values":
+        # one side's sum or the value moved, every constraint kept
+        side = rng.choice(["value", "primal", "dual"])
+        if side == "value":
+            value += rng.choice([-1, 1]) * rng.randint(1, D)
+        elif side == "primal":
+            i = rng.choice([i for i, w in enumerate(primal) if w])
+            primal[i] -= rng.randint(1, primal[i])
+        else:
+            dual[rng.randrange(len(dual))] += rng.randint(1, D)
+    else:
+        D = rng.choice([0, -1, -D])
+    return LPSolution(D, value, tuple(primal), tuple(dual), sol.pivots)
+
+
+# each case's forgeries and the reference's reason for refusing them
+FORGE_CASES = {
+    "negative": "negative weight",
+    "missed": "misses an edge",
+    "overloaded": "overloads a point",
+    "values": "duality",
+    "denominator": "denominator",
+}
+
+
+def test_certificate_agrees_with_the_dict_reference_on_forged_pairs():
+    pairs = [
+        (instance, pair)
+        for instance in _candidate_families()
+        for pair in _certified_pairs(instance)
+    ]
+    rng = random.Random(29)
+    caught = Counter()
+    for seed in range(250):
+        instance, (points, sol) = pairs[rng.randrange(len(pairs))]
+        ctx = solvers._context(instance)
+        case = list(FORGE_CASES)[seed % len(FORGE_CASES)]
+        forged = _forge(rng, case, ctx, points, sol)
+        expected = reference_certificate_problem(_distinct_edges(instance), points, forged)
+        assert solvers._certificate_problem(ctx, points, forged) == expected, (seed, case)
+        if expected is not None:
+            caught[case] += bool(re.search(FORGE_CASES[case], expected))
+    assert set(caught) == set(FORGE_CASES) and sum(caught.values()) >= 200, caught
+
+
+@pytest.mark.parametrize("points", [[0, 0, 1], [1, 0], [0, 2, 1], [-1, 0]])
+def test_a_candidate_with_unordered_points_falls_through_to_the_simplex(monkeypatch, points):
+    # valid weights on UNSETTLED ({0, 1}, {0}, {1}), but for points that are
+    # repeated, decreasing or not point ids
+    forged = LPSolution(1, 2, (0, 1, 1), (1,) * len(points), 0)
+
+    monkeypatch.setattr(solvers, "_uniform_pair", lambda ctx: (points, forged))
+    instance = inst(*UNSETTLED)
+    ctx = solvers._context(instance)
+    problem = solvers._certificate_problem(ctx, points, forged)
+    assert re.search("not strictly increasing point ids", problem)
+    cover, matching = fractional_pair(instance)
+    assert cover.value == matching.value == 2
+    assert ctx.root[1].pivots > 0  # the simplex's answer, not the forged one
+
+
+def _degree_set_pair(instance):
+    """`_uniform_pair`'s pair by the degree-set rule on plain sets, or None."""
+    if not _uniform_and_regular(instance):
+        return None
+    edge_sets = _distinct_edges(instance)
+    points = sorted(set().union(*edge_sets))
+    s = len(edge_sets[0])
+    r = sum(points[0] in e for e in edge_sets)
+    n = len(edge_sets)
+    return points, LPSolution(r * s, n * s, (s,) * n, (r,) * len(points), 0)
+
+
+def _regularity_cases():
+    yield from _candidate_families()
+    for seed in range(200):
+        yield random_abstract_instance(seed + 2900)
+
+
+def test_layer_regularity_equals_the_degree_set_rule():
+    offered = 0
+    for instance in _regularity_cases():
+        pair = solvers._uniform_pair(solvers._context(_fresh(instance)))
+        assert pair == _degree_set_pair(instance)
+        offered += pair is not None
+    assert offered > 5
+
+
+@pytest.mark.parametrize(
+    "edges, degrees",
+    [
+        # a star: the centre on 3 edges, each leaf on 1 (bits 11 and 01)
+        (({0, 1}, {0, 2}, {0, 3}), {1, 3}),
+        # K4 less an edge: 0 and 1 on 3 edges, 2 and 3 on 2 (bits 11 and 10)
+        (({0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}), {2, 3}),
+    ],
+)
+def test_uniform_pair_refuses_degrees_apart_in_one_bit(edges, degrees):
+    instance = inst(*edges)
+    edge_sets = _distinct_edges(instance)
+    assert {len(e) for e in edge_sets} == {2}
+    assert {sum(pt in e for e in edge_sets) for pt in range(4)} == degrees
+    assert solvers._uniform_pair(solvers._context(instance)) is None
+
+
+@pytest.mark.parametrize(
+    "instance, r, s",
+    [
+        (inst(*({i, (i + 1) % 5} for i in range(5))), 2, 2),  # C5
+        (projective_instance(ProjectiveParams(2, 3)).instance, 4, 4),  # PG(2,3)
+    ],
+)
+def test_uniform_pair_offers_regular_uniform_instances(instance, r, s):
+    points, sol = solvers._uniform_pair(solvers._context(_fresh(instance)))
+    n = len(_distinct_edges(instance))
+    assert points == list(range(instance.ground_size))
+    assert sol == LPSolution(r * s, n * s, (s,) * n, (r,) * len(points), 0)
+    assert solvers._certificate_problem(solvers._context(instance), points, sol) is None
+
+
+def test_settled_root_builds_no_point_to_edge_masks():
+    # the family `dpierce gen --kind planted-intervals --p 4 --q 3` writes:
+    # nu = tau = 1, settled by the greedy sandwich
+    planted = to_incidence(planted_pq_family(GenConfig(seed=1), PQParameters(4, 3)))
+    measures = solve(planted)
+    ctx = solvers._context(planted)
+    assert (measures.nu.optimum, measures.tau.optimum, measures.tau_star) == (1, 1, 1)
+    assert solvers._uniform_pair(ctx) is None and ctx.root == solvers._sandwich_pair(ctx)
+    # settled by uniform weights
+    pg = projective_instance(ProjectiveParams(2, 3)).instance
+    fractional_pair(pg)
+    for ctx in (solvers._context(planted), solvers._context(pg)):
+        assert "point_masks" not in vars(ctx) and "conflicts" not in vars(ctx)
+
+
+def test_plain_cover_is_the_zero_weight_greedy():
+    corpora = (_root_families(), _kernel_families(), _incumbent_corpus(), _candidate_families())
+    for instance in itertools.chain(*corpora):
+        ctx = solvers._context(_fresh(instance))
+        assert ctx.plain_cover == solvers._greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
 
 
 def test_sharpness_probe_needs_no_simplex_on_projective_spaces(monkeypatch):
