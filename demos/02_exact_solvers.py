@@ -1,6 +1,7 @@
 """Exact nu, tau, tau* on small instances, with every answer certified.
 
-The integral solvers are branch-and-bound with LP pruning; the fractional
+nu is a branch and bound with LP pruning, and tau a descent from a greedy
+cover by the exact hitting-set search that also decides (p,q); the fractional
 solver returns both LP sides and checks them against each other (strong
 duality as a runtime certificate), from uniform weights or the greedy
 sandwich where those pass the check, else from an exact rational simplex.
@@ -30,7 +31,7 @@ print(f"nu   = {nu.optimum}   witness edges  {sorted(nu.witness)}")
 print(f"tau  = {tau.optimum}   witness points {sorted(tau.witness)}")
 print(f"tau* = {cover.value}  (= nu* = {matching.value}, exact rationals)")
 print(f"sandwich: {nu.optimum} <= {cover.value} <= {tau.optimum}")
-print(f"branch-and-bound nodes: tau {tau.node_count}, nu {nu.node_count}")
+print(f"search nodes: tau {tau.node_count}, nu {nu.node_count}")
 
 # the oracle is deliberately unpruned enumeration; on guard-sized instances
 # it must agree with the solvers bit for bit

@@ -1,25 +1,26 @@
 """Exact matching/covering solvers and the (p,q)-property decision procedure.
 
-All solvers consume a `HypergraphInstance`.  Integral solvers are
-branch-and-bound with deterministic tie-breaks (reproducible node counts),
-each started from the better of a plain greedy and a greedy guided by the
-root LP, which the root reads anyway; where tau* has no integrality gap
-that incumbent is optimal and the search closes at its root.  The
-fractional solver returns an optimal LP pair whose primal and dual sides
-certify each other.  `_root_lp` is the only reader of the whole-instance
-LP: it offers uniform weights, then the greedy sandwich, to the
-certificate on every point and edge of the original instance, and runs
-the simplex only when neither passes.  Every incidence LP the simplex
-solves (tau* and each node bound of the branch-and-bounds) is solved on
-its dominance kernel: a point whose set of edges is contained in another
-point's adds only a redundant row, so it is left out, and the optimum is
-unchanged.
+All solvers consume a `HypergraphInstance`, with deterministic
+tie-breaks (reproducible node counts).  nu is a branch and bound started
+from the better of a first-fit matching and a greedy guided by the root
+LP, which it reads anyway.  tau is a descent from the plain greedy cover
+by one exact hitting-set search, `_cover_at_most`, the one `pq_check`
+runs: each step asks for a cover of one point fewer.  Where an incumbent
+meets its lower bound, the search closes at its root.  The fractional
+solver returns an optimal LP pair whose primal and dual sides certify
+each other.  `_root_lp` is the only reader of the whole-instance LP: it
+offers uniform weights, then the greedy sandwich, to the certificate on
+every point and edge of the original instance, and runs the simplex only
+when neither passes.  Every incidence LP the simplex solves (tau* and
+each node bound of the matching search) is solved on its dominance
+kernel: a point whose set of edges is contained in another point's adds
+only a redundant row, so it is left out, and the optimum is unchanged.
 `solve` gives the one record, `Measures`, that every bound kind reads:
 nu, tau, tau* and the depth r of an instance.
 `pq_check` decides the (p,q) property from the distinct edges' point
 bitmasks in the solve context below.  It first searches for the
-pigeonhole certificate, (p-1)//(q-1) points meeting every edge, by a
-bounded hitting-set recursion, and only when there is none runs a
+pigeonhole certificate, (p-1)//(q-1) points meeting every edge, by the
+same hitting-set search, and only when there is none runs a
 depth-first search for p distinct edges that load no point q times, the
 shape of a counterexample.
 `naive_oracle` is a deliberately unpruned enumeration: the test suite
@@ -32,16 +33,16 @@ nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
 every copy.  All but `naive_oracle` read the edges as `edge_masks` and
 share one solve context per instance (`_context`): the distinct edges'
-point masks, the point->edge bitmasks that the LP kernel and both
-branch-and-bounds read, and every LP solved, by column mask, so that no
+point masks, the point->edge bitmasks that the LP kernel and the
+matching search read, and every LP solved, by column mask, so that no
 mask's LP is solved twice and the certified root pair of `_root_lp` is
-the root bound and the incumbent guide of both searches.  Uniform
-weights, the greedy sandwich and the certificate run on the edge masks
-alone, so an instance whose root pair they settle and whose searches
-close at the root never builds the point->edge masks.  LP solutions
-stay integer numerators over one denominator inside this module;
-`fractional_pair` builds Fractions for its value and weights, and `solve`
-for tau* alone.
+the root bound of both searches and the matching search's incumbent
+guide.  Uniform weights, the greedy sandwich, the certificate and the
+hitting-set search run on the edge masks alone, so an instance whose
+root pair they settle and whose matching search closes at the root never
+builds the point->edge masks.  LP solutions stay integer numerators over
+one denominator inside this module; `fractional_pair` builds Fractions for
+its value and weights, and `solve` for tau* alone.
 """
 
 from __future__ import annotations
@@ -108,10 +109,17 @@ def verify_cover(instance: HypergraphInstance, points) -> bool:
 
 
 def verify_matching(instance: HypergraphInstance, edge_ids) -> bool:
-    """Pairwise disjointness check on the instance's masks; copies of an edge always meet."""
-    masks, taken = instance.edge_masks, 0
-    for i in sorted(set(edge_ids)):
-        if not (0 <= i < len(masks)) or masks[i] & taken:
+    """Pairwise disjointness check on the instance's masks; copies of an edge always meet.
+
+    A repeated id counts once; a value that is not an int edge id in range
+    makes the matching invalid.
+    """
+    masks, ids = instance.edge_masks, list(edge_ids)
+    if not all(type(i) is int and 0 <= i < len(masks) for i in ids):
+        return False
+    taken = 0
+    for i in set(ids):
+        if masks[i] & taken:
             return False
         taken |= masks[i]
     return True
@@ -132,11 +140,11 @@ class _SolveContext:
     Distinct edge j has its first occurrence at `firsts[j]`, in index order,
     and point mask `masks[j]`.  Built on first use: `point_masks` ({point:
     bit j for each distinct edge j through it}, in increasing id; read by
-    the kernel LPs, the root-LP greedy cover and the searches' branches),
-    `conflicts[j]` (the bits of the distinct edges meeting edge j, j
-    included; read only when the matching search branches) and the
-    greedies `plain_matching` and `plain_cover`, of both searches and the
-    sandwich, which read the edge masks only.
+    the kernel LPs and the matching search's branches), `conflicts[j]` (the
+    bits of the distinct edges meeting edge j, j included; read only when
+    the matching search branches) and the greedies `plain_matching` and
+    `plain_cover`, the incumbents of nu and tau and the sandwich's sides,
+    which read the edge masks only.
     `by_cols`: `_incidence_lp`'s answer for each column mask; `root`: the
     certified answer of `_root_lp`, also kept in `by_cols` under the full
     mask.
@@ -178,11 +186,11 @@ class _SolveContext:
 
     @cached_property
     def plain_cover(self) -> list[int]:
-        """The unweighted greedy cover over all points; shared, so never changed in place.
+        """The greedy cover over all points; shared, so never changed in place.
 
         Each step takes the deepest point of the uncovered distinct edges,
-        the one on most of them, then the lowest id (`_greedy_cover`'s pick
-        at weight 0), and drops the edges through it.
+        the one on most of them, then the lowest id, and drops the edges
+        through it.
         """
         cover: list[int] = []
         live = self.masks
@@ -247,7 +255,7 @@ def _root_lp(ctx: _SolveContext) -> tuple[list[int], LPSolution]:
     (`_incidence_lp` of every distinct edge).  A candidate that fails falls
     through to the next source and is never reported; a simplex answer that
     fails raises.  The pair is kept in `ctx.by_cols` under the full mask, so
-    the root node of each search reads it.
+    the root node of the matching search reads it.
     """
     if ctx.root is not None:
         return ctx.root
@@ -350,106 +358,43 @@ def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution)
 def covering_number(instance: HypergraphInstance) -> SolveResult:
     """Minimum point set meeting every edge, exactly.
 
-    Branch and bound from the smaller of two greedy covers: one over all
-    points and, unless it meets the root's disjoint-edge packing bound or
-    the ceiling of the root LP (`_root_lp`, which the root reads unless the
-    packing bound closes it), one over the support of that LP's fractional
-    cover.
-    Lower bounds are a disjoint-edge packing and then the exact fractional
-    optimum; the search branches on an uncovered edge with fewest points,
-    all ties to lowest id.
+    A descent from the plain greedy cover (`_SolveContext.plain_cover`):
+    while the incumbent is larger than the lower bound, `_cover_at_most`
+    looks for a cover of one point fewer, the search `pq_check` runs for
+    its pigeonhole cover, and a cover it finds is the next incumbent.  Its
+    None proves the incumbent optimal.  The lower bound is a first-fit
+    disjoint-edge packing and, unless that meets the greedy cover, the
+    ceiling of the root LP (`_root_lp`), which is never below it.  The
+    node count is 1 for the root plus every node of those searches.
     """
     ctx = _context(instance)
     if not ctx.masks:
         return SolveResult(0, frozenset(), 0)
-    full = (1 << len(ctx.masks)) - 1
     best = ctx.plain_cover
-    if len(best) > _packing_bound(ctx.masks, full):
+    bound = _packing_bound(ctx.masks)
+    if len(best) > bound:
         sol = _root_lp(ctx)[1]
-        if len(best) > -(-sol.value // sol.den):
-            lp = _lp_cover(ctx)
-            if len(lp) < len(best):
-                best = lp
-    return _cover_search(instance, best)
+        bound = -(-sol.value // sol.den)
+    nodes = [1]
+    while len(best) > bound:
+        cover = _cover_at_most(ctx.masks, len(best) - 1, instance.max_depth[0], nodes)
+        if cover is None:
+            break
+        best = mask_points(cover)
+    witness = frozenset(best)
+    if len(witness) != len(best) or not verify_cover(instance, witness):
+        raise RuntimeError("covering_number produced an infeasible witness")
+    return SolveResult(len(best), witness, nodes[0])
 
 
-def _greedy_cover(ctx: _SolveContext, weight: dict) -> list[int]:
-    """Points of `weight` taken until every distinct edge is met.
-
-    Each step takes the point meeting the most uncovered edges, then the
-    one of highest weight, then the lowest id.  The points must meet every
-    edge between them.
-    """
-    covers = ctx.point_masks
-    cover: list[int] = []
-    uncovered = (1 << len(ctx.masks)) - 1
-    while uncovered:
-        pt = max(weight, key=lambda p: ((covers[p] & uncovered).bit_count(), weight[p], -p))
-        cover.append(pt)
-        uncovered &= ~covers[pt]
-    return cover
-
-
-def _lp_cover(ctx: _SolveContext) -> list[int]:
-    """The greedy cover over the support of the root LP's fractional cover.
-
-    The support meets every edge, since the dual y has y.A_j >= 1 for every
-    column j; its weights break the greedy's ties (their numerators share a
-    positive denominator, so they order the same).
-    """
-    points, sol = _root_lp(ctx)
-    return _greedy_cover(ctx, {pt: y for pt, y in zip(points, sol.dual) if y})
-
-
-def _packing_bound(masks: list[int], mask: int) -> int:
-    """Size of a first-fit set of pairwise disjoint edges among those in `mask`."""
+def _packing_bound(masks: list[int]) -> int:
+    """Size of a first-fit set of pairwise disjoint masks of `masks`."""
     taken = count = 0
-    for j, m in enumerate(masks):
-        if mask >> j & 1 and not (m & taken):
+    for m in masks:
+        if not m & taken:
             taken |= m
             count += 1
     return count
-
-
-def _cover_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveResult:
-    """`covering_number`'s branch and bound, started from the cover `incumbent`."""
-    ctx = _context(instance)
-    masks = ctx.masks
-    n = len(masks)
-    best = list(incumbent)
-    best_size = len(best)
-    node_count = 0
-
-    def search(mask: int, chosen: list[int]) -> None:
-        nonlocal best, best_size, node_count
-        node_count += 1
-        if not mask:
-            if len(chosen) < best_size:
-                best = list(chosen)
-                best_size = len(chosen)
-            return
-        if len(chosen) + _packing_bound(masks, mask) >= best_size:
-            return
-        sol = _incidence_lp(ctx, mask)[1]
-        if len(chosen) + -(-sol.value // sol.den) >= best_size:
-            return
-        # a point mask's popcount is the edge's size
-        branch = min(
-            (j for j in range(n) if mask >> j & 1),
-            key=lambda j: (masks[j].bit_count(), j),
-        )
-        covers = ctx.point_masks  # built on the first branch, then kept
-        for pt in mask_points(masks[branch]):
-            chosen.append(pt)
-            search(mask & ~covers[pt], chosen)
-            chosen.pop()
-
-    search((1 << n) - 1, [])
-    del search  # the closure refers to itself; break the cycle
-    witness = frozenset(best)
-    if len(witness) != best_size or not verify_cover(instance, witness):
-        raise RuntimeError("covering_number produced an infeasible witness")
-    return SolveResult(best_size, witness, node_count)
 
 
 def matching_number(instance: HypergraphInstance) -> SolveResult:
@@ -594,10 +539,10 @@ def solve(instance: HypergraphInstance) -> Measures:
     """nu, tau, tau* and the depth r of `instance`, from one shared solve.
 
     No LP is solved twice: tau* is read first, from `_root_lp`, whose
-    certified pair is then the root bound of both branch-and-bounds, and
-    each node LP is kept in the solve context by its column mask.  The root
-    LP is not solved at all where uniform weights or the greedy sandwich
-    certify tau*.  An edgeless instance has tau* = 0.
+    certified pair is then the root bound of both searches, and each node
+    LP of the matching search is kept in the solve context by its column
+    mask.  The root LP is not solved at all where uniform weights or the
+    greedy sandwich certify tau*.  An edgeless instance has tau* = 0.
     """
     ctx = _context(instance)
     tau_star = Fraction(0)
@@ -619,8 +564,8 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     Fewer than p distinct edges satisfy the property vacuously.  Otherwise
     it holds by pigeonhole when t = (p-1)//(q-1) points meet every distinct
     edge: any p edges then put ceil(p/t) >= q of themselves on one of them.
-    `_pigeonhole_cover` decides exactly whether such t points exist, from
-    the edges' masks alone, and re-validates the cover it finds.  When they
+    `_cover_at_most` decides exactly whether such t points exist, from the
+    edges' masks alone, and re-validates the cover it finds.  When they
     do not, `_packing_search` decides: the property fails exactly when some
     p distinct edges form a (q-1)-packing, no point lying in q of them, and
     the first one that search finds, the lexicographically first failing
@@ -632,7 +577,7 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     masks = ctx.masks
     if len(masks) < params.p:
         return PQVerdict(True, None, r, vacuous=True)
-    if _pigeonhole_cover(masks, params.pigeonhole_points, r) is not None:
+    if _cover_at_most(masks, params.pigeonhole_points, r, [0]) is not None:
         return PQVerdict(True, None, r)
     chosen = _packing_search(masks, params.p, params.q)
     if chosen is None:
@@ -640,28 +585,31 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     return PQVerdict(False, frozenset(ctx.firsts[k] for k in chosen), r)
 
 
-def _pigeonhole_cover(masks: list[int], t: int, r: int) -> int | None:
-    """The point mask of at most t points meeting every mask of `masks`, or None.
+def _cover_at_most(masks: list[int], t: int, r: int, nodes: list[int]) -> int | None:
+    """The point mask of at most t >= 1 points meeting every mask of `masks`, or None.
 
+    The one hitting-set search, shared by `covering_number` and `pq_check`.
     Exact: None means no t points meet every mask.  `r` bounds the number
     of masks through any point, so more than t*r masks need more than t
     points.  Otherwise `_cover_within` searches the masks in increasing
-    size, which makes its first-fit packings large, and the cover it
-    returns is checked on every mask before it is trusted.
+    size, which makes its first-fit packings large, and adds the nodes it
+    visits to `nodes[0]`; the cover it returns is checked on every mask
+    before it is trusted.
     """
     if len(masks) > t * r:
         return None
-    cover = _cover_within(sorted(masks, key=int.bit_count), t)
+    cover = _cover_within(sorted(masks, key=int.bit_count), t, nodes)
     if cover is not None and (cover.bit_count() > t or not all(m & cover for m in masks)):
-        raise RuntimeError("pq_check produced an invalid pigeonhole cover")
+        raise RuntimeError("the hitting-set search produced an invalid cover")
     return cover
 
 
-def _cover_within(live: list[int], k: int) -> int | None:
+def _cover_within(live: list[int], k: int, nodes: list[int]) -> int | None:
     """A mask of at most k >= 1 points meeting every mask of `live`, or None.
 
-    `live` is in nondecreasing size, and so is every child's list.  With one
-    point left, the cover is the lowest point common to every mask.
+    Each call is a node, added to `nodes[0]`.  `live` is in nondecreasing
+    size, and so is every child's list.  With one point left, the cover is
+    the lowest point common to every mask.
     Otherwise a node is dropped when a first-fit set of pairwise disjoint
     masks has more than k members, or when more than k times its own depth
     (the most masks through one point) are live.  It branches on the points
@@ -671,12 +619,13 @@ def _cover_within(live: list[int], k: int) -> int | None:
     swapping it for that point keeps a cover a cover.  The rest are tried
     in decreasing number of live masks, then increasing id.
     """
+    nodes[0] += 1
     if not live:
         return 0
     if k == 1:
         common = reduce(and_, live)
         return common & -common or None
-    if _packing_bound(live, (1 << len(live)) - 1) > k or len(live) > k * _deepest_point(live)[0]:
+    if _packing_bound(live) > k or len(live) > k * _deepest_point(live)[0]:
         return None
     # each live mask's trace on the first mask, shifted down to its lowest
     # point `low`, with its multiplicity
@@ -700,7 +649,7 @@ def _cover_within(live: list[int], k: int) -> int | None:
     branches.sort(key=lambda i: (-degree[i], i))
     for i in branches:
         bit = 1 << low + i
-        cover = _cover_within([m for m in live if not m & bit], k - 1)
+        cover = _cover_within([m for m in live if not m & bit], k - 1, nodes)
         if cover is not None:
             return cover | bit
     return None

@@ -266,6 +266,23 @@ def reference_certificate_problem(edge_sets, points, sol) -> str | None:
     return None
 
 
+def reference_greedy_cover(instance: HypergraphInstance) -> list[int]:
+    """The zero-weight greedy cover of the distinct edges, over plain sets.
+
+    Each step takes the point on the most uncovered distinct edges, then
+    the lowest id, until every edge is met; `_SolveContext.plain_cover`
+    must take the same points in the same order.
+    """
+    uncovered = list(dict.fromkeys(instance.edges))
+    cover: list[int] = []
+    while uncovered:
+        load = Counter(pt for e in uncovered for pt in e)
+        pt = min(load, key=lambda p: (-load[p], p))
+        cover.append(pt)
+        uncovered = [e for e in uncovered if pt not in e]
+    return cover
+
+
 def reference_max_depth(instance: HypergraphInstance) -> tuple[int, int | None]:
     """(r, point) of `max_depth`, by counting every incidence of every edge.
 

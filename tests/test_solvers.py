@@ -5,6 +5,8 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -46,6 +48,7 @@ from helpers import (
     fam,
     random_abstract_instance,
     reference_certificate_problem,
+    reference_greedy_cover,
     reference_kernel,
     reference_matching_number,
     reference_max_depth,
@@ -259,10 +262,6 @@ def test_lp_incumbents_are_valid_and_never_worse_than_greedy():
     for instance in _incumbent_corpus():
         ctx = solvers._context(instance)
         n = len(ctx.masks)
-        plain_cover = solvers._greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
-        lp_cover = solvers._lp_cover(ctx)
-        assert verify_cover(instance, lp_cover)
-        assert len(lp_cover) <= len(plain_cover)
         plain_matching = solvers._greedy_matching(ctx, range(n))
         lp_matching = solvers._lp_matching(ctx)
         assert verify_matching(instance, [ctx.firsts[j] for j in lp_matching])
@@ -273,15 +272,11 @@ def test_lp_incumbents_never_add_nodes_and_keep_the_optimum():
     for instance in _incumbent_corpus():
         ctx = solvers._context(instance)
         tau, nu = covering_number(instance), matching_number(instance)
-        plain_tau = solvers._cover_search(
-            instance, solvers._greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
-        )
         plain_nu = solvers._matching_search(
             instance, solvers._greedy_matching(ctx, range(len(ctx.masks)))
         )
-        assert tau.node_count <= plain_tau.node_count
         assert nu.node_count <= plain_nu.node_count
-        assert (tau.optimum, nu.optimum) == (plain_tau.optimum, plain_nu.optimum)
+        assert nu.optimum == plain_nu.optimum
         try:
             assert tau.optimum == naive_oracle(instance, "tau")
             assert nu.optimum == naive_oracle(instance, "nu")
@@ -666,7 +661,7 @@ def test_plain_cover_is_the_zero_weight_greedy():
     corpora = (_root_families(), _kernel_families(), _incumbent_corpus(), _candidate_families())
     for instance in itertools.chain(*corpora):
         ctx = solvers._context(_fresh(instance))
-        assert ctx.plain_cover == solvers._greedy_cover(ctx, dict.fromkeys(ctx.point_masks, 0))
+        assert ctx.plain_cover == reference_greedy_cover(instance)
 
 
 def test_sharpness_probe_needs_no_simplex_on_projective_spaces(monkeypatch):
@@ -818,7 +813,7 @@ def test_pigeonhole_cover_is_exact():
     for instance in instances:
         masks, r = solvers._context(instance).masks, instance.max_depth[0]
         for t in (1, 2, 3, 4):
-            cover = solvers._pigeonhole_cover(masks, t, r)
+            cover = solvers._cover_at_most(masks, t, r, [0])
             assert (cover is not None) == _tau_at_most(instance, t)
             if cover is not None:
                 assert cover.bit_count() <= t
@@ -831,13 +826,13 @@ def _cover_nodes(monkeypatch) -> list:
     """Record each `_cover_within` node as [live, k, children visited, result], in call order."""
     real, nodes, open_nodes = solvers._cover_within, [], []
 
-    def recorded(live, k):
+    def recorded(live, k, counter):
         if open_nodes:
             open_nodes[-1][2] += 1
         node = [list(live), k, 0, None]
         nodes.append(node)
         open_nodes.append(node)
-        node[3] = real(live, k)
+        node[3] = real(live, k, counter)
         open_nodes.pop()
         return node[3]
 
@@ -850,7 +845,7 @@ def _masks(*edges):
 
 
 def _packing_prunes(live, k):
-    return solvers._packing_bound(live, (1 << len(live)) - 1) > k
+    return solvers._packing_bound(live) > k
 
 
 def _depth_prunes(live, k):
@@ -880,10 +875,11 @@ FANO_LINES = [set(e) for e in FANO.edges]
 def test_pigeonhole_cover_prunes(monkeypatch, edges, t, holds, fires):
     nodes = _cover_nodes(monkeypatch)
     instance = inst(*edges)
-    masks = solvers._context(instance).masks
-    cover = solvers._pigeonhole_cover(masks, t, instance.max_depth[0])
+    masks, counter = solvers._context(instance).masks, [0]
+    cover = solvers._cover_at_most(masks, t, instance.max_depth[0], counter)
     assert (cover is not None) == holds == _tau_at_most(instance, t)
     assert nodes, "the search ran"
+    assert counter == [len(nodes)]
     if fires == "and":
         assert [(k, children) for _, k, children, _ in nodes] == [(1, 0)]
     elif fires in ("packing", "depth"):
@@ -1068,6 +1064,95 @@ def test_multiplicity_does_not_change_nu_tau():
     assert max_depth(copied) == (5, 1)
 
 
+def test_covering_number_counts_its_descent_nodes(monkeypatch):
+    # the root, then every hitting-set node of the descent from the plain
+    # greedy cover, one step per point it drops
+    nodes = _cover_nodes(monkeypatch)
+    descended = 0
+    for instance in itertools.chain(_incumbent_corpus(), _pq_corpus()):
+        nodes.clear()
+        tau = covering_number(instance)
+        assert tau.node_count == 1 + len(nodes)
+        ctx = solvers._context(instance)
+        plain = ctx.plain_cover
+        # a child drops the masks through a point, so a step's first node
+        # is the one with every distinct mask live
+        steps = [(k, cover) for live, k, _, cover in nodes if len(live) == len(ctx.masks)]
+        if steps:
+            assert steps[0][0] == len(plain) - 1
+        assert all(cover is not None for _, cover in steps[:-1])
+        assert all(a[0] > b[0] for a, b in zip(steps, steps[1:]))
+        # no step asks for fewer points than ceil(tau*)
+        value = fractional_pair(instance)[0].value
+        assert all(k >= -(-value.numerator // value.denominator) for k, _ in steps)
+        descended += len(plain) > tau.optimum
+        assert len(tau.witness) == tau.optimum <= len(plain)
+        assert verify_cover(instance, tau.witness)
+        try:
+            assert tau.optimum == naive_oracle(instance, "tau")
+        except TooLarge:
+            pass
+    assert descended > 10
+
+
+def _greedy_trap():
+    """Greedy cover 4 points, tau 2: every edge is {row point, block point, own point}.
+
+    Points 0 and 1 are the rows, each on 30 edges; points 2..5 the blocks,
+    on 4, 8, 16 and 32 edges, half in each row.  The greedy takes the
+    blocks, deepest first, where the two rows cover every edge.
+    """
+    edges, own = [], 6
+    for block, size in enumerate((2, 4, 8, 16)):
+        for row in (0, 1):
+            for _ in range(size):
+                edges.append({row, 2 + block, own})
+                own += 1
+    return inst(*edges)
+
+
+def test_covering_number_descends_from_any_cover_the_search_returns(monkeypatch):
+    # the search may return any cover of at most t points: padded to exactly
+    # t, each step drops one point, and the descent still reaches tau
+    trap = _greedy_trap()
+    assert len(solvers._context(trap).plain_cover) == 4
+    cases = [(trap, 2)]
+    for instance in itertools.chain(_incumbent_corpus(), _pq_corpus()):
+        tau = covering_number(instance).optimum
+        if len(solvers._context(instance).plain_cover) > tau + 1:
+            cases.append((instance, tau))
+    assert len(cases) > 2
+    real = solvers._cover_at_most
+
+    def padded(masks, t, r, nodes):
+        cover = real(masks, t, r, nodes)
+        if cover is None:
+            return None
+        spare = reduce(or_, masks) & ~cover
+        while cover.bit_count() < t and spare:
+            cover |= spare & -spare
+            spare &= spare - 1
+        return cover
+
+    monkeypatch.setattr(solvers, "_cover_at_most", padded)
+    for instance, tau in cases:
+        result = covering_number(_fresh(instance))
+        assert result.optimum == tau and verify_cover(instance, result.witness)
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (9, 3), (10, 4)])
+def test_complete_uniform_hypergraphs_keep_their_integrality_gap(n, k):
+    # every k-subset of [n]: tau = n-k+1 (any n-k points miss a k-subset,
+    # and n-k+1 points meet them all) exceeds ceil(tau*) = ceil(n/k)
+    instance = inst(*itertools.combinations(range(n), k))
+    measures = solve(instance)
+    assert measures.tau.optimum == n - k + 1
+    assert measures.tau_star == Fraction(n, k)
+    assert measures.nu.optimum == n // k
+    assert len(measures.tau.witness) == n - k + 1 and verify_cover(instance, measures.tau.witness)
+    assert len(measures.nu.witness) == n // k and verify_matching(instance, measures.nu.witness)
+
+
 def test_witnesses_reverify():
     for seed in range(20):
         i = random_abstract_instance(seed + 500)
@@ -1114,6 +1199,16 @@ def test_verify_cover_and_matching_agree_with_the_point_sets():
     assert not verify_matching(instances[3], [0])
     assert not verify_matching(instances[1], [0, 1])  # copies are never disjoint
     assert verify_matching(instances[1], [0, 2, 3])
+
+
+@pytest.mark.parametrize("edge_id", [1.0, True, Fraction(1), "a", None])
+def test_verify_matching_takes_only_int_edge_ids(edge_id):
+    # like `verify_cover`: a value that is not an int edge id in range makes
+    # the matching invalid, never an error or edge 1
+    i = inst({0}, {1})
+    assert verify_matching(i, [1]) and verify_matching(i, [0, 1])
+    assert not verify_matching(i, [edge_id])
+    assert not verify_matching(i, [edge_id, 1]) and not verify_matching(i, [0, edge_id])
 
 
 @pytest.mark.parametrize("point", [1.0, True, Fraction(1)])
