@@ -1,11 +1,13 @@
 """Exact nu, tau, tau* on small instances, with every answer certified.
 
-nu is a branch and bound with LP pruning, and tau a descent from a greedy
-cover by the exact hitting-set search that also decides (p,q); the fractional
-solver returns both LP sides and checks them against each other (strong
-duality as a runtime certificate), from uniform weights or the greedy
-sandwich where those pass the check, else from an exact rational simplex.
-The naive oracle re-derives the integral answers by plain enumeration.
+tau is a descent from a greedy cover by the exact hitting-set search that
+also decides (p,q), and nu an ascent from a greedy matching by the exact
+packing search that looks for a (p,q) counterexample, each bounded by the
+other's answer.  The fractional solver returns both LP sides and checks
+them against each other (strong duality as a runtime certificate), from
+uniform weights or a matching and a cover of equal size where those pass
+the check, else from an exact rational simplex.  The naive oracle
+re-derives the integral answers by plain enumeration.
 """
 
 from dpierce import (

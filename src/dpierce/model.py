@@ -289,6 +289,19 @@ class SubforestFamily:
     def __post_init__(self):
         object.__setattr__(self, "edges", _checked_subgraphs(self.host, self.edges, self.d))
 
+    @classmethod
+    def _unchecked(
+        cls, host: HostTree, d: int, edges: tuple[frozenset[int], ...]
+    ) -> SubforestFamily:
+        """The family of `edges`, frozensets whose caller has already checked them.
+
+        `treewidth.lift_family` builds its lifted family here: it counts each
+        lifted edge's components itself.
+        """
+        family = object.__new__(cls)
+        vars(family).update(host=host, d=d, edges=edges)
+        return family
+
     def __len__(self) -> int:
         return len(self.edges)
 

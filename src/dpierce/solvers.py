@@ -1,28 +1,29 @@
 """Exact matching/covering solvers and the (p,q)-property decision procedure.
 
 All solvers consume a `HypergraphInstance`, with deterministic
-tie-breaks (reproducible node counts).  nu is a branch and bound started
-from the better of a first-fit matching and a greedy guided by the root
-LP, which it reads anyway.  tau is a descent from the plain greedy cover
-by one exact hitting-set search, `_cover_at_most`, the one `pq_check`
-runs: each step asks for a cover of one point fewer.  Where an incumbent
-meets its lower bound, the search closes at its root.  The fractional
-solver returns an optimal LP pair whose primal and dual sides certify
-each other.  `_root_lp` is the only reader of the whole-instance LP: it
-offers uniform weights, then the greedy sandwich, to the certificate on
-every point and edge of the original instance, and runs the simplex only
-when neither passes.  Every incidence LP the simplex solves (tau* and
-each node bound of the matching search) is solved on its dominance
-kernel: a point whose set of edges is contained in another point's adds
-only a redundant row, so it is left out, and the optimum is unchanged.
+tie-breaks (reproducible node counts).  nu and tau are found exactly
+first, and tau* last.  tau descends from the greedy cover by one exact
+hitting-set search, `_cover_at_most`, the one `pq_check` runs: each step
+asks for a cover of one point fewer, down to the size of a greedy
+matching.  nu then ascends from that matching by one exact packing
+search, `_packing_search`, the one `pq_check` runs for a counterexample:
+each step asks for a matching of one edge more, up to tau.  The
+fractional solver returns an optimal LP pair whose primal and dual sides
+certify each other.  `_root_lp` is the only reader of the whole-instance
+LP: it offers uniform weights, then the sandwich of the two optima, to
+the certificate on every point and edge of the original instance, and
+runs the simplex only when neither passes, so only where nu < tau.  The
+simplex solves the LP on its dominance kernel: a point whose set of
+edges is contained in another point's adds only a redundant row, so it
+is left out, and the optimum is unchanged.
 `solve` gives the one record, `Measures`, that every bound kind reads:
 nu, tau, tau* and the depth r of an instance.
 `pq_check` decides the (p,q) property from the distinct edges' point
 bitmasks in the solve context below.  It first searches for the
 pigeonhole certificate, (p-1)//(q-1) points meeting every edge, by the
-same hitting-set search, and only when there is none runs a
-depth-first search for p distinct edges that load no point q times, the
-shape of a counterexample.
+same hitting-set search, and only when there is none runs the packing
+search for p distinct edges that load no point q times, the shape of a
+counterexample.
 `naive_oracle` is a deliberately unpruned enumeration: the test suite
 certifies the main solvers on small instances by it, and
 `perfbench/make_reference.py` confirms the benchmark's reference answers
@@ -33,16 +34,10 @@ nu, tau, tau* and the (p,q) check operate on distinct edges (copies of an
 edge are never disjoint and never enrich a p-subset); max_depth counts
 every copy.  All but `naive_oracle` read the edges as `edge_masks` and
 share one solve context per instance (`_context`): the distinct edges'
-point masks, the point->edge bitmasks that the LP kernel and the
-matching search read, and every LP solved, by column mask, so that no
-mask's LP is solved twice and the certified root pair of `_root_lp` is
-the root bound of both searches and the matching search's incumbent
-guide.  Uniform weights, the greedy sandwich, the certificate and the
-hitting-set search run on the edge masks alone, so an instance whose
-root pair they settle and whose matching search closes at the root never
-builds the point->edge masks.  LP solutions stay integer numerators over
-one denominator inside this module; `fractional_pair` builds Fractions for
-its value and weights, and `solve` for tau* alone.
+point masks, the two optima and the certified root pair.  Everything but
+the kernel LP reads the edge masks alone.  LP solutions stay integer
+numerators over one denominator inside this module; `fractional_pair`
+builds Fractions for its value and weights, and `solve` for tau* alone.
 """
 
 from __future__ import annotations
@@ -138,16 +133,11 @@ class _SolveContext:
     """What the solvers of one instance share, kept on it by `_context`.
 
     Distinct edge j has its first occurrence at `firsts[j]`, in index order,
-    and point mask `masks[j]`.  Built on first use: `point_masks` ({point:
-    bit j for each distinct edge j through it}, in increasing id; read by
-    the kernel LPs and the matching search's branches), `conflicts[j]` (the
-    bits of the distinct edges meeting edge j, j included; read only when
-    the matching search branches) and the greedies `plain_matching` and
-    `plain_cover`, the incumbents of nu and tau and the sandwich's sides,
-    which read the edge masks only.
-    `by_cols`: `_incidence_lp`'s answer for each column mask; `root`: the
-    certified answer of `_root_lp`, also kept in `by_cols` under the full
-    mask.
+    and point mask `masks[j]`.  Built on first use: the greedies
+    `plain_matching` and `plain_cover`, the starts of the two searches.
+    Filled by `_search`: `matching` and `cover`, the optimal matching (as
+    distinct-edge positions) and cover (as points), and the node counts
+    `nu_nodes` and `tau_nodes`.  `root`: the certified answer of `_root_lp`.
     """
 
     def __init__(self, instance: HypergraphInstance):
@@ -156,33 +146,15 @@ class _SolveContext:
             firsts.setdefault(m, i)
         self.masks = list(firsts)
         self.firsts = list(firsts.values())
-        self.by_cols: dict[int, tuple[list[int], LPSolution]] = {}
         self.root: tuple[list[int], LPSolution] | None = None
-
-    @cached_property
-    def point_masks(self) -> dict[int, int]:
-        masks: dict[int, int] = {}
-        for j, m in enumerate(self.masks):
-            bit = 1 << j
-            for pt in mask_points(m):
-                masks[pt] = masks.get(pt, 0) | bit
-        return {pt: masks[pt] for pt in sorted(masks)}
-
-    @cached_property
-    def conflicts(self) -> list[int]:
-        member = self.point_masks
-        conflicts = []
-        for m in self.masks:
-            mask = 0
-            for pt in mask_points(m):
-                mask |= member[pt]
-            conflicts.append(mask)
-        return conflicts
+        self.matching: list[int] | None = None
+        self.cover: list[int] | None = None
+        self.nu_nodes = self.tau_nodes = 0
 
     @cached_property
     def plain_matching(self) -> list[int]:
         """The first-fit matching in index order; shared, so never changed in place."""
-        return _greedy_matching(self, range(len(self.masks)))
+        return _first_fit(self.masks, 0, 0, len(self.masks))
 
     @cached_property
     def plain_cover(self) -> list[int]:
@@ -211,66 +183,62 @@ def _context(instance: HypergraphInstance) -> _SolveContext:
     return ctx
 
 
-def _incidence_lp(ctx: _SolveContext, cols: int) -> tuple[list[int], LPSolution]:
+def _incidence_lp(ctx: _SolveContext) -> tuple[list[int], LPSolution]:
     """(points, solution) of max{1.x : Ax <= 1, x >= 0}, A the kernel incidence.
 
-    The columns are the distinct edges whose bits are set in `cols`, in
-    increasing index.  The primal is a fractional matching, the dual a
-    fractional cover on `points`.  Rows are the dominance kernel of the
-    points those edges meet, in increasing point id: the lowest id of each
-    distinct set of edges through a point, minus every such set strictly
-    contained in another.  A dropped row is implied by the row that contains
-    it (for x >= 0 its load is at most that row's), so the primal polytope,
-    and with it the LP value, is that of the full incidence.  A column mask
-    asked for before returns its earlier answer without a kernel or a solve.
+    The columns are the distinct edges in index order.  The primal is a
+    fractional matching, the dual a fractional cover on `points`.  Rows are
+    the dominance kernel of the points, in increasing point id: the lowest
+    id of each distinct set of edges through a point, minus every such set
+    strictly contained in another.  A dropped row is implied by the row
+    that contains it (for x >= 0 its load is at most that row's), so the
+    primal polytope, and with it the LP value, is that of the full
+    incidence.
     """
-    hit = ctx.by_cols.get(cols)
-    if hit is not None:
-        return hit
-    masks = ctx.point_masks
+    # through[pt]: bit j for each distinct edge j through point pt
+    through: dict[int, int] = {}
+    for j, m in enumerate(ctx.masks):
+        bit = 1 << j
+        for pt in mask_points(m):
+            through[pt] = through.get(pt, 0) | bit
     lowest: dict[int, int] = {}
-    for pt, m in masks.items():
-        m &= cols
-        if m:
-            lowest.setdefault(m, pt)
+    for pt in sorted(through):
+        lowest.setdefault(through[pt], pt)
     # a strict superset has more bits, so it is kept before it is needed
     kept: list[int] = []
     for m in sorted(lowest, key=int.bit_count, reverse=True):
         if not any(m & k == m for k in kept):
             kept.append(m)
     points = sorted(lowest[m] for m in kept)
-    columns = [j for j in range(cols.bit_length()) if cols >> j & 1]
-    rows = [[masks[pt] >> j & 1 for j in columns] for pt in points]
-    sol = solve_lp_max(rows, [1] * len(points), [1] * len(columns))
-    hit = ctx.by_cols[cols] = points, sol
-    return hit
+    n = len(ctx.masks)
+    rows = [[through[pt] >> j & 1 for j in range(n)] for pt in points]
+    return points, solve_lp_max(rows, [1] * len(points), [1] * n)
 
 
-def _root_lp(ctx: _SolveContext) -> tuple[list[int], LPSolution]:
+def _root_lp(instance: HypergraphInstance) -> tuple[list[int], LPSolution]:
     """(points, solution) of the whole instance's tau* LP, certified.
 
     The only reader of the root LP.  Its sources are tried in order, and
     the first whose pair passes `_certificate_problem` is kept: uniform
-    weights, then the greedy sandwich, then the simplex on the kernel
-    (`_incidence_lp` of every distinct edge).  A candidate that fails falls
-    through to the next source and is never reported; a simplex answer that
-    fails raises.  The pair is kept in `ctx.by_cols` under the full mask, so
-    the root node of the matching search reads it.
+    weights; then, once `_search` has found nu and tau exactly, the
+    sandwich of the two optima; then the simplex on the kernel
+    (`_incidence_lp`).  A candidate that fails falls through to the next
+    source and is never reported; a simplex answer that fails raises.  So
+    the simplex runs at most once per instance, and only where nu < tau.
     """
-    if ctx.root is not None:
-        return ctx.root
-    full = (1 << len(ctx.masks)) - 1
-    for source in (_uniform_pair, _sandwich_pair):
-        pair = source(ctx)
-        if pair is not None and _certificate_problem(ctx, *pair) is None:
-            break
-    else:
-        pair = _incidence_lp(ctx, full)
-        problem = _certificate_problem(ctx, *pair)
-        if problem is not None:
-            raise RuntimeError(problem)
-    ctx.root = ctx.by_cols[full] = pair
-    return pair
+    ctx = _context(instance)
+    if ctx.root is None:
+        pair = _uniform_pair(ctx)
+        if pair is None or _certificate_problem(ctx, *pair) is not None:
+            _search(ctx, instance.max_depth[0])
+            pair = _sandwich_pair(ctx)
+            if pair is None or _certificate_problem(ctx, *pair) is not None:
+                pair = _incidence_lp(ctx)
+                problem = _certificate_problem(ctx, *pair)
+                if problem is not None:
+                    raise RuntimeError(problem)
+        ctx.root = pair
+    return ctx.root
 
 
 def _uniform_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
@@ -298,12 +266,12 @@ def _uniform_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
 
 
 def _sandwich_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
-    """Weight 1 on the plain greedy matching and cover, if they have equal size.
+    """Weight 1 on the optimal matching and cover of `_search`, if they have equal size.
 
     A matching M and a cover C with |M| = |C| give nu = tau* = tau = |M|
     by weak duality, so both are optimal, over D = 1.
     """
-    matching, cover = ctx.plain_matching, ctx.plain_cover
+    matching, cover = ctx.matching, ctx.cover
     if len(matching) != len(cover):
         return None
     chosen = set(matching)
@@ -355,147 +323,115 @@ def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution)
 # integral solvers
 # ---------------------------------------------------------------------------
 
+def _search(ctx: _SolveContext, r: int) -> None:
+    """Find tau and then nu exactly, each search bounded by the other's incumbent.
+
+    `r` is the instance's depth, copies counted.  The matching starts as the
+    larger of the first-fit and the min-degree-first matchings, and the
+    cover as the greedy one.  tau descends first: while the cover is larger
+    than the matching, `_cover_at_most` looks for a cover of one point
+    fewer, and its None proves the cover optimal.  Then nu ascends: while
+    the matching is smaller than that cover, `_packing_search` looks for a
+    matching of one edge more, and its None proves the matching optimal.
+    Where uniform weights have already certified tau* (`ctx.root`), its
+    ceiling and floor bound the two searches too.  Each node count is 1
+    for the root plus every node of its search's asks.
+    """
+    low, high = 0, len(ctx.masks)
+    if ctx.root is not None:
+        sol = ctx.root[1]
+        low, high = -(-sol.value // sol.den), sol.value // sol.den
+    matching, cover = ctx.plain_matching, ctx.plain_cover
+    if len(matching) < min(len(cover), high):
+        min_degree = _min_degree_matching(ctx)
+        if len(min_degree) > len(matching):
+            matching = min_degree
+    nodes = [1]
+    while len(cover) > max(len(matching), low):
+        found = _cover_at_most(ctx.masks, len(cover) - 1, r, nodes)
+        if found is None:
+            break
+        cover = mask_points(found)
+    ctx.cover, ctx.tau_nodes = cover, nodes[0]
+    nodes = [1]
+    while len(matching) < min(len(cover), high):
+        found = _packing_search(ctx.masks, len(matching) + 1, 2, nodes)
+        if found is None:
+            break
+        matching = found
+    ctx.matching, ctx.nu_nodes = matching, nodes[0]
+
+
+def _optima(instance: HypergraphInstance) -> _SolveContext:
+    """The instance's solve context with nu, tau and the root pair all found.
+
+    `_root_lp` runs `_search` before it offers the sandwich; where uniform
+    weights certify the root first, the search runs here, bounded by them.
+    """
+    ctx = _context(instance)
+    if ctx.masks and ctx.cover is None:
+        _root_lp(instance)
+        if ctx.cover is None:
+            _search(ctx, instance.max_depth[0])
+    return ctx
+
+
 def covering_number(instance: HypergraphInstance) -> SolveResult:
     """Minimum point set meeting every edge, exactly.
 
-    A descent from the plain greedy cover (`_SolveContext.plain_cover`):
-    while the incumbent is larger than the lower bound, `_cover_at_most`
-    looks for a cover of one point fewer, the search `pq_check` runs for
-    its pigeonhole cover, and a cover it finds is the next incumbent.  Its
-    None proves the incumbent optimal.  The lower bound is a first-fit
-    disjoint-edge packing and, unless that meets the greedy cover, the
-    ceiling of the root LP (`_root_lp`), which is never below it.  The
-    node count is 1 for the root plus every node of those searches.
+    A descent from the plain greedy cover (`_SolveContext.plain_cover`) by
+    the hitting-set search `pq_check` runs for its pigeonhole cover, one
+    point fewer per step, down to the size of a matching (`_search`).  The
+    node count is 1 for the root plus every node of that search.
     """
-    ctx = _context(instance)
+    ctx = _optima(instance)
     if not ctx.masks:
         return SolveResult(0, frozenset(), 0)
-    best = ctx.plain_cover
-    bound = _packing_bound(ctx.masks)
-    if len(best) > bound:
-        sol = _root_lp(ctx)[1]
-        bound = -(-sol.value // sol.den)
-    nodes = [1]
-    while len(best) > bound:
-        cover = _cover_at_most(ctx.masks, len(best) - 1, instance.max_depth[0], nodes)
-        if cover is None:
-            break
-        best = mask_points(cover)
-    witness = frozenset(best)
-    if len(witness) != len(best) or not verify_cover(instance, witness):
+    witness = frozenset(ctx.cover)
+    if len(witness) != len(ctx.cover) or not verify_cover(instance, witness):
         raise RuntimeError("covering_number produced an infeasible witness")
-    return SolveResult(len(best), witness, nodes[0])
-
-
-def _packing_bound(masks: list[int]) -> int:
-    """Size of a first-fit set of pairwise disjoint masks of `masks`."""
-    taken = count = 0
-    for m in masks:
-        if not m & taken:
-            taken |= m
-            count += 1
-    return count
+    return SolveResult(len(ctx.cover), witness, ctx.tau_nodes)
 
 
 def matching_number(instance: HypergraphInstance) -> SolveResult:
     """Maximum set of pairwise disjoint distinct edges, exactly.
 
-    Branch and bound from the larger of two greedy matchings: first fit in
-    index order and, unless that takes every edge or meets the floor of the
-    root LP (`_root_lp`, which the root then reads), first fit in
-    decreasing weight of that LP's fractional matching.  The search
-    branches on a point of highest degree among the still-available edges
-    (take one of its edges, or none).
+    An ascent from the larger of the first-fit and the min-degree-first
+    matchings by the packing search `pq_check` runs for its counterexample,
+    one edge more per step, up to the size of the optimal cover
+    (`_search`).  The node count is 1 for the root plus every node of that
+    search.
     """
-    ctx = _context(instance)
-    n = len(ctx.masks)
-    if not n:
+    ctx = _optima(instance)
+    if not ctx.masks:
         return SolveResult(0, frozenset(), 0)
-    best = ctx.plain_matching
-    if len(best) < n:
-        sol = _root_lp(ctx)[1]
-        if len(best) < sol.value // sol.den:
-            lp = _lp_matching(ctx)
-            if len(lp) > len(best):
-                best = lp
-    return _matching_search(instance, best)
+    witness = frozenset(ctx.firsts[j] for j in ctx.matching)
+    if len(witness) != len(ctx.matching) or not verify_matching(instance, witness):
+        raise RuntimeError("matching_number produced an infeasible witness")
+    return SolveResult(len(ctx.matching), witness, ctx.nu_nodes)
 
 
-def _greedy_matching(ctx: _SolveContext, order) -> list[int]:
-    """Distinct edges taken in `order` whenever they miss every edge taken.
+def _min_degree_matching(ctx: _SolveContext) -> list[int]:
+    """Distinct edges taken one at a time, each meeting the fewest available edges.
 
-    An edge misses them all when its point mask misses their union `taken`;
-    an edge is never empty, so one already taken, met again in `order`, is
-    never taken twice.
+    Only available edges are taken, ties go to the lowest index, and an
+    edge taken makes every edge it meets unavailable, itself included.  The
+    edges meeting each edge are found by pairwise ANDs of the masks, which
+    costs less than the point->edge masks on interval families, whose
+    edges hold many points.
     """
     masks = ctx.masks
+    bits = [1 << j for j in range(len(masks))]
+    # conflicts[j]: the bits of the distinct edges meeting edge j, j included
+    conflicts = [sum([b for b, m in zip(bits, masks) if m & mj]) for mj in masks]
+    free = (1 << len(masks)) - 1
     chosen: list[int] = []
-    taken = 0
-    for j in order:
-        m = masks[j]
-        if not m & taken:
-            chosen.append(j)
-            taken |= m
+    while free:
+        # min keeps the first of equal keys, so the lowest index
+        j = min(mask_points(free), key=lambda j: (conflicts[j] & free).bit_count())
+        chosen.append(j)
+        free &= ~conflicts[j]
     return chosen
-
-
-def _lp_matching(ctx: _SolveContext) -> list[int]:
-    """The greedy matching in decreasing root-LP weight x, ties to lowest index.
-
-    The weights are read as their numerators over the LP's positive
-    denominator, which order the same.
-    """
-    x = _root_lp(ctx)[1].primal
-    support = [j for j, w in enumerate(x) if w]
-    # a stable sort keeps equal weights in index order; the edges of weight 0
-    # then follow in index order (a support edge met again is no longer free)
-    support.sort(key=x.__getitem__, reverse=True)
-    return _greedy_matching(ctx, itertools.chain(support, range(len(x))))
-
-
-def _matching_search(instance: HypergraphInstance, incumbent: list[int]) -> SolveResult:
-    """`matching_number`'s branch and bound, started from `incumbent`.
-
-    `incumbent` is a matching given as distinct-edge positions (the order
-    of first occurrences).
-    """
-    ctx = _context(instance)
-    best = list(incumbent)
-    best_size = len(best)
-    node_count = 0
-
-    def search(mask: int, chosen: list[int]) -> None:
-        nonlocal best, best_size, node_count
-        node_count += 1
-        if not mask:
-            if len(chosen) > best_size:
-                best = list(chosen)
-                best_size = len(chosen)
-            return
-        if len(chosen) + mask.bit_count() <= best_size:
-            return
-        sol = _incidence_lp(ctx, mask)[1]
-        if len(chosen) + sol.value // sol.den <= best_size:
-            return
-        # both built on the first branch, then kept
-        member, conflict = ctx.point_masks, ctx.conflicts
-        pt = max(member, key=lambda p: ((member[p] & mask).bit_count(), -p))
-        through = member[pt] & mask
-        k = through
-        while k:
-            j = (k & -k).bit_length() - 1
-            chosen.append(j)
-            search(mask & ~conflict[j], chosen)
-            chosen.pop()
-            k &= k - 1
-        search(mask & ~through, chosen)
-
-    search((1 << len(ctx.masks)) - 1, [])
-    del search  # the closure refers to itself; break the cycle
-    witness = frozenset(ctx.firsts[j] for j in best)
-    if len(witness) != best_size or not verify_matching(instance, witness):
-        raise RuntimeError("matching_number produced an infeasible witness")
-    return SolveResult(best_size, witness, node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +443,18 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
 
     Both come from `_root_lp`: the matching side as the primal and the cover
     side as the dual, as integer numerators over one positive denominator
-    D, from uniform weights, the greedy sandwich or a simplex run on the
-    kernel LP, whichever comes first to pass the certificate on the whole
-    instance.  So the weights are one optimal pair, not always a vertex of
-    the kernel LP: uniform cover weights sit on every point, and sandwich
-    ones on the greedy cover.  Only the value and the nonzero weights
-    returned become Fractions.
+    D, from uniform weights, the sandwich of the optimal matching and cover
+    or a simplex run on the kernel LP, whichever comes first to pass the
+    certificate on the whole instance.  So the weights are one optimal
+    pair, not always a vertex of the kernel LP: uniform cover weights sit on
+    every point, and sandwich ones on an optimal cover.  Only the value and
+    the nonzero weights returned become Fractions.
     """
     ctx = _context(instance)
     if not ctx.masks:
         zero = Fraction(0)
         return FractionalSolution(zero, {}), FractionalSolution(zero, {})
-    points, sol = _root_lp(ctx)
+    points, sol = _root_lp(instance)
     D = sol.den
     value = Fraction(sol.value, D)
     return (
@@ -538,16 +474,16 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
 def solve(instance: HypergraphInstance) -> Measures:
     """nu, tau, tau* and the depth r of `instance`, from one shared solve.
 
-    No LP is solved twice: tau* is read first, from `_root_lp`, whose
-    certified pair is then the root bound of both searches, and each node
-    LP of the matching search is kept in the solve context by its column
-    mask.  The root LP is not solved at all where uniform weights or the
-    greedy sandwich certify tau*.  An edgeless instance has tau* = 0.
+    tau* is read first, from `_root_lp`, which finds nu and tau exactly on
+    the way unless uniform weights settle it; then the searches' results are
+    read.  The simplex runs at most once, on the root LP, and not at all
+    where uniform weights or nu = tau certify tau*.  An edgeless instance
+    has tau* = 0.
     """
     ctx = _context(instance)
     tau_star = Fraction(0)
     if ctx.masks:
-        sol = _root_lp(ctx)[1]
+        sol = _root_lp(instance)[1]
         tau_star = Fraction(sol.value, sol.den)
     return Measures(
         matching_number(instance), covering_number(instance), tau_star, instance.max_depth[0]
@@ -579,7 +515,7 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
         return PQVerdict(True, None, r, vacuous=True)
     if _cover_at_most(masks, params.pigeonhole_points, r, [0]) is not None:
         return PQVerdict(True, None, r)
-    chosen = _packing_search(masks, params.p, params.q)
+    chosen = _packing_search(masks, params.p, params.q, [0])
     if chosen is None:
         return PQVerdict(True, None, r)
     return PQVerdict(False, frozenset(ctx.firsts[k] for k in chosen), r)
@@ -625,7 +561,7 @@ def _cover_within(live: list[int], k: int, nodes: list[int]) -> int | None:
     if k == 1:
         common = reduce(and_, live)
         return common & -common or None
-    if _packing_bound(live) > k or len(live) > k * _deepest_point(live)[0]:
+    if len(_first_fit(live, 0, 0, k + 1)) > k or len(live) > k * _deepest_point(live)[0]:
         return None
     # each live mask's trace on the first mask, shifted down to its lowest
     # point `low`, with its multiplicity
@@ -655,15 +591,27 @@ def _cover_within(live: list[int], k: int, nodes: list[int]) -> int | None:
     return None
 
 
-def _packing_search(masks: list[int], p: int, q: int) -> list[int] | None:
+def _packing_search(masks: list[int], p: int, q: int, nodes: list[int]) -> list[int] | None:
     """Positions in `masks` of the first p of them forming a (q-1)-packing, or None.
 
-    An include-first depth-first search in index order.  The loads are q-1
-    bitmask layers, layer k holding the points loaded at least k+1 times by
-    the masks chosen.  A mask may join only if it misses the top layer, and
-    a prefix is dropped once fewer masks are left than it still needs.
-    Include-first order meets p-subsets lexicographically, so the packing
-    returned is the lexicographically first; None means there is none.
+    The one packing search, shared by `matching_number` (q = 2: p pairwise
+    disjoint masks) and `pq_check`.  An include-first depth-first search in
+    index order.  The loads are q-1 bitmask layers, layer k holding the
+    points loaded at least k+1 times by the masks chosen.  A mask may join
+    only if it misses the top layer, and a prefix is dropped once fewer
+    masks are left than it still needs.  Include-first order meets
+    p-subsets lexicographically, so the packing returned is the
+    lexicographically first; None means there is none.  The root and every
+    mask joined are nodes, added to `nodes[0]`.
+
+    At q = 2 a prefix that still needs k >= 2 masks is looked at once more,
+    the first time the search backtracks to it.  If a first fit from there
+    takes k masks, those are the ones the search would take next, and they
+    are returned.  Otherwise the prefix is dropped when `_meeting_classes`
+    of the masks left that miss it are fewer than k: a packing takes at
+    most one mask of a class.  Both steps keep the packing returned the
+    lexicographically first, and a check whose include-first path never
+    backtracks takes neither.
     """
     n = len(masks)
     # layers[k] holds the points loaded at least k+1 times by the chosen masks
@@ -671,7 +619,9 @@ def _packing_search(masks: list[int], p: int, q: int) -> list[int] | None:
     chosen: list[int] = []
     saved: list[list[int]] = []  # the layers before each chosen mask
     need = p  # p - len(chosen)
+    looked = [False] * (p + 1)  # looked[need]: the prefix of that need was looked at
     j = 0
+    nodes[0] += 1
     while need:
         if n - j < need:
             if not chosen:
@@ -679,6 +629,14 @@ def _packing_search(masks: list[int], p: int, q: int) -> list[int] | None:
             j = chosen.pop() + 1
             layers = saved.pop()
             need += 1
+            if q == 2 and need > 1 and not looked[need]:
+                looked[need] = True
+                rest = _first_fit(masks, j, layers[0], need)
+                if len(rest) == need:
+                    nodes[0] += need
+                    return chosen + rest
+                if _meeting_classes(masks, j, layers[0], need) < need:
+                    j = n
             continue
         m = masks[j]
         if not m & layers[-1]:
@@ -689,8 +647,50 @@ def _packing_search(masks: list[int], p: int, q: int) -> list[int] | None:
             ]
             chosen.append(j)
             need -= 1
+            nodes[0] += 1
+            looked[need] = False
         j += 1
     return chosen
+
+
+def _first_fit(masks: list[int], start: int, taken: int, need: int) -> list[int]:
+    """Positions from `start` on of masks missing `taken` and each other, taken in order.
+
+    A mask is taken when it misses `taken` and every mask taken before it;
+    the scan stops once `need` are taken.
+    """
+    chosen: list[int] = []
+    for i in range(start, len(masks)):
+        if not masks[i] & taken:
+            taken |= masks[i]
+            chosen.append(i)
+            if len(chosen) == need:
+                break
+    return chosen
+
+
+def _meeting_classes(masks: list[int], start: int, taken: int, need: int) -> int:
+    """Greedy classes of pairwise-meeting masks among `masks[start:]` missing `taken`.
+
+    Each mask, in index order, joins the first class whose every member it
+    meets, or opens a class; the count stops at `need`.  This is the
+    colouring bound of maximum-clique search (Tomita and Seki 2003) on the
+    graph of disjoint masks: the lines of PG(2,q) meet pairwise, so they
+    are one class, where every point bound is about q.
+    """
+    groups: list[list[int]] = []
+    for m in itertools.islice(masks, start, None):
+        if m & taken:
+            continue
+        for group in groups:
+            if all(map(m.__and__, group)):
+                group.append(m)
+                break
+        else:
+            if len(groups) + 1 == need:
+                return need
+            groups.append([m])
+    return len(groups)
 
 
 # ---------------------------------------------------------------------------

@@ -133,34 +133,39 @@ def lift_family(
     """Transport subgraphs of the host graph to subforests of the bag tree.
 
     The lift of h is the set of bags meeting h, and the lifted family has
-    the given d.  Component counts never grow (each connected piece of h meets a connected set of bags), which
-    is asserted per edge; intersections are preserved, since q subgraphs
-    sharing a vertex v lift to subforests sharing every bag containing v.
+    the given d >= 1.  Component counts never grow (each connected piece of
+    h meets a connected set of bags), which is asserted per edge;
+    intersections are preserved, since q subgraphs sharing a vertex v lift
+    to subforests sharing every bag containing v.  Each lifted edge's
+    components are counted once, for that assertion and for the d-tree
+    limit (`ValueError` as `SubforestFamily` raises it), so the family is
+    built without its member check.
     """
+    if d < 1:
+        raise ValueError(f"d: must be positive, got {d}")
     problems = validate_decomposition(graph, dec)
     if problems:
         raise InvalidDecomposition(problems[0])
-    subgraphs = [frozenset(h) for h in subgraphs]
     graph_adj = graph.adjacency()
-    source_components = [len(connected_components(graph_adj, h)) for h in subgraphs]
-
     tree_adj = dec.tree.adjacency()
     edges = []
     for idx, h in enumerate(subgraphs):
+        h = frozenset(h)
         lifted = frozenset(i for i, bag in enumerate(dec.bags) if bag & h)
         if not lifted:
             raise InvalidDecomposition(
                 f"subgraph {idx} meets no bag (vertices outside the graph?)"
             )
         ncomp = len(connected_components(tree_adj, lifted))
-        if ncomp > source_components[idx]:
+        source = len(connected_components(graph_adj, h))
+        if ncomp > source:
             raise AssertionError(
-                f"lift of subgraph {idx} has {ncomp} components, "
-                f"source has {source_components[idx]}"
+                f"lift of subgraph {idx} has {ncomp} components, source has {source}"
             )
+        if ncomp > d:
+            raise ValueError(f"subgraphs[{idx}]: induces {ncomp} components > d={d}")
         edges.append(lifted)
-    family = SubforestFamily(host=dec.tree, d=d, edges=tuple(edges))
-    return LiftedFamily(family=family)
+    return LiftedFamily(family=SubforestFamily._unchecked(dec.tree, d, tuple(edges)))
 
 
 def lift_cover(dec: TreeDecomposition, cover, subgraphs) -> frozenset[int]:

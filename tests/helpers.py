@@ -367,3 +367,21 @@ def reference_matching_number(
 
     search(list(range(len(edges))), [])
     return len(best), frozenset(ids[j] for j in best), nodes
+
+
+def reference_min_degree_matching(instance: HypergraphInstance) -> list[int]:
+    """The min-degree-first matching, over plain sets.
+
+    Positions j of the distinct edges (first occurrences, in index order):
+    each step takes the available edge meeting the fewest available edges,
+    itself included, the lowest position on ties, and makes every edge it
+    meets unavailable.
+    """
+    edges = list(dict.fromkeys(instance.edges))
+    free = list(range(len(edges)))
+    chosen = []
+    while free:
+        j = min(free, key=lambda j: sum(bool(edges[j] & edges[i]) for i in free))
+        chosen.append(j)
+        free = [i for i in free if not edges[i] & edges[j]]
+    return chosen

@@ -1,7 +1,7 @@
 """Byte-for-byte regression against recorded reports.
 
 `tests/data/golden_*` hold a campaign report (runtime fields stripped),
-the nu/tau branch-and-bound node counts of every campaign instance, and
+the nu/tau search node counts of every campaign instance, and
 the `dpierce solve` / `dpierce verify` output on one interval file and
 one tree-width file.  Any change to a witness, a node count, a bound
 string or a ratio shows up here.  Rebuild the files on purpose only:

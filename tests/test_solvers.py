@@ -52,6 +52,7 @@ from helpers import (
     reference_kernel,
     reference_matching_number,
     reference_max_depth,
+    reference_min_degree_matching,
     reference_pq_check,
     reference_solve_lp_max,
 )
@@ -141,27 +142,23 @@ def _uniform_and_regular(instance):
     return len(sizes) == len(degrees) == 1
 
 
-def _greedies_meet(instance):
-    """First-fit matching in index order and the most-uncovered-edges greedy
-    cover (ties to the lowest point) have equal size, by plain sets."""
-    edge_sets = list(dict.fromkeys(instance.edges))
-    taken, matching = set(), 0
-    for e in edge_sets:
-        if not e & taken:
-            taken |= e
-            matching += 1
-    points = sorted(set().union(*edge_sets))
-    uncovered, cover = edge_sets, 0
-    while uncovered:
-        pt = max(points, key=lambda p: sum(p in e for e in uncovered))
-        uncovered = [e for e in uncovered if pt not in e]
-        cover += 1
-    return matching == cover
+def _plain_tau(instance):
+    """tau over plain sets, by subset enumeration of the kernel points.
+
+    A point is worth no more than a kernel point through all of its edges,
+    so some smallest cover uses kernel points only.
+    """
+    edge_sets = _distinct_edges(instance)
+    points = reference_kernel(edge_sets)
+    for k in itertools.count():
+        for combo in itertools.combinations(points, k):
+            if all(e & set(combo) for e in edge_sets):
+                return k
 
 
 def test_solve_solves_root_lp_once(monkeypatch):
-    # at most once: never where uniform weights or the greedy sandwich
-    # settle tau*, once where neither does
+    # at most once: never where uniform weights or the sandwich of nu = tau
+    # settle tau*, once, on the whole kernel, where neither does
     real = solvers.solve_lp_max
     solved = []
 
@@ -174,11 +171,10 @@ def test_solve_solves_root_lp_once(monkeypatch):
     for instance in _root_families():
         solved.clear()
         solve(instance)
-        candidate = _uniform_and_regular(instance) or _greedies_meet(instance)
-        assert solved.count(_root_lp(instance)) == (0 if candidate else 1)
+        nu = reference_matching_number(instance, [])[0]
+        candidate = _uniform_and_regular(instance) or nu == _plain_tau(instance)
+        assert solved == ([] if candidate else [_root_lp(instance)])
         settled += candidate
-        # no LP, root or node, is solved twice for one instance
-        assert len(set(solved)) == len(solved)
     assert 0 < settled < 36
 
 
@@ -219,35 +215,91 @@ def _matching_reference_cases():
         yield to_incidence(random_subforests(random_tree(cfg), cfg))
 
 
+def _start_matching(instance):
+    """The larger of the first-fit and the min-degree-first matchings, over
+    plain sets; first fit on a tie."""
+    edge_sets = _distinct_edges(instance)
+    first_fit, taken = [], set()
+    for j, e in enumerate(edge_sets):
+        if not e & taken:
+            first_fit.append(j)
+            taken |= e
+    min_degree = reference_min_degree_matching(instance)
+    return min_degree if len(min_degree) > len(first_fit) else first_fit
+
+
 def test_matching_search_matches_plain_reference():
-    # optimum, witness and node count of the bitmask search against the
-    # same search over plain sets, both from the first-fit matching, on
-    # instances where it branches
-    branched = 0
-    for instance in _matching_reference_cases():
-        ctx = solvers._context(instance)
-        first_fit = solvers._greedy_matching(ctx, range(len(ctx.masks)))
-        res = solvers._matching_search(instance, first_fit)
-        assert (res.optimum, res.witness, res.node_count) == reference_matching_number(
-            instance, first_fit
-        )
-        branched += res.node_count > 1
-    assert branched > 20
+    # nu by ascent against the branch and bound over plain sets and the
+    # unpruned oracle, on instances where the ascent asks for more
+    ascended = 0
+    for instance in itertools.chain(_matching_reference_cases(), _pq_corpus()):
+        res = matching_number(instance)
+        assert res.optimum == reference_matching_number(instance, [])[0]
+        assert len(res.witness) == res.optimum and verify_matching(instance, res.witness)
+        try:
+            assert res.optimum == naive_oracle(instance, "nu")
+        except TooLarge:
+            pass
+        ascended += res.node_count > 1
+    assert ascended > 10
 
 
 def test_matching_number_matches_plain_reference():
-    # the public search against the plain one from the incumbent it starts
-    # from: the larger of the first-fit and the LP-guided greedy matchings
-    for instance in _matching_reference_cases():
-        ctx = solvers._context(instance)
-        n = len(ctx.masks)
-        incumbent = solvers._greedy_matching(ctx, range(n))
-        if len(incumbent) < n and len(solvers._lp_matching(ctx)) > len(incumbent):
-            incumbent = solvers._lp_matching(ctx)
+    # the witness is the start matching, or the lexicographically first
+    # matching of the last size the ascent asked for and found; each ask is
+    # for one edge more, up to tau
+    # interval families whose start matching is one edge short of nu
+    short = [GenConfig(seed=s, n_edges=12, d=2) for s in (184, 226, 270, 366, 459, 834)]
+    short += [GenConfig(seed=s, n_edges=14, d=3) for s in (171, 341, 578, 796)]
+    firsts_seen = 0
+    for instance in itertools.chain(
+        _matching_reference_cases(), (to_incidence(random_d_intervals(cfg)) for cfg in short)
+    ):
+        edge_ids = sorted({e: i for i, e in reversed(list(enumerate(instance.edges)))}.values())
+        best = [edge_ids[j] for j in _start_matching(instance)]
+        tau = covering_number(instance).optimum
+        while len(best) < tau:
+            holds, first = reference_pq_check(instance, len(best) + 1, 2)
+            if holds:
+                break
+            best = sorted(first)
+            firsts_seen += 1
         res = matching_number(instance)
-        assert (res.optimum, res.witness, res.node_count) == reference_matching_number(
-            instance, incumbent
-        )
+        assert (res.optimum, res.witness) == (len(best), frozenset(best))
+    assert firsts_seen >= len(short)
+
+
+def _lp_calls(monkeypatch) -> list:
+    """Record every simplex call from here on."""
+    real, calls = solvers.solve_lp_max, []
+
+    def recording(A, b, c):
+        calls.append(A)
+        return real(A, b, c)
+
+    monkeypatch.setattr(solvers, "solve_lp_max", recording)
+    return calls
+
+
+def test_min_degree_matching_settles_tau_star_without_the_simplex(monkeypatch):
+    # first fit takes 2 edges; the min-degree matching takes 4 = nu = tau
+    calls = _lp_calls(monkeypatch)
+    instance = to_incidence(random_d_intervals(GenConfig(seed=143021, n_edges=10, d=3)))
+    ctx = solvers._context(instance)
+    assert len(ctx.plain_matching) == 2 and len(solvers._min_degree_matching(ctx)) == 4
+    measures = solve(instance)
+    assert (measures.nu.optimum, measures.tau.optimum, measures.tau_star) == (4, 4, 4)
+    assert calls == [] and ctx.root[1].den == 1
+
+
+def test_a_gap_instance_solves_the_simplex_once(monkeypatch):
+    calls = _lp_calls(monkeypatch)
+    instance = to_incidence(random_d_intervals(GenConfig(seed=143023, n_edges=10, d=3)))
+    measures = solve(instance)
+    assert (measures.nu.optimum, measures.tau.optimum) == (2, 3)
+    assert measures.tau_star == Fraction(5, 2)
+    assert len(calls) == 1
+    assert fractional_pair(instance)[0].value == Fraction(5, 2) and len(calls) == 1
 
 
 def _incumbent_corpus():
@@ -258,30 +310,35 @@ def _incumbent_corpus():
         yield random_abstract_instance(seed)
 
 
-def test_lp_incumbents_are_valid_and_never_worse_than_greedy():
+def test_min_degree_matching_is_valid_and_matches_the_plain_reference():
+    larger = 0
     for instance in _incumbent_corpus():
         ctx = solvers._context(instance)
-        n = len(ctx.masks)
-        plain_matching = solvers._greedy_matching(ctx, range(n))
-        lp_matching = solvers._lp_matching(ctx)
-        assert verify_matching(instance, [ctx.firsts[j] for j in lp_matching])
-        assert len(lp_matching) >= len(plain_matching)
+        min_degree = solvers._min_degree_matching(ctx)
+        assert min_degree == reference_min_degree_matching(instance)
+        assert verify_matching(instance, [ctx.firsts[j] for j in min_degree])
+        larger += len(min_degree) > len(ctx.plain_matching)
+    assert larger > 10
 
 
-def test_lp_incumbents_never_add_nodes_and_keep_the_optimum():
+def test_larger_start_matchings_never_add_nodes_and_keep_the_optimum(monkeypatch):
+    # the ascent from first fit alone asks every question the ascent from
+    # the larger start asks, and more
+    plain = []
     for instance in _incumbent_corpus():
-        ctx = solvers._context(instance)
-        tau, nu = covering_number(instance), matching_number(instance)
-        plain_nu = solvers._matching_search(
-            instance, solvers._greedy_matching(ctx, range(len(ctx.masks)))
-        )
+        nu = matching_number(_fresh(instance))
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_min_degree_matching", lambda ctx: [])
+            plain_nu = matching_number(_fresh(instance))
         assert nu.node_count <= plain_nu.node_count
         assert nu.optimum == plain_nu.optimum
+        plain.append(plain_nu.node_count > nu.node_count)
         try:
-            assert tau.optimum == naive_oracle(instance, "tau")
+            assert covering_number(instance).optimum == naive_oracle(instance, "tau")
             assert nu.optimum == naive_oracle(instance, "nu")
         except TooLarge:
             pass
+    assert sum(plain) > 10
 
 
 def test_solvers_leave_no_reference_cycles():
@@ -366,12 +423,12 @@ def test_kernel_matches_pairwise_reference_and_keeps_lp_value(monkeypatch):
         n = len(edge_sets)
         masks = [(1 << n) - 1] + [rng.randrange(1, 1 << n) for _ in range(3)]
         for mask in masks:
+            # the instance of the distinct edges whose bits are set in `mask`
             sub = [edge_sets[j] for j in range(n) if mask >> j & 1]
             solved.clear()
-            # a fresh instance per mask: a mask drawn twice would find its LP solved
-            points, sol = solvers._incidence_lp(solvers._context(_fresh(instance)), mask)
+            points, sol = solvers._incidence_lp(solvers._context(inst(*sub)))
             assert points == reference_kernel(sub)
-            # one LP: the kernel points by the sub-mask's edges in increasing index
+            # one LP: the kernel points by the edges in increasing index
             rows = [[1 if pt in e else 0 for e in sub] for pt in points]
             assert solved == [(rows, [1] * len(points), [1] * len(sub))]
             everything = sorted(set().union(*sub))
@@ -386,24 +443,26 @@ def test_kernel_matches_pairwise_reference_and_keeps_lp_value(monkeypatch):
 
 def test_kernel_keeps_every_point_of_pg23():
     pg = projective_instance(ProjectiveParams(2, 3)).instance
-    n = len(pg.edges)
-    points, sol = solvers._incidence_lp(solvers._context(pg), (1 << n) - 1)
+    points, sol = solvers._incidence_lp(solvers._context(pg))
     assert points == list(range(pg.ground_size)) == list(range(13))
     assert Fraction(sol.value, sol.den) == Fraction(13, 4)
 
 
-# edges {0,1}, {0}, {1}: tau* = 2, points 0 and 1 both in the kernel, and
-# neither candidate settles it (the sizes differ, and first fit takes only
-# {0,1} while the greedy cover takes two points), so the simplex runs
-UNSETTLED = ({0, 1}, {0}, {1})
+# edges {0,1}, {1,2}, {0,2}, {3}: a triangle and a lone point, nu = 2,
+# tau = 3 and tau* = 5/2, every point in the kernel; the sizes differ and
+# nu < tau, so neither uniform weights nor the sandwich settle it, and the
+# simplex runs
+GAP = ({0, 1}, {1, 2}, {0, 2}, {3})
+GAP_POINTS = [0, 1, 2, 3]
 
-# forged (value, primal, dual) over D = 1 on UNSETTLED, each caught by one check
+# forged (value, primal, dual) over D = 1 on GAP, each caught by one check
 FORGED = [
     # a negative matching weight, with every sum and value in order
-    (3, (-1, 2, 2), (1, 2), "negative weight"),
-    (2, (0, 1, 1), (2, 0), "misses an edge"),  # nothing on edge {1}
-    (2, (1, 1, 0), (1, 1), "overloads a point"),  # point 0 carries 2
-    (3, (0, 1, 1), (1, 1), "duality"),  # both sides sum to 2, not 3
+    (3, (-1, 1, 1, 2), (1, 1, 0, 1), "negative weight"),
+    (2, (1, 0, 0, 1), (1, 1, 0, 0), "misses an edge"),  # nothing on edge {3}
+    # point 1 carries 2; the value is off too, but loads are checked first
+    (2, (1, 1, 0, 1), (1, 1, 0, 1), "overloads a point"),
+    (3, (1, 0, 0, 1), (1, 1, 0, 1), "duality"),  # the sides sum to 2 and 3
 ]
 
 
@@ -415,18 +474,18 @@ def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, d
     monkeypatch.setattr(solvers, "solve_lp_max", forged)
     # a fresh instance per case, so that each case's forged solution is solved
     with pytest.raises(RuntimeError, match=reason):
-        fractional_pair(inst(*UNSETTLED))
+        fractional_pair(inst(*GAP))
 
 
 @pytest.mark.parametrize("den", [0, -1])
 def test_fractional_pair_rejects_a_denominator_below_one(monkeypatch, den):
     # all-zero weights meet every check against a denominator D <= 0
     def forged(A, b, c):
-        return LPSolution(den, 0, (0, 0, 0), (0, 0), 0)
+        return LPSolution(den, 0, (0,) * 4, (0,) * 4, 0)
 
     monkeypatch.setattr(solvers, "solve_lp_max", forged)
     with pytest.raises(RuntimeError, match="denominator"):
-        fractional_pair(inst(*UNSETTLED))
+        fractional_pair(inst(*GAP))
 
 
 def _candidate_families():
@@ -436,21 +495,32 @@ def _candidate_families():
         yield projective_instance(ProjectiveParams(k, q)).instance
 
 
+def _offered(instance):
+    """Each source's candidate pair on a fresh copy of `instance`, by name.
+
+    The sandwich is offered after `_search` has found nu and tau, as
+    `_root_lp` offers it.
+    """
+    fresh = _fresh(instance)
+    ctx = solvers._context(fresh)
+    uniform = solvers._uniform_pair(ctx)
+    solvers._search(ctx, fresh.max_depth[0])
+    return ctx, {"_uniform_pair": uniform, "_sandwich_pair": solvers._sandwich_pair(ctx)}
+
+
 def test_candidates_agree_with_the_simplex():
     # every candidate a source offers passes the certificate and has the
     # value of the kernel LP, solved on a fresh context
-    offered = {solvers._uniform_pair: 0, solvers._sandwich_pair: 0}
+    offered = {"_uniform_pair": 0, "_sandwich_pair": 0}
     for instance in _candidate_families():
-        ctx = solvers._context(_fresh(instance))
-        for source in offered:
-            pair = source(ctx)
+        ctx, pairs = _offered(instance)
+        for source, pair in pairs.items():
             if pair is None:
                 continue
             offered[source] += 1
             assert solvers._certificate_problem(ctx, *pair) is None
             sol = pair[1]
-            fresh = solvers._context(_fresh(instance))
-            lp = solvers._incidence_lp(fresh, (1 << len(fresh.masks)) - 1)[1]
+            lp = solvers._incidence_lp(solvers._context(_fresh(instance)))[1]
             assert Fraction(sol.value, sol.den) == Fraction(lp.value, lp.den)
     assert min(offered.values()) > 5
 
@@ -459,7 +529,7 @@ def test_candidates_agree_with_the_simplex():
 @pytest.mark.parametrize(
     "forged, reason",
     [(LPSolution(1, value, primal, dual, 0), reason) for value, primal, dual, reason in FORGED]
-    + [(LPSolution(den, 0, (0, 0, 0), (0, 0), 0), "denominator") for den in (0, -1)],
+    + [(LPSolution(den, 0, (0,) * 4, (0,) * 4, 0), "denominator") for den in (0, -1)],
 )
 def test_a_forged_candidate_falls_through_to_the_simplex(monkeypatch, source, forged, reason):
     real = solvers.solve_lp_max
@@ -474,14 +544,14 @@ def test_a_forged_candidate_falls_through_to_the_simplex(monkeypatch, source, fo
 
     def forging(ctx):
         offered.append(ctx)
-        return [0, 1], forged
+        return GAP_POINTS, forged
 
     monkeypatch.setattr(solvers, source, forging)
-    instance = inst(*UNSETTLED)
+    instance = inst(*GAP)
     ctx = solvers._context(instance)
-    assert re.search(reason, solvers._certificate_problem(ctx, [0, 1], forged))
+    assert re.search(reason, solvers._certificate_problem(ctx, GAP_POINTS, forged))
     cover, matching = fractional_pair(instance)
-    assert cover.value == matching.value == 2
+    assert cover.value == matching.value == Fraction(5, 2)
     assert offered == [ctx] and len(solved) == 1
     assert ctx.root[1].pivots > 0  # the simplex's answer, not the forged one
 
@@ -492,12 +562,9 @@ def _distinct_edges(instance):
 
 def _certified_pairs(instance):
     """Every pair a source offers on `instance`, and the kernel simplex's."""
-    ctx = solvers._context(_fresh(instance))
-    for source in (solvers._uniform_pair, solvers._sandwich_pair):
-        pair = source(ctx)
-        if pair is not None:
-            yield pair
-    yield solvers._incidence_lp(ctx, (1 << len(ctx.masks)) - 1)
+    ctx, pairs = _offered(instance)
+    yield from (pair for pair in pairs.values() if pair is not None)
+    yield solvers._incidence_lp(ctx)
 
 
 def test_certificate_agrees_with_the_dict_reference_on_candidates():
@@ -567,19 +634,22 @@ def test_certificate_agrees_with_the_dict_reference_on_forged_pairs():
     assert set(caught) == set(FORGE_CASES) and sum(caught.values()) >= 200, caught
 
 
-@pytest.mark.parametrize("points", [[0, 0, 1], [1, 0], [0, 2, 1], [-1, 0]])
+@pytest.mark.parametrize("points", [[0, 0, 1, 2, 3], [1, 0, 2, 3], [0, 2, 1, 3], [-1, 0, 1, 2, 3]])
 def test_a_candidate_with_unordered_points_falls_through_to_the_simplex(monkeypatch, points):
-    # valid weights on UNSETTLED ({0, 1}, {0}, {1}), but for points that are
-    # repeated, decreasing or not point ids
-    forged = LPSolution(1, 2, (0, 1, 1), (1,) * len(points), 0)
+    # the optimal weights on GAP ({0, 1}, {1, 2}, {0, 2}, {3}) over D = 2,
+    # 1 on points 0, 1, 2 and 2 on point 3 where each first appears, but for
+    # points that are repeated, decreasing or not point ids
+    weight = {0: 1, 1: 1, 2: 1, 3: 2}
+    dual = tuple(weight.get(pt, 0) if points.index(pt) == i else 0 for i, pt in enumerate(points))
+    forged = LPSolution(2, 5, (1, 1, 1, 2), dual, 0)
 
     monkeypatch.setattr(solvers, "_uniform_pair", lambda ctx: (points, forged))
-    instance = inst(*UNSETTLED)
+    instance = inst(*GAP)
     ctx = solvers._context(instance)
     problem = solvers._certificate_problem(ctx, points, forged)
     assert re.search("not strictly increasing point ids", problem)
     cover, matching = fractional_pair(instance)
-    assert cover.value == matching.value == 2
+    assert cover.value == matching.value == Fraction(5, 2)
     assert ctx.root[1].pivots > 0  # the simplex's answer, not the forged one
 
 
@@ -642,19 +712,26 @@ def test_uniform_pair_offers_regular_uniform_instances(instance, r, s):
     assert solvers._certificate_problem(solvers._context(instance), points, sol) is None
 
 
-def test_settled_root_builds_no_point_to_edge_masks():
+def test_settled_root_builds_no_point_to_edge_masks(monkeypatch):
+    # only the kernel LP builds the point->edge masks, and only the
+    # min-degree matching the conflict masks
+    def refuse(ctx):
+        raise AssertionError("called on a settled root")
+
+    monkeypatch.setattr(solvers, "_incidence_lp", refuse)
+    monkeypatch.setattr(solvers, "_min_degree_matching", refuse)
     # the family `dpierce gen --kind planted-intervals --p 4 --q 3` writes:
-    # nu = tau = 1, settled by the greedy sandwich
+    # nu = tau = 1, settled by the sandwich of the first-fit matching and
+    # the greedy cover, so the min-degree matching is never built either
     planted = to_incidence(planted_pq_family(GenConfig(seed=1), PQParameters(4, 3)))
     measures = solve(planted)
     ctx = solvers._context(planted)
     assert (measures.nu.optimum, measures.tau.optimum, measures.tau_star) == (1, 1, 1)
     assert solvers._uniform_pair(ctx) is None and ctx.root == solvers._sandwich_pair(ctx)
-    # settled by uniform weights
+    # settled by uniform weights, before any search
     pg = projective_instance(ProjectiveParams(2, 3)).instance
     fractional_pair(pg)
-    for ctx in (solvers._context(planted), solvers._context(pg)):
-        assert "point_masks" not in vars(ctx) and "conflicts" not in vars(ctx)
+    assert solvers._context(pg).cover is None
 
 
 def test_plain_cover_is_the_zero_weight_greedy():
@@ -797,6 +874,53 @@ def test_pq_check_matches_unpruned_enumeration(monkeypatch):
     assert any(searched for _, _, searched in holding_paths)
 
 
+def test_meeting_class_prune_keeps_the_first_packing(monkeypatch):
+    # the packing search returns the lexicographically first packing of the
+    # unpruned enumeration, or None, with the class prune and without it,
+    # on failing and holding (p,2) checks; a search whose include-first
+    # path never backtracks never builds the classes
+    real, asked = solvers._meeting_classes, []
+
+    def recorded(masks, start, taken, need):
+        asked.append(need)
+        return real(masks, start, taken, need)
+
+    realizations = (projective_instance(ProjectiveParams(2, q)).realization for q in (2, 3))
+    instances = itertools.chain(_pq_corpus(), map(to_incidence, realizations))
+    outcomes, fired = set(), 0
+    for instance in instances:
+        ctx = solvers._context(instance)
+        position = {i: j for j, i in enumerate(ctx.firsts)}
+        for p in range(2, 6):
+            holds, first = reference_pq_check(instance, p, 2)
+            expected = None if holds else sorted(position[i] for i in first)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_meeting_classes", lambda masks, start, taken, need: need)
+                unpruned_nodes = [0]
+                assert solvers._packing_search(ctx.masks, p, 2, unpruned_nodes) == expected
+            monkeypatch.setattr(solvers, "_meeting_classes", recorded)
+            asked.clear()
+            nodes = [0]
+            assert solvers._packing_search(ctx.masks, p, 2, nodes) == expected
+            assert nodes[0] <= unpruned_nodes[0]
+            fired += nodes[0] < unpruned_nodes[0]
+            if len(ctx.plain_matching) >= p:
+                # the include-first path takes the first fit, with no backtrack
+                assert expected == ctx.plain_matching[:p] and asked == []
+            outcomes.add(holds)
+    assert outcomes == {True, False} and fired > 20
+
+
+def test_meeting_classes_are_pairwise_meeting():
+    # PG(2,3)'s lines meet pairwise: one class; disjoint masks: one class each
+    lines = solvers._context(projective_instance(ProjectiveParams(2, 3)).instance).masks
+    assert solvers._meeting_classes(lines, 0, 0, 99) == 1
+    assert solvers._meeting_classes([1, 2, 4, 8], 0, 0, 99) == 4
+    # the count stops at `need`, and skips masks before `start` or meeting `taken`
+    assert solvers._meeting_classes([1, 2, 4, 8], 0, 0, 3) == 3
+    assert solvers._meeting_classes([1, 2, 4, 8], 1, 4, 99) == 2
+
+
 def _tau_at_most(instance, t) -> bool:
     """naive_oracle's tau <= t, on the distinct edges (copies never change tau)."""
     distinct = HypergraphInstance(
@@ -845,7 +969,7 @@ def _masks(*edges):
 
 
 def _packing_prunes(live, k):
-    return solvers._packing_bound(live) > k
+    return len(solvers._first_fit(live, 0, 0, k + 1)) > k
 
 
 def _depth_prunes(live, k):
@@ -1066,9 +1190,9 @@ def test_multiplicity_does_not_change_nu_tau():
 
 def test_covering_number_counts_its_descent_nodes(monkeypatch):
     # the root, then every hitting-set node of the descent from the plain
-    # greedy cover, one step per point it drops
+    # greedy cover, one step per point it drops, down to the start matching
     nodes = _cover_nodes(monkeypatch)
-    descended = 0
+    descended = failed = 0
     for instance in itertools.chain(_incumbent_corpus(), _pq_corpus()):
         nodes.clear()
         tau = covering_number(instance)
@@ -1082,9 +1206,12 @@ def test_covering_number_counts_its_descent_nodes(monkeypatch):
             assert steps[0][0] == len(plain) - 1
         assert all(cover is not None for _, cover in steps[:-1])
         assert all(a[0] > b[0] for a, b in zip(steps, steps[1:]))
-        # no step asks for fewer points than ceil(tau*)
-        value = fractional_pair(instance)[0].value
-        assert all(k >= -(-value.numerator // value.denominator) for k, _ in steps)
+        # no step asks for fewer points than the start matching has edges,
+        # and only an ask for tau - 1 points fails
+        assert all(k >= len(_start_matching(instance)) for k, _ in steps)
+        if steps and steps[-1][1] is None:
+            assert steps[-1][0] == tau.optimum - 1
+            failed += 1
         descended += len(plain) > tau.optimum
         assert len(tau.witness) == tau.optimum <= len(plain)
         assert verify_cover(instance, tau.witness)
@@ -1092,7 +1219,7 @@ def test_covering_number_counts_its_descent_nodes(monkeypatch):
             assert tau.optimum == naive_oracle(instance, "tau")
         except TooLarge:
             pass
-    assert descended > 10
+    assert descended > 10 and failed > 10
 
 
 def _greedy_trap():
@@ -1151,6 +1278,9 @@ def test_complete_uniform_hypergraphs_keep_their_integrality_gap(n, k):
     assert measures.nu.optimum == n // k
     assert len(measures.tau.witness) == n - k + 1 and verify_cover(instance, measures.tau.witness)
     assert len(measures.nu.witness) == n // k and verify_matching(instance, measures.nu.witness)
+    # uniform weights certify tau* first, and the first-fit matching meets
+    # its floor, so nu asks the packing search nothing
+    assert measures.nu.node_count == 1
 
 
 def test_witnesses_reverify():

@@ -6,6 +6,7 @@ from dpierce import (
     HostTree,
     InvalidDecomposition,
     NotACover,
+    SubforestFamily,
     TreeDecomposition,
     TwInstance,
     covering_number,
@@ -104,6 +105,42 @@ def test_lift_rejects_invalid_decomposition():
     )
     with pytest.raises(InvalidDecomposition):
         lift_family(square(), bad, [{0}], d=1)
+
+
+def path5_dec():
+    """The path 0-1-2-3-4 with bags {0,1}, {1,2}, {2,3}, {3,4} along a path."""
+    graph = Graph(n=5, edges=((0, 1), (1, 2), (2, 3), (3, 4)))
+    tree = HostTree(n=4, edges=((0, 1), (1, 2), (2, 3)))
+    return graph, TreeDecomposition(tree=tree, bags=tuple(frozenset({i, i + 1}) for i in range(4)))
+
+
+@pytest.mark.parametrize(
+    "subgraphs, d, error, message",
+    [
+        # the ends of the path lift to bags 0 and 3: two components
+        ([{1, 2}, {0, 4}], 1, ValueError, r"subgraphs\[1\]: induces 2 components > d=1"),
+        ([{1, 2}], 0, ValueError, "d: must be positive, got 0"),
+        ([{1}, {9}], 2, InvalidDecomposition, "subgraph 1 meets no bag"),
+    ],
+)
+def test_lift_rejects_a_bad_subgraph(subgraphs, d, error, message):
+    graph, dec = path5_dec()
+    with pytest.raises(error, match=message):
+        lift_family(graph, dec, subgraphs, d=d)
+    # the lifted family's own check gives the same message for too many components
+    if error is ValueError and d > 0:
+        lifted = [{i for i, bag in enumerate(dec.bags) if bag & h} for h in subgraphs]
+        with pytest.raises(ValueError, match=message):
+            SubforestFamily(host=dec.tree, d=d, edges=lifted)
+
+
+def test_lifted_family_equals_the_checked_one():
+    for seed in range(10):
+        tw = random_tw_graph(GenConfig(seed=seed, host_size=7, n_edges=6, d=2), 2)
+        family = lift_family(tw.graph, tw.decomposition, tw.subgraphs, d=tw.d).family
+        checked = SubforestFamily(host=family.host, d=family.d, edges=family.edges)
+        assert family == checked and hash(family) == hash(checked)
+        assert type(family.edges) is tuple and all(type(e) is frozenset for e in family.edges)
 
 
 def test_lift_preserves_intersections():
