@@ -245,13 +245,15 @@ def projective_instance(params: ProjectiveParams) -> ProjectiveFamily:
     The realization places ground point i at integer coordinate i and turns
     every edge into a union of point-intervals, one per incident point in
     increasing order; distinct points get distinct coordinates, so it is in
-    general position.
+    general position.  Each point's interval [i, i] is built once and shared
+    by every hyperplane through the point (intervals are frozen values).
     """
     instance, d = projective_incidence(params)
+    points = [Interval(x, x) for x in map(Fraction, range(instance.ground_size))]
     realization = DIntervalFamily(
         d=d,
         edges=tuple(
-            DInterval(tuple(Interval(Fraction(i), Fraction(i)) for i in mask_points(m)))
+            DInterval(tuple(points[i] for i in mask_points(m)))
             for m in instance.edge_masks
         ),
     )

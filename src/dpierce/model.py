@@ -17,7 +17,9 @@ Both reduce, without changing any of the four optimization quantities
 `HypergraphInstance`: ground points and edges as point bitmasks, a
 repeated member as a repeated edge.  All coordinates are exact rationals
 (`fractions.Fraction`), and interval endpoints are ranked as integers;
-nothing in this module touches floating point.
+nothing in this module touches floating point.  The interval checks
+(lo <= hi, sorted and disjoint parts) compare the stored Fractions by
+integer cross-multiplication of numerators and denominators.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import lcm
 
 def rational(value) -> Fraction:
     """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
-    if isinstance(value, Fraction):
+    if type(value) is Fraction or isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational coordinate")
@@ -44,18 +46,32 @@ def rational(value) -> Fraction:
 # intervals on a line
 # ---------------------------------------------------------------------------
 
+def _before(x: Fraction, y: Fraction) -> bool:
+    """x < y, by cross-multiplying with the positive denominators."""
+    return x.numerator * y.denominator < y.numerator * x.denominator
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; lo == hi is a legal point-interval."""
+    """Closed interval [lo, hi]; lo == hi is a legal point-interval.
+
+    Both endpoints are stored as Fractions (other `rational` inputs are
+    coerced) and lo <= hi is checked by integer cross-multiplication.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", rational(self.lo))
-        object.__setattr__(self, "hi", rational(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval has lo > hi: [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = rational(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = rational(hi)
+            object.__setattr__(self, "hi", hi)
+        if _before(hi, lo):
+            raise ValueError(f"interval has lo > hi: [{lo}, {hi}]")
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
@@ -66,25 +82,29 @@ class DInterval:
     """A union of one or more pairwise disjoint closed intervals.
 
     Parts are kept sorted by left endpoint; disjointness of closed intervals
-    means strictly positive gaps between consecutive parts.  How many parts
-    an edge may have is the family's d, checked by `DIntervalFamily`.
+    means strictly positive gaps between consecutive parts.  Both are checked
+    by one integer cross-multiplication per gap, a.hi < b.lo, which implies
+    a.lo < b.lo; only a failing gap is tested for order, then disjointness.
+    How many parts an edge may have is the family's d, checked by
+    `DIntervalFamily`.
     """
 
     parts: tuple[Interval, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+        parts = tuple(self.parts)
+        object.__setattr__(self, "parts", parts)
+        if not parts:
             raise ValueError("edge needs at least one interval part")
-        for i in range(len(self.parts) - 1):
-            a, b = self.parts[i], self.parts[i + 1]
-            if a.lo > b.lo:
+        for i, (a, b) in enumerate(zip(parts, parts[1:])):
+            if _before(a.hi, b.lo):
+                continue
+            if _before(b.lo, a.lo):
                 raise ValueError(f"parts not sorted by lo at index {i}")
-            if a.hi >= b.lo:
-                raise ValueError(
-                    f"parts {i} and {i + 1} are not disjoint: "
-                    f"[{a.lo},{a.hi}] vs [{b.lo},{b.hi}]"
-                )
+            raise ValueError(
+                f"parts {i} and {i + 1} are not disjoint: "
+                f"[{a.lo},{a.hi}] vs [{b.lo},{b.hi}]"
+            )
 
     def contains(self, x: Fraction) -> bool:
         return any(p.contains(x) for p in self.parts)
@@ -123,7 +143,7 @@ def make_family(d: int, edges) -> DIntervalFamily:
     built = []
     for edge in edges:
         parts = sorted(
-            (Interval(rational(lo), rational(hi)) for lo, hi in edge),
+            (Interval(lo, hi) for lo, hi in edge),
             key=lambda p: (p.lo, p.hi),
         )
         built.append(DInterval(tuple(parts)))

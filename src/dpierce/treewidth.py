@@ -136,7 +136,9 @@ def lift_family(
     the given d >= 1.  Component counts never grow (each connected piece of
     h meets a connected set of bags), which is asserted per edge;
     intersections are preserved, since q subgraphs sharing a vertex v lift
-    to subforests sharing every bag containing v.  Each lifted edge's
+    to subforests sharing every bag containing v.  A subgraph that meets a
+    bag but holds a vertex outside the graph is a `ValueError` worded as
+    `_checked_subgraphs` words it.  Each lifted edge's
     components are counted once, for that assertion and for the d-tree
     limit (`ValueError` as `SubforestFamily` raises it), so the family is
     built without its member check.
@@ -148,14 +150,18 @@ def lift_family(
         raise InvalidDecomposition(problems[0])
     graph_adj = graph.adjacency()
     tree_adj = dec.tree.adjacency()
+    vertices = frozenset(range(graph.n))
     edges = []
-    for idx, h in enumerate(subgraphs):
-        h = frozenset(h)
+    for idx, given in enumerate(subgraphs):
+        h = frozenset(given)
         lifted = frozenset(i for i, bag in enumerate(dec.bags) if bag & h)
         if not lifted:
             raise InvalidDecomposition(
                 f"subgraph {idx} meets no bag (vertices outside the graph?)"
             )
+        if not h <= vertices:
+            j, v = next((j, v) for j, v in enumerate(given) if v not in vertices)
+            raise ValueError(f"subgraphs[{idx}][{j}]: vertex {v} outside graph 0..{graph.n - 1}")
         ncomp = len(connected_components(tree_adj, lifted))
         source = len(connected_components(graph_adj, h))
         if ncomp > source:

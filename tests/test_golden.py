@@ -3,8 +3,9 @@
 `tests/data/golden_*` hold a campaign report (runtime fields stripped),
 the nu/tau search node counts of every campaign instance, and
 the `dpierce solve` / `dpierce verify` output on one interval file and
-one tree-width file.  Any change to a witness, a node count, a bound
-string or a ratio shows up here.  Rebuild the files on purpose only:
+one tree-width file, and three more generated families as written by
+`dumps_instance`.  Any change to a witness, a node count, a bound
+string, a ratio or a generated coordinate shows up here.  Rebuild the files on purpose only:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,10 +18,13 @@ from pathlib import Path
 from dpierce import (
     GenConfig,
     PQParameters,
+    ProjectiveParams,
     covering_number,
     dumps_instance,
     matching_number,
     planted_pq_family,
+    projective_instance,
+    random_d_intervals,
     random_tw_graph,
     run_campaign,
     to_incidence,
@@ -109,10 +113,20 @@ def _dump(doc) -> str:
 
 
 def golden_inputs() -> dict[str, str]:
-    """The two instance files the CLI cases read."""
+    """The two instance files the CLI cases read, and three more generated files.
+
+    The PG(2,3) and PG(3,2) realizations and one random 3-interval family pin
+    the projective and random generators byte for byte.
+    """
     intervals = planted_pq_family(GenConfig(seed=5, n_edges=9, d=2), PQParameters(3, 2))
     tw = random_tw_graph(GenConfig(seed=7, n_edges=7, d=2, host_size=7), 2)
-    return {"golden_intervals.json": dumps_instance(intervals), "golden_tw.json": dumps_instance(tw)}
+    return {
+        "golden_intervals.json": dumps_instance(intervals),
+        "golden_tw.json": dumps_instance(tw),
+        "golden_pg23.json": dumps_instance(projective_instance(ProjectiveParams(2, 3)).realization),
+        "golden_pg32.json": dumps_instance(projective_instance(ProjectiveParams(3, 2)).realization),
+        "golden_random_d3.json": dumps_instance(random_d_intervals(GenConfig(seed=0, n_edges=12, d=3))),
+    }
 
 
 def golden_outputs(tmp_dir: Path) -> dict[str, str]:

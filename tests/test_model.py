@@ -422,20 +422,73 @@ def test_general_position_allows_point_intervals_and_repeats():
     assert general_position_violations(f) == []
 
 
+def _raises_exactly(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
 def test_dinterval_validation():
-    with pytest.raises(ValueError):
-        Interval(Fraction(2), Fraction(1))
-    with pytest.raises(ValueError):
-        DInterval((iv(0, 1), iv(1, 2)))  # closed intervals touching: not disjoint
-    with pytest.raises(ValueError):
-        DInterval((iv(2, 3), iv(0, 1)))  # unsorted
-    with pytest.raises(ValueError):
+    # lo > hi, also with negative endpoints and unequal denominators
+    for lo, hi in (
+        (Fraction(2), Fraction(1)),
+        (Fraction(-1, 3), Fraction(-1, 2)),
+        (Fraction(1, 3), Fraction(-2, 7)),
+        (Fraction(3, 4), Fraction(2, 3)),
+        (Fraction(-4, 9), Fraction(-5, 6)),
+    ):
+        with _raises_exactly(f"interval has lo > hi: [{lo}, {hi}]"):
+            Interval(lo, hi)
+        Interval(hi, lo)  # the reverse order is a valid interval
+    assert Interval(Fraction(-1, 2), Fraction(-1, 2)).lo == Fraction(-1, 2)
+    # closed intervals touching, or overlapping, are not disjoint
+    with _raises_exactly("parts 0 and 1 are not disjoint: [0,1] vs [1,2]"):
+        DInterval((iv(0, 1), iv(1, 2)))
+    with _raises_exactly("parts 1 and 2 are not disjoint: [-1/2,-1/3] vs [-1/3,1]"):
+        DInterval((iv(-1, Fraction(-3, 4)), Interval(Fraction(-1, 2), Fraction(-1, 3)), iv(Fraction(-1, 3), 1)))
+    with _raises_exactly("parts 0 and 1 are not disjoint: [0,2] vs [0,1]"):
+        DInterval((iv(0, 2), iv(0, 1)))  # equal left ends are sorted
+    with _raises_exactly("parts 0 and 1 are not disjoint: [1/3,3/4] vs [2/3,1]"):
+        DInterval((iv(Fraction(1, 3), Fraction(3, 4)), iv(Fraction(2, 3), 1)))
+    # unsorted parts; a pair both unsorted and overlapping is reported as unsorted
+    with _raises_exactly("parts not sorted by lo at index 0"):
+        DInterval((iv(2, 3), iv(0, 1)))
+    with _raises_exactly("parts not sorted by lo at index 0"):
+        DInterval((iv(1, 3), iv(0, 2)))
+    with _raises_exactly("parts not sorted by lo at index 1"):
+        DInterval((iv(-5, -4), iv(Fraction(-1, 3), 2), iv(Fraction(-1, 2), 0)))
+    # the first failing gap is the one reported
+    with _raises_exactly("parts 0 and 1 are not disjoint: [0,1] vs [1,2]"):
+        DInterval((iv(0, 1), iv(1, 2), iv(0, 1)))
+    with _raises_exactly("edge needs at least one interval part"):
         DInterval(())  # no parts
+    # disjoint parts with negative endpoints and unequal denominators
+    parts = (iv(Fraction(-3, 4), Fraction(-2, 3)), iv(Fraction(-1, 2), Fraction(-1, 3)), iv(Fraction(-2, 7), 0))
+    assert DInterval(parts).parts == parts
     # the part count is the family's check: three parts fit d=3, not d=2
     three = DInterval((iv(0, 1), iv(2, 3), iv(4, 5)))
     assert DIntervalFamily(3, (three,)).edges == (three,)
     with pytest.raises(ValueError, match=r"edges\[1\] has 3 parts > d=2"):
         DIntervalFamily(2, (DInterval((iv(0, 1),)), three))
+
+
+def test_interval_coordinates_are_coerced_to_fractions():
+    class Half(Fraction):
+        pass
+
+    # ints, strings and Fraction subclasses are accepted; ints and strings become Fractions
+    for lo, hi in ((-1, 2), ("-1/2", "3"), (Half(-1, 2), Half(1, 3)), (0, Fraction(1, 2))):
+        part = Interval(lo, hi)
+        assert (part.lo, part.hi) == (Fraction(lo), Fraction(hi))
+        for given, stored in ((lo, part.lo), (hi, part.hi)):
+            assert type(stored) is (type(given) if isinstance(given, Fraction) else Fraction)
+    assert Interval("1/2", "1/2") == Interval(Fraction(1, 2), Fraction(1, 2))
+    with _raises_exactly("interval has lo > hi: [1/3, -1/2]"):
+        Interval(Half(1, 3), "-1/2")
+    # bool is not a coordinate, on either end
+    for lo, hi in ((True, 2), (0, False)):
+        with pytest.raises(TypeError, match="^bool is not a rational coordinate$"):
+            Interval(lo, hi)
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
+        Interval(0, 0.5)
 
 
 def test_hypergraph_instance_validation():

@@ -134,6 +134,17 @@ def test_lift_rejects_a_bad_subgraph(subgraphs, d, error, message):
             SubforestFamily(host=dec.tree, d=d, edges=lifted)
 
 
+def test_lift_names_a_vertex_outside_the_graph():
+    # [0, 9] meets bag 0 through vertex 0, but vertex 9 is not in the graph
+    graph, dec = path5_dec()
+    message = r"^subgraphs\[1\]\[1\]: vertex 9 outside graph 0\.\.4$"
+    with pytest.raises(ValueError, match=message):
+        lift_family(graph, dec, [{1}, [0, 9]], d=2)
+    # the tree-width family's member check words it the same way
+    with pytest.raises(ValueError, match=message):
+        TwInstance(graph=graph, decomposition=dec, subgraphs=({1}, [0, 9]), d=2)
+
+
 def test_lifted_family_equals_the_checked_one():
     for seed in range(10):
         tw = random_tw_graph(GenConfig(seed=seed, host_size=7, n_edges=6, d=2), 2)
