@@ -49,7 +49,7 @@ from .model import (
     to_incidence,
 )
 from .generators import ProjectiveParams, projective_incidence
-from .solvers import fractional_pair, pq_check, solve, verify_cover, verify_matching
+from .solvers import fractional_value, pq_check, solve, verify_cover, verify_matching
 from .treewidth import TwInstance
 
 with mp.workdps(50):
@@ -511,14 +511,14 @@ def sharpness_probe(dimension: int, primes) -> list[dict]:
     For every q the LP value must equal q + 1/(1 + q + ... + q^{k-1})
     exactly, and tau* >= d^{1/(k-1)} - 1 (checked as the equivalent integer
     inequality (tau*+1)^{k-1} >= d).  Returns one row per prime with the
-    ratio tau* / d^{1/(k-1)}.
+    ratio tau* / d^{1/(k-1)}.  tau* is read alone, by
+    `solvers.fractional_value`, so no LP weight becomes a Fraction.
     """
     rows = []
     for q in primes:
         params = ProjectiveParams(dimension=dimension, field_order=q)
         instance, d = projective_incidence(params)
-        cover_sol, _ = fractional_pair(instance)
-        tau_star = cover_sol.value
+        tau_star = fractional_value(instance)
         expected = Fraction(q) + Fraction(1, sum(q**i for i in range(dimension)))
         if tau_star != expected:
             raise AssertionError(

@@ -35,9 +35,12 @@ edge are never disjoint and never enrich a p-subset); max_depth counts
 every copy.  All but `naive_oracle` read the edges as `edge_masks` and
 share one solve context per instance (`_context`): the distinct edges'
 point masks, the two optima and the certified root pair.  Everything but
-the kernel LP reads the edge masks alone.  LP solutions stay integer
-numerators over one denominator inside this module; `fractional_pair`
-builds Fractions for its value and weights, and `solve` for tau* alone.
+the kernel LP reads the edge masks alone; the certificate checks a
+matching's loads on bit-sliced counters of its edges' masks, one per
+weight.  LP solutions stay integer numerators over one denominator inside
+this module; `fractional_pair` builds Fractions for its value and weights,
+and `fractional_value`, which `solve` and the sharpness probe read, for
+tau* alone.
 """
 
 from __future__ import annotations
@@ -282,22 +285,25 @@ def _sandwich_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
 def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution) -> str | None:
     """Why `sol` is not an optimal tau* pair of the whole instance, or None.
 
-    `sol.primal` weighs the distinct edges and `sol.dual` the `points`, as
-    integer numerators over `sol.den`; the points must be strictly
-    increasing point ids.  Non-negativity and feasibility of both on every
-    edge and point of the instance (every edge covered, no point of any
-    edge overloaded), not only on the kernel rows, and equality of their
-    values are checked on those integers (strong duality as an executable
-    certificate): each check is the rational one multiplied through by D.
-    The cover's points are grouped into one mask per weight, so an edge's
-    cover is a sum of popcounts; loads are summed over the points of the
-    matching's support edges only, the only points they can overload.
+    `sol.primal` weighs the distinct edges and `sol.dual` the `points`, one
+    weight each, as integer numerators over `sol.den`; the points must be
+    strictly increasing point ids.  Non-negativity and feasibility of both
+    on every edge and point of the instance (every edge covered, no point
+    of any edge overloaded), not only on the kernel rows, and equality of
+    their values are checked on those integers (strong duality as an
+    executable certificate): each check is the rational one multiplied
+    through by D.  The cover's points are grouped into one mask per weight,
+    so an edge's cover is a sum of popcounts; the loads are bit-sliced
+    counters of the matching's edges, one per weight, added into one total
+    (`_overloaded_points`), so no point is visited alone.
     """
     D = sol.den
     if D <= 0:
         return f"LP denominator {D} is not positive"
     if any(a >= b for a, b in zip(points, points[1:])) or (points and points[0] < 0):
         return "fractional cover points are not strictly increasing point ids"
+    if len(sol.primal) != len(ctx.masks) or len(sol.dual) != len(points):
+        return "fractional solution weighs a wrong number of edges or points"
     if any(w < 0 for w in sol.dual) or any(w < 0 for w in sol.primal):
         return "fractional solution has a negative weight"
     by_weight: dict[int, int] = {}
@@ -307,16 +313,49 @@ def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution)
     for m in ctx.masks:
         if sum(w * (m & group).bit_count() for w, group in by_weight.items()) < D:
             return "fractional cover misses an edge constraint"
-    load: dict[int, int] = {}
-    for m, w in zip(ctx.masks, sol.primal):
-        if w:
-            for pt in mask_points(m):
-                load[pt] = load.get(pt, 0) + w
-    if any(v > D for v in load.values()):
+    if _overloaded_points(ctx.masks, sol.primal, D):
         return "fractional matching overloads a point"
     if not (sum(sol.dual) == sum(sol.primal) == sol.value):
         return "LP duality certificate failed"
     return None
+
+
+def _overloaded_points(masks, weights, D: int) -> int:
+    """The mask of the points whose load exceeds D.
+
+    A point's load is the sum of the non-negative `weights[j]` of the
+    `masks[j]` through it.  The masks are grouped by weight, weight 0 left
+    out, and each group is counted by `_depth_layers`; layer k of the group
+    of weight w is added, with a ripple carry, into one bit-sliced total at
+    bit k + b for each set bit b of w.  The totals are then compared with D
+    from the top bit down.  So the cost is a few big-int operations per
+    mask and per bit of the weights and loads, not one per incidence.
+    """
+    groups: dict[int, list[int]] = {}
+    for m, w in zip(masks, weights):
+        if w:
+            groups.setdefault(w, []).append(m)
+    total: list[int] = []
+    for w, group in groups.items():
+        shifts = mask_points(w)
+        for k, layer in enumerate(_depth_layers(group)):
+            for b in shifts:
+                i, carry = k + b, layer
+                while carry:
+                    if i >= len(total):
+                        total.extend([0] * (i + 1 - len(total)))
+                    total[i], carry = total[i] ^ carry, total[i] & carry
+                    i += 1
+    # tied: the points whose total equals D on every bit read so far
+    over, tied = 0, -1
+    for i in reversed(range(max(len(total), D.bit_length()))):
+        bit = total[i] if i < len(total) else 0
+        if D >> i & 1:
+            tied &= bit
+        else:
+            over |= tied & bit
+            tied &= ~bit
+    return over
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +487,15 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
     certificate on the whole instance.  So the weights are one optimal
     pair, not always a vertex of the kernel LP: uniform cover weights sit on
     every point, and sandwich ones on an optimal cover.  Only the value and
-    the nonzero weights returned become Fractions.
+    the nonzero weights returned become Fractions; a caller that needs the
+    value alone reads `fractional_value`, which builds no weight.
     """
     ctx = _context(instance)
+    value = fractional_value(instance)
     if not ctx.masks:
-        zero = Fraction(0)
-        return FractionalSolution(zero, {}), FractionalSolution(zero, {})
+        return FractionalSolution(value, {}), FractionalSolution(value, {})
     points, sol = _root_lp(instance)
     D = sol.den
-    value = Fraction(sol.value, D)
     return (
         FractionalSolution(
             value, {points[i]: Fraction(w, D) for i, w in enumerate(sol.dual) if w}
@@ -467,6 +506,18 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
     )
 
 
+def fractional_value(instance: HypergraphInstance) -> Fraction:
+    """tau*, the value over D of `_root_lp`'s certified pair; 0 for an edgeless instance.
+
+    The one reader of tau* alone, for `solve`, `fractional_pair` and the
+    sharpness probe: no weight becomes a Fraction.
+    """
+    if not _context(instance).masks:
+        return Fraction(0)
+    sol = _root_lp(instance)[1]
+    return Fraction(sol.value, sol.den)
+
+
 # ---------------------------------------------------------------------------
 # one solve per instance, for every bound kind
 # ---------------------------------------------------------------------------
@@ -474,17 +525,13 @@ def fractional_pair(instance: HypergraphInstance) -> tuple[FractionalSolution, F
 def solve(instance: HypergraphInstance) -> Measures:
     """nu, tau, tau* and the depth r of `instance`, from one shared solve.
 
-    tau* is read first, from `_root_lp`, which finds nu and tau exactly on
-    the way unless uniform weights settle it; then the searches' results are
-    read.  The simplex runs at most once, on the root LP, and not at all
-    where uniform weights or nu = tau certify tau*.  An edgeless instance
-    has tau* = 0.
+    tau* is read first, by `fractional_value` from `_root_lp`, which finds
+    nu and tau exactly on the way unless uniform weights settle it; then the
+    searches' results are read.  The simplex runs at most once, on the root
+    LP, and not at all where uniform weights or nu = tau certify tau*.  An
+    edgeless instance has tau* = 0.
     """
-    ctx = _context(instance)
-    tau_star = Fraction(0)
-    if ctx.masks:
-        sol = _root_lp(instance)[1]
-        tau_star = Fraction(sol.value, sol.den)
+    tau_star = fractional_value(instance)
     return Measures(
         matching_number(instance), covering_number(instance), tau_star, instance.max_depth[0]
     )

@@ -241,13 +241,16 @@ def reference_certificate_problem(edge_sets, points, sol) -> str | None:
     `edge_sets` are the distinct edges' point collections in the order of
     `sol.primal`, and `sol.dual` weighs `points`, all as integer numerators
     over `sol.den`.  Each check is made point by point on dicts of the
-    nonzero weights: D > 0, no negative weight, every edge covered, no
-    point overloaded, and equal values; the solvers' mask-based certificate
-    must find the same problem, in the same order.
+    nonzero weights: D > 0, one weight per edge and per point, no negative
+    weight, every edge covered, no point overloaded, and equal values; the
+    solvers' mask-based certificate must find the same problem, in the same
+    order.
     """
     D = sol.den
     if D <= 0:
         return f"LP denominator {D} is not positive"
+    if len(sol.primal) != len(edge_sets) or len(sol.dual) != len(points):
+        return "fractional solution weighs a wrong number of edges or points"
     packing = {j: w for j, w in enumerate(sol.primal) if w}
     cover = {points[i]: w for i, w in enumerate(sol.dual) if w}
     if any(w < 0 for w in cover.values()) or any(w < 0 for w in packing.values()):

@@ -4,8 +4,9 @@
 the nu/tau search node counts of every campaign instance, and
 the `dpierce solve` / `dpierce verify` output on one interval file and
 one tree-width file, and three more generated families as written by
-`dumps_instance`.  Any change to a witness, a node count, a bound
-string, a ratio or a generated coordinate shows up here.  Rebuild the files on purpose only:
+`dumps_instance`, and the sharpness probe's rows on eight projective
+spaces.  Any change to a witness, a node count, a bound string, a ratio
+or a generated coordinate shows up here.  Rebuild the files on purpose only:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +30,7 @@ from dpierce import (
     run_campaign,
     to_incidence,
 )
+from dpierce import bounds, solvers
 from dpierce.campaign import _instances
 from dpierce.cli import main
 
@@ -108,6 +110,10 @@ CLI_CASES = {
 }
 
 
+# dimension -> the prime field orders of the pinned sharpness rows
+SHARPNESS_CASES = {2: (2, 3, 5, 7, 11, 13), 3: (2, 3, 5, 7), 4: (3,), 5: (2,)}
+
+
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -157,6 +163,12 @@ def golden_outputs(tmp_dir: Path) -> dict[str, str]:
     return out
 
 
+def golden_sharpness() -> str:
+    """The `sharpness_probe` rows of every space in `SHARPNESS_CASES`, in order."""
+    probe = bounds.sharpness_probe
+    return _dump([row for k, primes in SHARPNESS_CASES.items() for row in probe(k, primes)])
+
+
 def test_inputs_match_generators():
     for name, text in golden_inputs().items():
         assert (DATA / name).read_text(encoding="utf-8") == text, name
@@ -165,6 +177,16 @@ def test_inputs_match_generators():
 def test_outputs_byte_identical(tmp_path):
     for name, text in golden_outputs(tmp_path).items():
         assert (DATA / name).read_text(encoding="utf-8") == text, name
+
+
+def test_sharpness_rows_byte_identical(monkeypatch):
+    # the probe reads tau* alone, so it never asks for the weights
+    def refuse(instance):
+        raise AssertionError("fractional_pair called")
+
+    monkeypatch.setattr(solvers, "fractional_pair", refuse)
+    monkeypatch.setattr(bounds, "fractional_pair", refuse, raising=False)
+    assert (DATA / "golden_sharpness.json").read_text(encoding="utf-8") == golden_sharpness()
 
 
 if __name__ == "__main__":
@@ -176,3 +198,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in golden_outputs(Path(tmp)).items():
             (DATA / name).write_text(text, encoding="utf-8")
+    (DATA / "golden_sharpness.json").write_text(golden_sharpness(), encoding="utf-8")

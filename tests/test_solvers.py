@@ -463,6 +463,9 @@ FORGED = [
     # point 1 carries 2; the value is off too, but loads are checked first
     (2, (1, 1, 0, 1), (1, 1, 0, 1), "overloads a point"),
     (3, (1, 0, 0, 1), (1, 1, 0, 1), "duality"),  # the sides sum to 2 and 3
+    # weight 4 on a fifth edge GAP lacks: every other check passes, so
+    # only the count of weights refuses the claim tau* = 4 > 5/2
+    (4, (0, 0, 0, 0, 4), (1, 1, 1, 1), "wrong number"),
 ]
 
 
@@ -574,6 +577,49 @@ def test_certificate_agrees_with_the_dict_reference_on_candidates():
         for points, sol in _certified_pairs(instance):
             got = solvers._certificate_problem(ctx, points, sol)
             assert got == reference_certificate_problem(edge_sets, points, sol) is None
+    # uniform pairs whose weights and loads have several bits: s = 57 and
+    # D = 57 * 57 on PG(3,7), s = 40 on PG(4,3), s = 31 on PG(5,2)
+    for k, q in ((3, 7), (4, 3), (5, 2)):
+        instance = projective_instance(ProjectiveParams(k, q)).instance
+        ctx = solvers._context(instance)
+        points, sol = solvers._uniform_pair(ctx)
+        got = solvers._certificate_problem(ctx, points, sol)
+        assert got == reference_certificate_problem(_distinct_edges(instance), points, sol) is None
+
+
+def _plain_overloaded(masks, weights, D):
+    """The mask of the points whose load, summed point by point, exceeds D."""
+    load = Counter()
+    for m, w in zip(masks, weights):
+        for pt in mask_points(m):
+            load[pt] += w
+    return sum(1 << pt for pt, v in load.items() if v > D)
+
+
+def test_overloaded_points_match_a_per_point_sum():
+    rng = random.Random(33)
+    for trial in range(300):
+        n_points = rng.randint(1, 40)
+        masks = [rng.randrange(1, 1 << n_points) for _ in range(rng.randint(1, 30))]
+        # several weight groups, zeros among them, up to 2^70
+        palette = [0] + [
+            rng.randint(1, 1 << rng.choice([1, 3, 12, 40, 70])) for _ in range(rng.randint(1, 5))
+        ]
+        weights = [rng.choice(palette) for _ in masks]
+        loads = [sum(w for m, w in zip(masks, weights) if m >> pt & 1) for pt in range(n_points)]
+        top = max(loads)
+        # D just below, at and just above the maximum load, and with bits above every load
+        for D in (max(top - 1, 0), top, top + 1, 1 << (top.bit_length() + 3)):
+            expected = _plain_overloaded(masks, weights, D)
+            assert solvers._overloaded_points(masks, weights, D) == expected, (trial, D)
+    # a uniform pair loads every point with D exactly
+    for k, q in ((3, 7), (4, 3), (5, 2)):
+        instance = projective_instance(ProjectiveParams(k, q)).instance
+        ctx = solvers._context(instance)
+        points, sol = solvers._uniform_pair(ctx)
+        every = sum(1 << pt for pt in points)
+        assert solvers._overloaded_points(ctx.masks, sol.primal, sol.den - 1) == every
+        assert solvers._overloaded_points(ctx.masks, sol.primal, sol.den) == 0
 
 
 def _forge(rng, case, ctx, points, sol):
@@ -599,6 +645,13 @@ def _forge(rng, case, ctx, points, sol):
             primal[i] -= rng.randint(1, primal[i])
         else:
             dual[rng.randrange(len(dual))] += rng.randint(1, D)
+    elif case == "length":
+        # one weight added to, or taken off, the end of one side
+        side = rng.choice([primal, dual])
+        if side and rng.random() < 0.5:
+            side.pop()
+        else:
+            side.append(rng.randint(0, D))
     else:
         D = rng.choice([0, -1, -D])
     return LPSolution(D, value, tuple(primal), tuple(dual), sol.pivots)
@@ -610,6 +663,7 @@ FORGE_CASES = {
     "missed": "misses an edge",
     "overloaded": "overloads a point",
     "values": "duality",
+    "length": "wrong number",
     "denominator": "denominator",
 }
 
