@@ -463,13 +463,13 @@ FORGED = [
     # point 1 carries 2; the value is off too, but loads are checked first
     (2, (1, 1, 0, 1), (1, 1, 0, 1), "overloads a point"),
     (3, (1, 0, 0, 1), (1, 1, 0, 1), "duality"),  # the sides sum to 2 and 3
-    # weight 4 on a fifth edge GAP lacks: every other check passes, so
-    # only the count of weights refuses the claim tau* = 4 > 5/2
-    (4, (0, 0, 0, 0, 4), (1, 1, 1, 1), "wrong number"),
 ]
+# weight 4 on a fifth edge GAP lacks: every other check passes, so only the
+# count of weights refuses the claim tau* = 4 > 5/2
+WRONG_LENGTH = (4, (0, 0, 0, 0, 4), (1, 1, 1, 1), "wrong number")
 
 
-@pytest.mark.parametrize("value, primal, dual, reason", FORGED)
+@pytest.mark.parametrize("value, primal, dual, reason", FORGED + [WRONG_LENGTH])
 def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, dual, reason):
     def forged(A, b, c):
         return LPSolution(1, value, primal, dual, 0)
@@ -532,7 +532,8 @@ def test_candidates_agree_with_the_simplex():
 @pytest.mark.parametrize(
     "forged, reason",
     [(LPSolution(1, value, primal, dual, 0), reason) for value, primal, dual, reason in FORGED]
-    + [(LPSolution(den, 0, (0,) * 4, (0,) * 4, 0), "denominator") for den in (0, -1)],
+    + [(LPSolution(den, 0, (0,) * 4, (0,) * 4, 0), "denominator") for den in (0, -1)]
+    + [(LPSolution(1, *WRONG_LENGTH[:3], 0), WRONG_LENGTH[3])],
 )
 def test_a_forged_candidate_falls_through_to_the_simplex(monkeypatch, source, forged, reason):
     real = solvers.solve_lp_max
