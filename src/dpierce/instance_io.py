@@ -7,9 +7,13 @@ Three document types are accepted (discriminated by "type"):
 * ``tw_graph``       {"type":"tw_graph","d":2,"k":2,"graph":{"n":5,"edges":[[0,1],...]},
                       "bags":[[0,1,2],...],"bag_tree":[[0,1],...],"subgraphs":[[1,3],...]}
 
-Rationals travel as strings, "num/den" or a bare integer string.  Any
-malformed field or violated model invariant is rejected with an
-InstanceFormatError naming the exact JSON path.  The ``subgraphs`` of a
+Rationals travel as strings, "num/den" or a bare integer string: an
+optional "-", digits, then optionally "/" and digits, and nothing else (no
+"+", decimal point, exponent, underscore or surrounding space).  The one
+grammar is `model.rational`'s, checked before the string is read as a
+number, so a short string such as "1e999999999" is refused at once instead
+of being expanded.  Any malformed field or violated model invariant is
+rejected with an InstanceFormatError naming the exact JSON path.  The ``subgraphs`` of a
 ``tree_subgraphs`` and of a ``tw_graph`` document are read as the same
 objects, frozensets of host vertices, and checked by the same function, so
 their errors read alike: ``subgraphs[1][0]: vertex 5 outside graph 0..2``.
@@ -34,6 +38,7 @@ from .model import (
     HostTree,
     Interval,
     SubforestFamily,
+    rational,
 )
 from .treewidth import InvalidDecomposition, TreeDecomposition, TwInstance
 
@@ -60,7 +65,7 @@ def _list(value, path: str) -> list:
 def _rational(value, path: str) -> Fraction:
     _want(isinstance(value, str), path, 'expected a rational string like "3/4" or "-2"')
     try:
-        return Fraction(value)
+        return rational(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"{path}: not a rational: {exc}") from None
 

@@ -16,27 +16,48 @@ Both reduce, without changing any of the four optimization quantities
 (matching number, piercing number and their fractional relaxations), to a
 `HypergraphInstance`: ground points and edges as point bitmasks, a
 repeated member as a repeated edge.  All coordinates are exact rationals
-(`fractions.Fraction`), and interval endpoints are ranked as integers;
-nothing in this module touches floating point.  The interval checks
-(lo <= hi, sorted and disjoint parts) compare the stored Fractions by
-integer cross-multiplication of numerators and denominators.
+(`fractions.Fraction`); a coordinate given as a string must read "num/den"
+or a bare integer.  Nothing in this module touches floating point.  The
+interval checks (lo <= hi, sorted and disjoint parts) compare the stored
+Fractions by integer cross-multiplication of numerators and denominators.
+
+An interval family is discretized in one integer pass: every endpoint is
+read once, scaled by the lcm of the denominators and ranked, and the same
+loop over parts builds each edge's mask and a difference list of point
+loads, so the instance gets its depth r from that pass.  Every other
+instance (tree, tree-width, PG, and any built by the constructor) counts
+its depth on its masks with the bit-sliced `_deepest_point`, the first time
+it is read.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 
+# the one string form of a rational: an optional minus, digits, then optionally "/" and digits
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def rational(value) -> Fraction:
-    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction.
+
+    A string must match `_RATIONAL` as a whole, so no sign but a minus, no
+    decimal point, exponent, underscore or surrounding space; anything else
+    is a ValueError, raised before `Fraction` reads the string.
+    """
     if type(value) is Fraction or isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational coordinate")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f'{value!r} is not "num/den" or an integer')
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -380,8 +401,10 @@ class HypergraphInstance:
     that apply to it.  Each edge is stored only as its point bitmask in
     `edge_masks` (bit pt for point pt).  `edges`, the masks' points as
     frozensets, `max_depth` and the solvers' context are built the first
-    time they are read and kept on the instance; equality and hashing see
-    only the three fields, and an instance pickles through its constructor.
+    time they are read and kept on the instance, except that an interval
+    instance gets `max_depth` from `to_incidence`'s pass; equality and
+    hashing see only the three fields, and an instance pickles through its
+    constructor (which counts the depth again, on the masks, when read).
 
     Every instance the package builds itself (`to_incidence` for interval,
     tree and tree-width families, `projective_incidence` for PG(k,q)) comes
@@ -426,8 +449,14 @@ class HypergraphInstance:
         return _deepest_point(self.edge_masks)
 
     @classmethod
-    def _from_masks(cls, ground_size: int, masks, provenance: str) -> HypergraphInstance:
-        """The instance whose edge i is the point bitmask masks[i]."""
+    def _from_masks(
+        cls, ground_size: int, masks, provenance: str, max_depth: tuple[int, int | None] | None = None
+    ) -> HypergraphInstance:
+        """The instance whose edge i is the point bitmask masks[i].
+
+        A `max_depth` the caller has already counted on these masks is kept
+        as the instance's, and then never recounted.
+        """
         _check_ground_and_provenance(ground_size, provenance)
         masks = tuple(masks)
         full = 1 << ground_size
@@ -439,6 +468,8 @@ class HypergraphInstance:
                 )
         instance = object.__new__(cls)
         vars(instance).update(ground_size=ground_size, edge_masks=masks, provenance=provenance)
+        if max_depth is not None:
+            vars(instance)["max_depth"] = max_depth
         return instance
 
     def __repr__(self):
@@ -541,10 +572,17 @@ def to_incidence(family) -> HypergraphInstance:
     strictly increasing map, so the sorted distinct integers give the ids
     of the sorted endpoints.  A part [lo, hi] then holds exactly the ids
     rank(lo)..rank(hi), and an edge's mask is the OR of its parts' runs of
-    bits.  Subforests: ground points are the host vertices, and an edge's
-    mask is the OR of its member's vertices; a `TwInstance` becomes, the
-    same way, the "abstract" instance of its subgraphs over the graph's
-    vertices.
+    bits, (2 << hi) - (1 << lo).  Each endpoint is read once, through
+    `Fraction.as_integer_ratio`, into one flat list.  In the same loop over
+    the parts, each run adds +1 at rank(lo) and -1 at rank(hi) + 1 to a
+    difference list; the parts of one edge are disjoint, so its running
+    sum is every point's load, copies counted, and the instance's
+    `max_depth` is its maximum r and the lowest point reaching r, with no
+    recount from the masks.  Subforests: ground points are the host
+    vertices, and an edge's mask is the OR of its member's vertices; a
+    `TwInstance` becomes, the same way, the "abstract" instance of its
+    subgraphs over the graph's vertices.  These two count their depth on
+    their masks when it is first read, through `_deepest_point`.
     Either way nu, tau, nu* and tau* of the instance equal those of the
     family: a point slides right, inside every part containing it, to the
     nearest right endpoint among those parts, so intersections are witnessed
@@ -552,30 +590,37 @@ def to_incidence(family) -> HypergraphInstance:
     depth r is attained at an endpoint.
     """
     if isinstance(family, DIntervalFamily):
-        denominators = {
-            x.denominator for edge in family.edges for part in edge.parts for x in (part.lo, part.hi)
-        }
+        # every endpoint read once, as numerator, denominator, lo then hi
+        ends = []
+        for edge in family.edges:
+            for part in edge.parts:
+                ends += part.lo.as_integer_ratio()
+                ends += part.hi.as_integer_ratio()
+        denominators = set(ends[1::2])
         scale = lcm(*denominators)
         factor = {den: scale // den for den in denominators}
-        spans = [
-            [
-                (
-                    part.lo.numerator * factor[part.lo.denominator],
-                    part.hi.numerator * factor[part.hi.denominator],
-                )
-                for part in edge.parts
-            ]
-            for edge in family.edges
-        ]
-        values = sorted({v for span in spans for pair in span for v in pair})
-        rank = {v: i for i, v in enumerate(values)}
+        scaled = [num * factor[den] for num, den in zip(ends[0::2], ends[1::2])]
+        values = sorted(set(scaled))
+        ranks = list(map(dict(zip(values, range(len(values)))).__getitem__, scaled))
+        # a part's run lo..hi adds 1 to the load of each of its points; parts of one edge are disjoint
+        steps = [0] * (len(values) + 1)
         masks = []
-        for span in spans:
+        at = 0
+        for edge in family.edges:
             mask = 0
-            for lo, hi in span:
-                mask |= (1 << rank[hi] + 1) - (1 << rank[lo])
+            for _ in edge.parts:
+                lo, hi = ranks[at], ranks[at + 1]
+                at += 2
+                mask |= (2 << hi) - (1 << lo)
+                steps[lo] += 1
+                steps[hi + 1] -= 1
             masks.append(mask)
-        return HypergraphInstance._from_masks(max(1, len(rank)), masks, "interval")
+        depth = (0, None)
+        if masks:
+            loads = list(accumulate(steps))
+            r = max(loads)
+            depth = (r, loads.index(r))
+        return HypergraphInstance._from_masks(max(1, len(values)), masks, "interval", depth)
     # tested before the import, which would otherwise run on every tree family
     if isinstance(family, SubforestFamily):
         ground_size, members, provenance = family.host.n, family.edges, "tree"

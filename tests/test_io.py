@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from dpierce import (
@@ -103,6 +106,12 @@ def test_error_paths_are_precise():
         )  # two parts with d = 1
     with pytest.raises(InstanceFormatError, match="not a rational"):
         loads_instance('{"type":"d_intervals","d":1,"edges":[[["zero","1"]]]}')
+    # only "num/den" or a bare integer: no decimal, exponent, underscore, space or plus
+    for text in ("0.5", "1e3", "1_000", " 3/4 ", "3/4\n", "+3", "1/-2", "", "1e999999999"):
+        doc = json.dumps({"type": "d_intervals", "d": 1, "edges": [[["0", text]]]})
+        message = f"edges[0][0][1]: not a rational: {text!r} is not \"num/den\" or an integer"
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            loads_instance(doc)
     with pytest.raises(InstanceFormatError, match="type"):
         loads_instance('{"type":"simplices"}')
     with pytest.raises(InstanceFormatError, match="invalid JSON at line 1"):

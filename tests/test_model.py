@@ -25,7 +25,7 @@ from dpierce import (
     to_incidence,
 )
 from dpierce.generators import GenConfig, planted_pq_subforests, random_d_intervals, random_tw_graph
-from dpierce.model import connected_components
+from dpierce.model import _deepest_point, connected_components, rational
 
 from helpers import (
     brute_nu_continuous,
@@ -294,6 +294,9 @@ def test_to_incidence_matches_pointwise_reference():
         inst = to_incidence(f)
         assert (inst.ground_size, inst.edges) == reference_interval_incidence(f)
         assert inst.provenance == "interval"
+        # the depth counted in the discretizing pass, against the mask counter
+        assert inst.max_depth == _deepest_point(inst.edge_masks)
+    assert to_incidence(empty).max_depth == (0, None)
 
 
 def test_interval_instances_equal_the_validated_build():
@@ -315,7 +318,9 @@ def test_interval_instances_equal_the_validated_build():
         assert built.edge_masks == fresh.edge_masks
         back = pickle.loads(pickle.dumps(built))
         assert back == built and back.edge_masks == built.edge_masks
+        assert built.max_depth == _deepest_point(built.edge_masks) == fresh.max_depth == back.max_depth
     assert to_incidence(families[0]).edges == () and to_incidence(families[0]).ground_size == 1
+    assert to_incidence(families[0]).max_depth == (0, None)
 
 
 def _given_and_built():
@@ -489,6 +494,14 @@ def test_interval_coordinates_are_coerced_to_fractions():
             Interval(lo, hi)
     with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
         Interval(0, 0.5)
+    # a string is "num/den" or a bare integer, refused before Fraction reads it
+    for text in ("0.5", "1e3", "1_000", " 3/4 ", "+3", "1/-2", "", "1e999999999"):
+        message = f"{text!r} is not \"num/den\" or an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Interval(0, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rational(text)
+    assert rational("-007/010") == Fraction(-7, 10)
 
 
 def test_hypergraph_instance_validation():

@@ -41,6 +41,7 @@ from dpierce.generators import (
     random_d_intervals,
     random_subforests,
     random_tree,
+    random_tw_graph,
 )
 
 from helpers import (
@@ -1150,24 +1151,43 @@ def _record_depth_counts(monkeypatch) -> list:
 
 def test_max_depth_is_counted_once_per_instance(monkeypatch):
     calls = _record_depth_counts(monkeypatch)
+    # an interval instance has its depth from the discretizing pass, before any read
     i = to_incidence(random_d_intervals(GenConfig(seed=3, n_edges=8, d=2)))
+    assert "max_depth" in vars(i)
     verdict = pq_check(i, PQParameters(3, 2))
     assert verdict.max_depth == max_depth(i)[0]
-    assert max_depth(i) == max_depth(i)
-    assert len(calls) == 1
-    fresh = to_incidence(random_d_intervals(GenConfig(seed=3, n_edges=8, d=2)))
-    assert max_depth(fresh) == max_depth(i)
-    assert len(calls) == 2
+    assert max_depth(i) == max_depth(i) == reference_max_depth(i)
+    assert calls == []
+    # a tree or tree-width instance counts its masks once, on the first read
+    host = random_tree(GenConfig(seed=3, host_size=10))
+    trees = random_subforests(host, GenConfig(seed=4, n_edges=8, d=2, host_size=10))
+    for family in (trees, random_tw_graph(GenConfig(seed=3), 2)):
+        calls.clear()
+        t = to_incidence(family)
+        assert "max_depth" not in vars(t) and calls == []
+        verdict = pq_check(t, PQParameters(3, 2))
+        assert verdict.max_depth == max_depth(t)[0]
+        assert max_depth(t) == max_depth(t) == reference_max_depth(t)
+        assert calls == [t.edge_masks]
+        fresh = to_incidence(family)
+        assert max_depth(fresh) == max_depth(t)
+        assert len(calls) == 2
 
 
 def test_verify_bundle_counts_depth_once(monkeypatch):
     params = PQParameters(2, 2)
     family = planted_pq_family(GenConfig(seed=5, n_edges=8, d=2), params)
+    trees = planted_pq_subforests(GenConfig(seed=5, host_size=12), params)
     calls = _record_depth_counts(monkeypatch)
     kinds = [BoundKind.DPP_STAR, BoundKind.DPP_TAU, BoundKind.ALON]
     reports = verify_bundle(family, kinds, params=params)
+    # the interval instance's depth comes from its discretization, not from the counter
+    assert calls == []
+    assert {rep.r for rep in reports} == {reference_max_depth(to_incidence(family))[0]}
+    tree_kinds = [BoundKind.TREE_PP_STAR, BoundKind.TREE_PP_TAU, BoundKind.ALON]
+    reports = verify_bundle(trees, tree_kinds, params=params)
     assert len(calls) == 1
-    assert {rep.r for rep in reports} == {max_depth(to_incidence(family))[0]}
+    assert {rep.r for rep in reports} == {reference_max_depth(to_incidence(trees))[0]}
 
 
 def test_read_depth_leaves_equality_hash_and_pickle_alone():
