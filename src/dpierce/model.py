@@ -236,6 +236,14 @@ class Graph:
             adj[v].append(u)
         return adj
 
+    def neighbour_masks(self) -> list[int]:
+        """Entry v is the bitmask of v's neighbours, the input of `_component_count`."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return masks
+
 
 @dataclass(frozen=True)
 class HostTree(Graph):
@@ -245,7 +253,7 @@ class HostTree(Graph):
         super().__post_init__()
         if len(self.edges) != self.n - 1:
             raise ValueError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(self.edges)}")
-        if len(connected_components(self.adjacency(), range(self.n))) != 1:
+        if _component_count(self.neighbour_masks(), (1 << self.n) - 1) != 1:
             raise ValueError("edge list is not connected")
 
     def depths_from(self, root: int) -> list[int]:
@@ -264,7 +272,11 @@ class HostTree(Graph):
 
 
 def connected_components(adj: list[list[int]], vertices) -> list[frozenset[int]]:
-    """Components of the subgraph induced on `vertices`, each sorted-min first."""
+    """Components of the subgraph induced on `vertices`, each sorted-min first.
+
+    The components themselves, for a message that names them; a count
+    alone is `_component_count`'s.
+    """
     vset = set(vertices)
     seen: set[int] = set()
     comps = []
@@ -285,6 +297,30 @@ def connected_components(adj: list[list[int]], vertices) -> list[frozenset[int]]
     return comps
 
 
+def _component_count(neighbours: list[int], mask: int) -> int:
+    """The number of components of the subgraph induced on the vertices of `mask`.
+
+    `neighbours[v]` is the bitmask of v's neighbours (`Graph.neighbour_masks`).
+    Each component is flooded from the lowest vertex left, a frontier at a
+    time, and every vertex reached is taken out of `mask`, so each is
+    expanded once.  This is the package's one component counter.
+    """
+    count = 0
+    while mask:
+        frontier = mask & -mask
+        mask ^= frontier
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= neighbours[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & mask
+            mask ^= frontier
+        count += 1
+    return count
+
+
 def _checked_subgraphs(graph, subgraphs, d: int) -> tuple[frozenset[int], ...]:
     """The members of a d-tree or tree-width family, checked and frozen.
 
@@ -292,23 +328,25 @@ def _checked_subgraphs(graph, subgraphs, d: int) -> tuple[frozenset[int], ...]:
     each member is any collection of its vertices: it must be nonempty, its
     vertices ints (bool is rejected) in 0..n-1, and it must induce at most
     d >= 1 components.  A bad vertex is named by its position in the member
-    as given.
+    as given.  Components are counted on the member's vertex mask.
     """
     if d < 1:
         raise ValueError(f"d: must be positive, got {d}")
     n = graph.n
-    adj = graph.adjacency()
+    neighbours = graph.neighbour_masks()
     members = []
     for i, h in enumerate(subgraphs):
+        mask = 0
         for j, v in enumerate(h):
             if type(v) is not int:
                 raise ValueError(f"subgraphs[{i}][{j}]: vertex {v!r} is not an int")
             if not (0 <= v < n):
                 raise ValueError(f"subgraphs[{i}][{j}]: vertex {v} outside graph 0..{n - 1}")
+            mask |= 1 << v
         h = frozenset(h)
         if not h:
             raise ValueError(f"subgraphs[{i}]: subgraph must be nonempty")
-        ncomp = len(connected_components(adj, h))
+        ncomp = _component_count(neighbours, mask)
         if ncomp > d:
             raise ValueError(f"subgraphs[{i}]: induces {ncomp} components > d={d}")
         members.append(h)

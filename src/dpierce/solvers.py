@@ -9,10 +9,14 @@ matching.  nu then ascends from that matching by one exact packing
 search, `_packing_search`, the one `pq_check` runs for a counterexample:
 each step asks for a matching of one edge more, up to tau.  The
 fractional solver returns an optimal LP pair whose primal and dual sides
-certify each other.  `_root_lp` is the only reader of the whole-instance
-LP: it offers uniform weights, then the sandwich of the two optima, to
-the certificate on every point and edge of the original instance, and
-runs the simplex only when neither passes, so only where nu < tau.  The
+certify each other.  `_optima` finds nu and tau for `covering_number`,
+`matching_number` and `_root_lp`: it offers uniform weights, once per
+instance, and then runs `_search`, bounded by them where they pass the
+certificate, and builds nothing else of the LP.  `_root_lp` is the only
+reader of the whole-instance LP, run only where tau* is read: it offers
+uniform weights, then the sandwich of the two optima, to the certificate
+on every point and edge of the original instance, and runs the simplex
+only when neither passes, so only where nu < tau.  The
 simplex solves the LP on its dominance kernel: a point whose set of
 edges is contained in another point's adds only a redundant row, so it
 is left out, and the optimum is unchanged.
@@ -137,10 +141,12 @@ class _SolveContext:
 
     Distinct edge j has its first occurrence at `firsts[j]`, in index order,
     and point mask `masks[j]`.  Built on first use: the greedies
-    `plain_matching` and `plain_cover`, the starts of the two searches.
-    Filled by `_search`: `matching` and `cover`, the optimal matching (as
+    `plain_matching` and `plain_cover`, the starts of the two searches,
+    and `uniform`, the uniform pair if it is certified.  Filled by
+    `_search`: `matching` and `cover`, the optimal matching (as
     distinct-edge positions) and cover (as points), and the node counts
-    `nu_nodes` and `tau_nodes`.  `root`: the certified answer of `_root_lp`.
+    `nu_nodes` and `tau_nodes`.  `root`: the certified answer of `_root_lp`,
+    set only when tau* is read.
     """
 
     def __init__(self, instance: HypergraphInstance):
@@ -175,6 +181,18 @@ class _SolveContext:
             bit = 1 << pt
             live = [m for m in live if not m & bit]
         return cover
+
+    @cached_property
+    def uniform(self) -> tuple[list[int], LPSolution] | None:
+        """`_uniform_pair`'s pair if it passes `_certificate_problem`, else None.
+
+        So uniform weights are offered at most once per instance, whether
+        `_root_lp` or `_search` asks first.
+        """
+        pair = _uniform_pair(self)
+        if pair is None or _certificate_problem(self, *pair) is not None:
+            return None
+        return pair
 
 
 def _context(instance: HypergraphInstance) -> _SolveContext:
@@ -221,9 +239,10 @@ def _incidence_lp(ctx: _SolveContext) -> tuple[list[int], LPSolution]:
 def _root_lp(instance: HypergraphInstance) -> tuple[list[int], LPSolution]:
     """(points, solution) of the whole instance's tau* LP, certified.
 
-    The only reader of the root LP.  Its sources are tried in order, and
-    the first whose pair passes `_certificate_problem` is kept: uniform
-    weights; then, once `_search` has found nu and tau exactly, the
+    The only reader of the root LP, run only where tau* is read.  Its
+    sources are tried in order, and the first whose pair passes
+    `_certificate_problem` is kept: uniform weights (`ctx.uniform`), before
+    any search; then, once `_optima` has found nu and tau exactly, the
     sandwich of the two optima; then the simplex on the kernel
     (`_incidence_lp`).  A candidate that fails falls through to the next
     source and is never reported; a simplex answer that fails raises.  So
@@ -231,9 +250,9 @@ def _root_lp(instance: HypergraphInstance) -> tuple[list[int], LPSolution]:
     """
     ctx = _context(instance)
     if ctx.root is None:
-        pair = _uniform_pair(ctx)
-        if pair is None or _certificate_problem(ctx, *pair) is not None:
-            _search(ctx, instance.max_depth[0])
+        pair = ctx.uniform
+        if pair is None:
+            _optima(instance)
             pair = _sandwich_pair(ctx)
             if pair is None or _certificate_problem(ctx, *pair) is not None:
                 pair = _incidence_lp(ctx)
@@ -372,13 +391,13 @@ def _search(ctx: _SolveContext, r: int) -> None:
     fewer, and its None proves the cover optimal.  Then nu ascends: while
     the matching is smaller than that cover, `_packing_search` looks for a
     matching of one edge more, and its None proves the matching optimal.
-    Where uniform weights have already certified tau* (`ctx.root`), its
-    ceiling and floor bound the two searches too.  Each node count is 1
-    for the root plus every node of its search's asks.
+    Where uniform weights certify tau* (`ctx.uniform`), its ceiling and
+    floor bound the two searches too.  Each node count is 1 for the root
+    plus every node of its search's asks.
     """
     low, high = 0, len(ctx.masks)
-    if ctx.root is not None:
-        sol = ctx.root[1]
+    if ctx.uniform is not None:
+        sol = ctx.uniform[1]
         low, high = -(-sol.value // sol.den), sol.value // sol.den
     matching, cover = ctx.plain_matching, ctx.plain_cover
     if len(matching) < min(len(cover), high):
@@ -402,16 +421,17 @@ def _search(ctx: _SolveContext, r: int) -> None:
 
 
 def _optima(instance: HypergraphInstance) -> _SolveContext:
-    """The instance's solve context with nu, tau and the root pair all found.
+    """The instance's solve context with nu and tau found, by one `_search`.
 
-    `_root_lp` runs `_search` before it offers the sandwich; where uniform
-    weights certify the root first, the search runs here, bounded by them.
+    What `covering_number`, `matching_number` and `_root_lp` read.  The
+    search is offered uniform weights first (`ctx.uniform`), and bounded by
+    them where they certify tau*; nothing else of the root LP is built
+    here, so reading nu or tau alone neither builds nor certifies the
+    sandwich pair and never runs the simplex.
     """
     ctx = _context(instance)
     if ctx.masks and ctx.cover is None:
-        _root_lp(instance)
-        if ctx.cover is None:
-            _search(ctx, instance.max_depth[0])
+        _search(ctx, instance.max_depth[0])
     return ctx
 
 

@@ -13,13 +13,28 @@ host vertices inducing at most d components.  The graph and the
 decomposition tree are both `model.Graph`s (the tree a `HostTree`); this
 module defines no graph class of its own.  `lift_family` takes a bare
 graph and decomposition and validates them itself.
+
+Validation and the lift work on bag masks: holding[v], the bitmask of the
+bags that hold vertex v, decides whether an edge is inside a bag, and a
+subgraph lifts to the OR of its vertices' masks.  Running intersection is
+one count over the bags and the tree edges; only a decomposition that
+fails it is walked vertex by vertex, to name the disconnected vertices.
+Components are counted on neighbour masks by `model._component_count`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Graph, HostTree, SubforestFamily, _checked_subgraphs, connected_components
+from .model import (
+    Graph,
+    HostTree,
+    SubforestFamily,
+    _checked_subgraphs,
+    _component_count,
+    connected_components,
+    mask_points,
+)
 
 
 class InvalidDecomposition(ValueError):
@@ -96,32 +111,60 @@ def validate_decomposition(graph: Graph, dec: TreeDecomposition) -> list[str]:
 
     Returns human-readable messages naming the offending vertex, edge, or
     disconnected bag pair; an empty list means the decomposition is valid.
-    """
-    problems = []
-    covered = set().union(*dec.bags) if dec.bags else set()
-    for v in range(graph.n):
-        if v not in covered:
-            problems.append(f"vertex {v} appears in no bag")
-    for v in covered:
-        if not (0 <= v < graph.n):
-            problems.append(f"bags mention unknown vertex {v}")
+    The messages come in this order: vertices in no bag (increasing),
+    unknown vertices the bags mention, vertices whose bags are
+    disconnected (increasing), edges inside no bag (in the graph's order).
 
-    adj = dec.tree.adjacency()
-    for v in sorted(covered):
-        holding = [i for i, bag in enumerate(dec.bags) if v in bag]
-        comps = connected_components(adj, holding)
-        if len(comps) > 1:
-            a = min(comps[0])
-            b = min(comps[1])
-            problems.append(
-                f"bags containing vertex {v} are disconnected: "
-                f"no path of v-bags joins bag {a} and bag {b}"
-            )
+    Running intersection is checked by one count.  The bags B_v holding a
+    vertex v span a forest of the tree with |B_v| - e_v >= 1 components,
+    e_v the tree edges both of whose bags hold v; summed over the vertices
+    of the bags, sum |bag| - sum over tree edges (i, j) of |bag_i & bag_j|
+    equals the number of those vertices exactly when every B_v is
+    connected.  Only when it does not is each vertex walked, by
+    `connected_components`, to name the disconnected ones.  An edge is
+    inside a bag when the masks of the bags holding its two ends meet.
+    """
+    return _validated(graph, dec)[1]
+
+
+def _validated(graph: Graph, dec: TreeDecomposition) -> tuple[list[int], list[str]]:
+    """(holding, problems): `validate_decomposition`'s problems, and the bag masks it reads.
+
+    holding[v] is the bitmask of the bags that hold vertex v, for v in
+    0..n-1; a vertex outside the graph has none.
+    """
+    n, bags = graph.n, dec.bags
+    holding = [0] * n
+    for i, bag in enumerate(bags):
+        bit = 1 << i
+        for v in bag:
+            if 0 <= v < n:
+                holding[v] |= bit
+    problems = []
+    covered = set().union(*bags)
+    missing = holding.count(0)
+    if missing:
+        problems += [f"vertex {v} appears in no bag" for v in range(n) if not holding[v]]
+    if len(covered) != n - missing:
+        problems += [f"bags mention unknown vertex {v}" for v in covered if not 0 <= v < n]
+
+    shared = sum(len(bags[i] & bags[j]) for i, j in dec.tree.edges)
+    if sum(map(len, bags)) - shared != len(covered):
+        adj = dec.tree.adjacency()
+        for v in sorted(covered):
+            comps = connected_components(adj, [i for i, bag in enumerate(bags) if v in bag])
+            if len(comps) > 1:
+                a = min(comps[0])
+                b = min(comps[1])
+                problems.append(
+                    f"bags containing vertex {v} are disconnected: "
+                    f"no path of v-bags joins bag {a} and bag {b}"
+                )
 
     for u, v in graph.edges:
-        if not any(u in bag and v in bag for bag in dec.bags):
+        if not holding[u] & holding[v]:
             problems.append(f"edge ({u},{v}) is inside no bag")
-    return problems
+    return holding, problems
 
 
 def lift_family(
@@ -136,41 +179,54 @@ def lift_family(
     the given d >= 1.  Component counts never grow (each connected piece of
     h meets a connected set of bags), which is asserted per edge;
     intersections are preserved, since q subgraphs sharing a vertex v lift
-    to subforests sharing every bag containing v.  A subgraph that meets a
-    bag but holds a vertex outside the graph is a `ValueError` worded as
-    `_checked_subgraphs` words it.  Each lifted edge's
-    components are counted once, for that assertion and for the d-tree
-    limit (`ValueError` as `SubforestFamily` raises it), so the family is
-    built without its member check.
+    to subforests sharing every bag containing v.  A vertex that is not an
+    int (bool included), or a subgraph that meets a bag but holds a vertex
+    outside the graph, is a `ValueError` worded as `_checked_subgraphs`
+    words it.
+
+    The lift works on masks: the lifted edge is the OR of the masks of the
+    bags holding each of h's vertices, which `validate_decomposition`
+    builds on the way, and both h's and its lift's components are counted
+    by `model._component_count`, on the graph's and the tree's neighbour
+    masks.  Each lifted edge's components are counted once, for that
+    assertion and for the d-tree limit (`ValueError` as `SubforestFamily`
+    raises it), so the family is built without its member check.
     """
     if d < 1:
         raise ValueError(f"d: must be positive, got {d}")
-    problems = validate_decomposition(graph, dec)
+    holding, problems = _validated(graph, dec)
     if problems:
         raise InvalidDecomposition(problems[0])
-    graph_adj = graph.adjacency()
-    tree_adj = dec.tree.adjacency()
-    vertices = frozenset(range(graph.n))
+    n = graph.n
+    graph_neighbours = graph.neighbour_masks()
+    tree_neighbours = dec.tree.neighbour_masks()
     edges = []
     for idx, given in enumerate(subgraphs):
-        h = frozenset(given)
-        lifted = frozenset(i for i, bag in enumerate(dec.bags) if bag & h)
+        source = lifted = 0
+        outside = None
+        for j, v in enumerate(given):
+            if type(v) is not int:
+                raise ValueError(f"subgraphs[{idx}][{j}]: vertex {v!r} is not an int")
+            if 0 <= v < n:
+                source |= 1 << v
+                lifted |= holding[v]
+            elif outside is None:
+                outside = f"subgraphs[{idx}][{j}]: vertex {v} outside graph 0..{n - 1}"
         if not lifted:
             raise InvalidDecomposition(
                 f"subgraph {idx} meets no bag (vertices outside the graph?)"
             )
-        if not h <= vertices:
-            j, v = next((j, v) for j, v in enumerate(given) if v not in vertices)
-            raise ValueError(f"subgraphs[{idx}][{j}]: vertex {v} outside graph 0..{graph.n - 1}")
-        ncomp = len(connected_components(tree_adj, lifted))
-        source = len(connected_components(graph_adj, h))
-        if ncomp > source:
+        if outside is not None:
+            raise ValueError(outside)
+        ncomp = _component_count(tree_neighbours, lifted)
+        nsource = _component_count(graph_neighbours, source)
+        if ncomp > nsource:
             raise AssertionError(
-                f"lift of subgraph {idx} has {ncomp} components, source has {source}"
+                f"lift of subgraph {idx} has {ncomp} components, source has {nsource}"
             )
         if ncomp > d:
             raise ValueError(f"subgraphs[{idx}]: induces {ncomp} components > d={d}")
-        edges.append(lifted)
+        edges.append(frozenset(mask_points(lifted)))
     return LiftedFamily(family=SubforestFamily._unchecked(dec.tree, d, tuple(edges)))
 
 
@@ -179,9 +235,15 @@ def lift_cover(dec: TreeDecomposition, cover, subgraphs) -> frozenset[int]:
 
     Re-checks the precondition (every subgraph meets some chosen bag) and
     independently re-verifies that the returned union meets every source
-    subgraph; the size is at most (width+1) * |cover| by construction.
+    subgraph; the size is at most (width+1) * |cover| by construction.  A
+    bag id that is not an int (bool included) or not a node of the tree is
+    a `ValueError` naming it.
     """
-    cover = sorted(set(cover))
+    given = list(cover)
+    for i in given:
+        if type(i) is not int:
+            raise ValueError(f"bag id {i!r} is not an int")
+    cover = sorted(set(given))
     for i in cover:
         if not (0 <= i < len(dec.bags)):
             raise ValueError(f"bag id {i} out of range")

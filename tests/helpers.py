@@ -19,8 +19,10 @@ from dpierce import (
     DIntervalFamily,
     HypergraphInstance,
     Interval,
+    InvalidDecomposition,
     make_family,
 )
+from dpierce.model import connected_components
 from dpierce.simplex import SimplexError
 
 
@@ -388,3 +390,73 @@ def reference_min_degree_matching(instance: HypergraphInstance) -> list[int]:
         chosen.append(j)
         free = [i for i in free if not edges[i] & edges[j]]
     return chosen
+
+
+def reference_validate_decomposition(graph, dec) -> list[str]:
+    """`validate_decomposition`'s messages, one breadth-first walk per vertex.
+
+    Vertices in no bag, then unknown vertices the bags mention, then each
+    vertex (increasing) whose holding bags form more than one component of
+    the tree, found by `connected_components`, then each edge that no
+    single bag holds both ends of.
+    """
+    problems = []
+    covered = set().union(*dec.bags) if dec.bags else set()
+    for v in range(graph.n):
+        if v not in covered:
+            problems.append(f"vertex {v} appears in no bag")
+    for v in covered:
+        if not (0 <= v < graph.n):
+            problems.append(f"bags mention unknown vertex {v}")
+    adj = dec.tree.adjacency()
+    for v in sorted(covered):
+        holding = [i for i, bag in enumerate(dec.bags) if v in bag]
+        comps = connected_components(adj, holding)
+        if len(comps) > 1:
+            a = min(comps[0])
+            b = min(comps[1])
+            problems.append(
+                f"bags containing vertex {v} are disconnected: "
+                f"no path of v-bags joins bag {a} and bag {b}"
+            )
+    for u, v in graph.edges:
+        if not any(u in bag and v in bag for bag in dec.bags):
+            problems.append(f"edge ({u},{v}) is inside no bag")
+    return problems
+
+
+def reference_lift_edges(graph, dec, subgraphs, d: int) -> list[frozenset[int]]:
+    """The edges `lift_family` lifts `subgraphs` to, by bag intersections and walks.
+
+    Each subgraph h lifts to the bags meeting it; the components of h and of
+    its lift are found by `connected_components`.  It raises as
+    `lift_family` does, with the same messages, on an int-vertex input.
+    """
+    if d < 1:
+        raise ValueError(f"d: must be positive, got {d}")
+    problems = reference_validate_decomposition(graph, dec)
+    if problems:
+        raise InvalidDecomposition(problems[0])
+    graph_adj, tree_adj = graph.adjacency(), dec.tree.adjacency()
+    vertices = frozenset(range(graph.n))
+    edges = []
+    for idx, given in enumerate(subgraphs):
+        h = frozenset(given)
+        lifted = frozenset(i for i, bag in enumerate(dec.bags) if bag & h)
+        if not lifted:
+            raise InvalidDecomposition(
+                f"subgraph {idx} meets no bag (vertices outside the graph?)"
+            )
+        if not h <= vertices:
+            j, v = next((j, v) for j, v in enumerate(given) if v not in vertices)
+            raise ValueError(f"subgraphs[{idx}][{j}]: vertex {v} outside graph 0..{graph.n - 1}")
+        ncomp = len(connected_components(tree_adj, lifted))
+        source = len(connected_components(graph_adj, h))
+        if ncomp > source:
+            raise AssertionError(
+                f"lift of subgraph {idx} has {ncomp} components, source has {source}"
+            )
+        if ncomp > d:
+            raise ValueError(f"subgraphs[{idx}]: induces {ncomp} components > d={d}")
+        edges.append(lifted)
+    return edges

@@ -25,7 +25,7 @@ from dpierce import (
     to_incidence,
 )
 from dpierce.generators import GenConfig, planted_pq_subforests, random_d_intervals, random_tw_graph
-from dpierce.model import _deepest_point, connected_components, rational
+from dpierce.model import _component_count, _deepest_point, connected_components, mask_points, rational
 
 from helpers import (
     brute_nu_continuous,
@@ -131,6 +131,22 @@ def test_connected_components_partition_properties():
                         seen.add(w)
                         frontier.append(w)
             assert seen == comp
+
+
+def test_component_count_equals_the_components():
+    # random graphs, not only trees, and random vertex masks, the empty and
+    # the full one included
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        pairs = list(itertools.combinations(range(n), 2))
+        graph = Graph(n=n, edges=tuple(rng.sample(pairs, rng.randint(0, len(pairs)))))
+        adj, neighbours = graph.adjacency(), graph.neighbour_masks()
+        assert neighbours == [sum(1 << w for w in adj[v]) for v in range(n)]
+        for mask in (0, (1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)):
+            assert _component_count(neighbours, mask) == len(
+                connected_components(adj, mask_points(mask))
+            )
 
 
 def test_host_tree_validation():

@@ -208,6 +208,38 @@ def test_warm_instance_gives_fresh_results():
             assert solver(warm) == solver(_fresh(instance))
 
 
+def test_nu_and_tau_alone_leave_tau_star_unread(monkeypatch):
+    # covering_number and matching_number neither build the sandwich pair
+    # nor run the simplex, and leave the root LP unset; uniform weights are
+    # offered once, and the results, witnesses and node counts are solve's,
+    # in either call order and with tau* read afterwards
+    def refuse(*args):
+        raise AssertionError("tau* certified for nu or tau alone")
+
+    gap = to_incidence(random_d_intervals(GenConfig(seed=143023, n_edges=10, d=3)))
+    cases = [inst(*GAP), gap, *(i for i in _root_families() if not _uniform_and_regular(i))]
+    real_uniform, offered = solvers._uniform_pair, []
+
+    def offering(ctx):
+        offered.append(ctx)
+        return real_uniform(ctx)
+
+    monkeypatch.setattr(solvers, "_uniform_pair", offering)
+    for instance in cases:
+        expected = solve(_fresh(instance))
+        for order in ((covering_number, matching_number), (matching_number, covering_number)):
+            offered.clear()
+            with monkeypatch.context() as refusing:
+                refusing.setattr(solvers, "_sandwich_pair", refuse)
+                refusing.setattr(solvers, "solve_lp_max", refuse)
+                fresh = _fresh(instance)
+                got = {solver: solver(fresh) for solver in order}
+                assert solvers._context(fresh).root is None
+            assert (got[matching_number], got[covering_number]) == (expected.nu, expected.tau)
+            assert solve(fresh) == expected
+            assert offered == [solvers._context(fresh)]
+
+
 def _matching_reference_cases():
     for seed in range(40):
         yield random_abstract_instance(seed + 2000)

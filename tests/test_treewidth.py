@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from dpierce import (
@@ -19,6 +21,7 @@ from dpierce import (
     validate_decomposition,
 )
 from dpierce.model import HypergraphInstance, connected_components
+from helpers import reference_lift_edges, reference_validate_decomposition
 
 
 def path3():
@@ -70,6 +73,19 @@ def test_running_intersection_violation():
     )
     problems = validate_decomposition(path3(), dec)
     assert any("disconnected" in p for p in problems)
+
+
+def test_bags_of_a_vertex_disconnected_on_a_path():
+    # vertex 1 of the path 0-1-2 sits in bags 0 and 2 but not in the middle
+    # bag 1: every vertex is in a bag and every edge inside one, so only the
+    # count of running intersection is off
+    dec = TreeDecomposition(
+        tree=HostTree(n=3, edges=((0, 1), (1, 2))),
+        bags=(frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})),
+    )
+    assert validate_decomposition(path3(), dec) == [
+        "bags containing vertex 1 are disconnected: no path of v-bags joins bag 0 and bag 2"
+    ]
 
 
 def test_missing_vertex_reported():
@@ -247,3 +263,138 @@ def test_tw_instance_validates_in_memory():
     tw = TwInstance(graph, dec, ([0, 2], [1]), d=2)
     assert tw.subgraphs == (frozenset({0, 2}), frozenset({1}))
     assert loads_instance(dumps_instance(tw)) == tw
+
+
+# ---------------------------------------------------------------------------
+# the counting identity and the mask lift against the per-vertex walks
+# ---------------------------------------------------------------------------
+
+def _tw_cases():
+    for width in (1, 2, 3):
+        for seed in range(12):
+            yield random_tw_graph(GenConfig(seed=seed, host_size=7, n_edges=5, d=2), width)
+
+
+def _with_bags(dec, bags):
+    return TreeDecomposition(tree=dec.tree, bags=tuple(bags))
+
+
+def _without_leaf(dec, leaf):
+    """`dec` with the leaf `leaf` of its tree and its bag removed, later nodes renumbered."""
+    def rename(i):
+        return i - (i > leaf)
+
+    edges = tuple((rename(a), rename(b)) for a, b in dec.tree.edges if leaf not in (a, b))
+    return TreeDecomposition(
+        tree=HostTree(n=dec.tree.n - 1, edges=edges), bags=dec.bags[:leaf] + dec.bags[leaf + 1:]
+    )
+
+
+def _mutations(graph, dec):
+    """Broken copies of a valid decomposition of `graph`."""
+    bags = list(dec.bags)
+    degree = Counter(i for edge in dec.tree.edges for i in edge)
+    # a vertex dropped from a bag: from a middle bag it splits the vertex's bags
+    for i, bag in enumerate(bags):
+        if len(bag) > 1:
+            for v in sorted(bag):
+                yield _with_bags(dec, bags[:i] + [bag - {v}] + bags[i + 1:])
+    # unknown vertices: one past the graph, and -1 in the first and last bags
+    yield _with_bags(dec, [bags[0] | {graph.n}] + bags[1:])
+    if len(bags) > 1:
+        yield _with_bags(dec, [bags[0] | {-1}] + bags[1:-1] + [bags[-1] | {-1}])
+    # a leaf's bag removed: the edges and vertices only it held are lost
+    leaves = [i for i in range(dec.tree.n) if degree[i] == 1]
+    for leaf in leaves:
+        yield _without_leaf(dec, leaf)
+    # several failures at once: the lowest vertex dropped from every middle
+    # bag, unknown vertices in two bags, and a leaf removed
+    middle = [i for i in range(len(bags)) if degree[i] > 1]
+    several = [bag - {min(bag)} if i in middle and len(bag) > 1 else bag for i, bag in enumerate(bags)]
+    several[0] |= {graph.n + 3, -2}
+    several[-1] |= {graph.n + 3}
+    broken = _with_bags(dec, several)
+    yield broken
+    if leaves:
+        yield _without_leaf(broken, leaves[-1])
+
+
+def test_validation_messages_equal_the_per_vertex_walk():
+    seen = Counter()
+    for tw in _tw_cases():
+        assert validate_decomposition(tw.graph, tw.decomposition) == []
+        for dec in _mutations(tw.graph, tw.decomposition):
+            problems = validate_decomposition(tw.graph, dec)
+            assert problems == reference_validate_decomposition(tw.graph, dec)
+            kinds = {
+                kind for kind in ("appears in no bag", "unknown", "disconnected", "inside no bag")
+                if any(kind in p for p in problems)
+            }
+            seen.update(kinds)
+            seen["several"] += len(kinds) >= 3
+    # every kind of failure is met, and often several kinds in one list
+    assert min(seen.values()) >= 10, seen
+
+
+def test_lift_equals_the_per_vertex_lift():
+    # edges, or the exception and its message, equal those of the walk on
+    # valid and broken decompositions, bad subgraphs and every d
+    compared = Counter()
+    for tw in _tw_cases():
+        graph, n = tw.graph, tw.graph.n
+        families = [
+            tw.subgraphs,
+            [*tw.subgraphs, {n}],  # meets no bag
+            [*tw.subgraphs, [0, n + 1]],  # meets a bag, holds a vertex outside the graph
+            [*tw.subgraphs, [-1, 0]],
+            [set(range(n))],
+        ]
+        decs = [tw.decomposition, *_mutations(graph, tw.decomposition)]
+        for dec in decs:
+            for subgraphs in families:
+                for d in (0, 1, 2, 3):
+                    got = _outcome(lambda: list(lift_family(graph, dec, subgraphs, d).family.edges))
+                    want = _outcome(lambda: reference_lift_edges(graph, dec, subgraphs, d))
+                    assert got == want
+                    compared[got[0] if isinstance(got, tuple) else "lifted"] += 1
+    assert compared["lifted"] > 50 and len(compared) == 3, compared
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("given", [[2, True], [True, 2], [0, 1.0], [0, "1"], {True, 2}])
+def test_lift_refuses_a_vertex_that_is_not_an_int(given):
+    # True would lift as vertex 1; the tree-width family refuses it alike
+    with pytest.raises(ValueError, match=r"^subgraphs\[0\]\[\d\]: vertex .* is not an int$") as lifted:
+        lift_family(path3(), _path3_dec(), [given], d=1)
+    with pytest.raises(ValueError) as checked:
+        TwInstance(path3(), _path3_dec(), (given,), d=1)
+    assert str(lifted.value) == str(checked.value)
+
+
+def _path3_dec():
+    return TreeDecomposition(
+        tree=HostTree(n=2, edges=((0, 1),)),
+        bags=(frozenset({0, 1}), frozenset({1, 2})),
+    )
+
+
+@pytest.mark.parametrize(
+    "cover, message",
+    [
+        ([0.0], r"^bag id 0\.0 is not an int$"),
+        (["a"], r"^bag id 'a' is not an int$"),
+        ([0, "a"], r"^bag id 'a' is not an int$"),
+        ([True], r"^bag id True is not an int$"),
+        ([0, 2], r"^bag id 2 out of range$"),
+        ([-1], r"^bag id -1 out of range$"),
+    ],
+)
+def test_lift_cover_refuses_a_bad_bag_id(cover, message):
+    with pytest.raises(ValueError, match=message):
+        lift_cover(square_dec(), cover, [{1, 3}])
