@@ -131,13 +131,23 @@ class DInterval:
         return any(p.contains(x) for p in self.parts)
 
 
+def _require_int_d(d) -> None:
+    """Refuse a d that is not an int, bool included, as `loads_instance` refuses it.
+
+    So every family that is built writes a `"d"` its file can read back.
+    """
+    if type(d) is not int:
+        raise ValueError(f"d: expected an integer, got {d!r}")
+
+
 @dataclass(frozen=True)
 class DIntervalFamily:
     """A finite family of d-intervals, the edges of an interval hypergraph.
 
-    Every edge has at most d parts.  General position (no endpoint value
-    shared by two non-identical parts) is not recorded: it is a property
-    of the edges, computed by `general_position_violations`.
+    Every edge has at most d parts, d an int (bool is rejected).  General
+    position (no endpoint value shared by two non-identical parts) is not
+    recorded: it is a property of the edges, computed by
+    `general_position_violations`.
     """
 
     d: int
@@ -145,6 +155,7 @@ class DIntervalFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
+        _require_int_d(self.d)
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")
         for i, e in enumerate(self.edges):
@@ -327,9 +338,11 @@ def _checked_subgraphs(graph, subgraphs, d: int) -> tuple[frozenset[int], ...]:
     `graph` is the host, a `Graph` (a `HostTree` for a d-tree family), and
     each member is any collection of its vertices: it must be nonempty, its
     vertices ints (bool is rejected) in 0..n-1, and it must induce at most
-    d >= 1 components.  A bad vertex is named by its position in the member
-    as given.  Components are counted on the member's vertex mask.
+    d >= 1 components, d an int (bool is rejected).  A bad vertex is named
+    by its position in the member as given.  Components are counted on the
+    member's vertex mask.
     """
+    _require_int_d(d)
     if d < 1:
         raise ValueError(f"d: must be positive, got {d}")
     n = graph.n

@@ -3,11 +3,12 @@
 All solvers consume a `HypergraphInstance`, with deterministic
 tie-breaks (reproducible node counts).  nu and tau are found exactly
 first, and tau* last.  tau descends from the greedy cover by one exact
-hitting-set search, `_cover_at_most`, the one `pq_check` runs: each step
-asks for a cover of one point fewer, down to the size of a greedy
-matching.  nu then ascends from that matching by one exact packing
-search, `_packing_search`, the one `pq_check` runs for a counterexample:
-each step asks for a matching of one edge more, up to tau.  The
+hitting-set search, `_cover_at_most`, the one `pq_check` runs on an
+unsolved instance: each step asks for a cover of one point fewer, down to
+the size of a greedy matching.  nu then ascends from that matching by one
+exact packing search, `_packing_search`, the one `pq_check` runs for a
+counterexample: each step asks for a matching of one edge more, up to
+tau.  The
 fractional solver returns an optimal LP pair whose primal and dual sides
 certify each other.  `_optima` finds nu and tau for `covering_number`,
 `matching_number` and `_root_lp`: it offers uniform weights, once per
@@ -23,11 +24,13 @@ is left out, and the optimum is unchanged.
 `solve` gives the one record, `Measures`, that every bound kind reads:
 nu, tau, tau* and the depth r of an instance.
 `pq_check` decides the (p,q) property from the distinct edges' point
-bitmasks in the solve context below.  It first searches for the
-pigeonhole certificate, (p-1)//(q-1) points meeting every edge, by the
-same hitting-set search, and only when there is none runs the packing
-search for p distinct edges that load no point q times, the shape of a
-counterexample.
+bitmasks in the solve context below.  It first asks for the pigeonhole
+certificate, t = (p-1)//(q-1) points meeting every edge, that is for
+tau <= t.  After a solve it reads the answer from tau's optimal cover,
+re-checked on every distinct edge, with no search; before one it runs the
+same hitting-set search.  Only when there is no such cover does it run the
+packing search for p distinct edges that load no point q times, the shape
+of a counterexample.
 `naive_oracle` is a deliberately unpruned enumeration: the test suite
 certifies the main solvers on small instances by it, and
 `perfbench/make_reference.py` confirms the benchmark's reference answers
@@ -41,10 +44,11 @@ share one solve context per instance (`_context`): the distinct edges'
 point masks, the two optima and the certified root pair.  Everything but
 the kernel LP reads the edge masks alone; the certificate checks a
 matching's loads on bit-sliced counters of its edges' masks, one per
-weight.  LP solutions stay integer numerators over one denominator inside
-this module; `fractional_pair` builds Fractions for its value and weights,
-and `fractional_value`, which `solve` and the sharpness probe read, for
-tau* alone.
+weight, and sums each edge's cover over the groups of points of one
+weight, one list pass per group.  LP solutions stay integer numerators
+over one denominator inside this module; `fractional_pair` builds
+Fractions for its value and weights, and `fractional_value`, which `solve`
+and the sharpness probe read, for tau* alone.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import and_, lt, or_
 
 from .model import HypergraphInstance, PQParameters, _deepest_point, _depth_layers, mask_points
 from .simplex import LPSolution, solve_lp_max
@@ -297,7 +301,7 @@ def _sandwich_pair(ctx: _SolveContext) -> tuple[list[int], LPSolution] | None:
     if len(matching) != len(cover):
         return None
     chosen = set(matching)
-    primal = tuple(int(j in chosen) for j in range(len(ctx.masks)))
+    primal = tuple([int(j in chosen) for j in range(len(ctx.masks))])
     return sorted(cover), LPSolution(1, len(cover), primal, (1,) * len(cover), 0)
 
 
@@ -312,26 +316,31 @@ def _certificate_problem(ctx: _SolveContext, points: list[int], sol: LPSolution)
     their values are checked on those integers (strong duality as an
     executable certificate): each check is the rational one multiplied
     through by D.  The cover's points are grouped into one mask per weight,
-    so an edge's cover is a sum of popcounts; the loads are bit-sliced
-    counters of the matching's edges, one per weight, added into one total
+    and each group adds its weight times its popcount on every edge in one
+    list pass, so an edge's cover is a sum of popcounts and the least of
+    them is compared with D once; the loads are bit-sliced counters of the
+    matching's edges, one per weight, added into one total
     (`_overloaded_points`), so no point is visited alone.
     """
     D = sol.den
     if D <= 0:
         return f"LP denominator {D} is not positive"
-    if any(a >= b for a, b in zip(points, points[1:])) or (points and points[0] < 0):
+    if not all(map(lt, points, points[1:])) or (points and points[0] < 0):
         return "fractional cover points are not strictly increasing point ids"
     if len(sol.primal) != len(ctx.masks) or len(sol.dual) != len(points):
         return "fractional solution weighs a wrong number of edges or points"
-    if any(w < 0 for w in sol.dual) or any(w < 0 for w in sol.primal):
+    if min(sol.dual, default=0) < 0 or min(sol.primal, default=0) < 0:
         return "fractional solution has a negative weight"
     by_weight: dict[int, int] = {}
     for pt, w in zip(points, sol.dual):
         if w:
             by_weight[w] = by_weight.get(w, 0) | 1 << pt
-    for m in ctx.masks:
-        if sum(w * (m & group).bit_count() for w, group in by_weight.items()) < D:
-            return "fractional cover misses an edge constraint"
+    masks = ctx.masks
+    covered = [0] * len(masks)
+    for w, group in by_weight.items():
+        covered = [c + w * (m & group).bit_count() for c, m in zip(covered, masks)]
+    if min(covered, default=D) < D:
+        return "fractional cover misses an edge constraint"
     if _overloaded_points(ctx.masks, sol.primal, D):
         return "fractional matching overloads a point"
     if not (sum(sol.dual) == sum(sol.primal) == sol.value):
@@ -439,9 +448,10 @@ def covering_number(instance: HypergraphInstance) -> SolveResult:
     """Minimum point set meeting every edge, exactly.
 
     A descent from the plain greedy cover (`_SolveContext.plain_cover`) by
-    the hitting-set search `pq_check` runs for its pigeonhole cover, one
-    point fewer per step, down to the size of a matching (`_search`).  The
-    node count is 1 for the root plus every node of that search.
+    the hitting-set search `pq_check` runs for its pigeonhole cover on an
+    unsolved instance, one point fewer per step, down to the size of a
+    matching (`_search`).  The node count is 1 for the root plus every node
+    of that search.
     """
     ctx = _optima(instance)
     if not ctx.masks:
@@ -567,10 +577,13 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     Fewer than p distinct edges satisfy the property vacuously.  Otherwise
     it holds by pigeonhole when t = (p-1)//(q-1) points meet every distinct
     edge: any p edges then put ceil(p/t) >= q of themselves on one of them.
-    `_cover_at_most` decides exactly whether such t points exist, from the
-    edges' masks alone, and re-validates the cover it finds.  When they
-    do not, `_packing_search` decides: the property fails exactly when some
-    p distinct edges form a (q-1)-packing, no point lying in q of them, and
+    Whether such t points exist is tau <= t.  After a solve of the instance
+    it is read from the optimal cover `_search` left in the context, once
+    that cover is re-checked on every distinct edge (`_solved_cover_fits`);
+    before one, `_cover_at_most` decides it exactly, from the edges' masks
+    alone, and re-validates the cover it finds.  When they do not exist,
+    `_packing_search` decides: the property fails exactly when some p
+    distinct edges form a (q-1)-packing, no point lying in q of them, and
     the first one that search finds, the lexicographically first failing
     p-subset, is the counterexample.  A failing family has no such cover,
     so its verdict always comes from that search.
@@ -580,7 +593,12 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     masks = ctx.masks
     if len(masks) < params.p:
         return PQVerdict(True, None, r, vacuous=True)
-    if _cover_at_most(masks, params.pigeonhole_points, r, [0]) is not None:
+    t = params.pigeonhole_points
+    if ctx.cover is not None:
+        fits = _solved_cover_fits(ctx, t)
+    else:
+        fits = _cover_at_most(masks, t, r, [0]) is not None
+    if fits:
         return PQVerdict(True, None, r)
     chosen = _packing_search(masks, params.p, params.q, [0])
     if chosen is None:
@@ -588,10 +606,29 @@ def pq_check(instance: HypergraphInstance, params: PQParameters) -> PQVerdict:
     return PQVerdict(False, frozenset(ctx.firsts[k] for k in chosen), r)
 
 
+def _solved_cover_fits(ctx: _SolveContext, t: int) -> bool:
+    """Whether tau <= t, read from the optimal cover `_search` left in `ctx.cover`.
+
+    The cover is first re-checked on every distinct mask, as
+    `_cover_at_most` checks its own: distinct points, and every mask met.
+    A cover that fails raises, so it can never certify the pigeonhole case,
+    and one that passes certifies tau <= t by itself when it has at most t
+    points.  With more, tau > t by its optimality, and no search is needed
+    to say so.
+    """
+    cover = 0
+    for pt in ctx.cover:
+        cover |= 1 << pt
+    if cover.bit_count() != len(ctx.cover) or not all(m & cover for m in ctx.masks):
+        raise RuntimeError("the solve's optimal cover failed its re-check")
+    return len(ctx.cover) <= t
+
+
 def _cover_at_most(masks: list[int], t: int, r: int, nodes: list[int]) -> int | None:
     """The point mask of at most t >= 1 points meeting every mask of `masks`, or None.
 
-    The one hitting-set search, shared by `covering_number` and `pq_check`.
+    The one hitting-set search, shared by `covering_number` and by
+    `pq_check` on an instance not yet solved.
     Exact: None means no t points meet every mask.  `r` bounds the number
     of masks through any point, so more than t*r masks need more than t
     points.  Otherwise `_cover_within` searches the masks in increasing

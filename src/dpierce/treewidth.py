@@ -32,6 +32,7 @@ from .model import (
     SubforestFamily,
     _checked_subgraphs,
     _component_count,
+    _require_int_d,
     connected_components,
     mask_points,
 )
@@ -190,8 +191,11 @@ def lift_family(
     by `model._component_count`, on the graph's and the tree's neighbour
     masks.  Each lifted edge's components are counted once, for that
     assertion and for the d-tree limit (`ValueError` as `SubforestFamily`
-    raises it), so the family is built without its member check.
+    raises it), so the family is built without its member check.  A d
+    that is not an int, bool included, is refused as `_checked_subgraphs`
+    refuses it.
     """
+    _require_int_d(d)
     if d < 1:
         raise ValueError(f"d: must be positive, got {d}")
     holding, problems = _validated(graph, dec)

@@ -1,19 +1,25 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from dpierce import (
     DIntervalFamily,
     GenConfig,
+    Graph,
+    HostTree,
     InstanceFormatError,
     PQParameters,
     ProjectiveParams,
     SubforestFamily,
+    TreeDecomposition,
     TwInstance,
     dumps_instance,
     from_json_dict,
+    lift_family,
     loads_instance,
+    make_family,
     planted_pq_family,
     planted_pq_subforests,
     projective_instance,
@@ -221,3 +227,48 @@ def test_tw_errors():
 def test_to_json_dict_rejects_unknown():
     with pytest.raises(TypeError):
         to_json_dict(42)
+
+
+# d as a caller might hand it to a constructor: ints, small and large, then
+# values that are not ints, bool among them
+D_VALUES = [1, 2, 3, 10**20, 0, -1, 2.5, 2.0, True, False, "2", None, Fraction(2)]
+PATH = ((0, 1), (1, 2))
+BAGS = TreeDecomposition(HostTree(2, ((0, 1),)), ({0, 1}, {1, 2}))
+
+
+def _built_with(d):
+    """Builders of a d-interval, a d-tree and a tree-width family, each given `d`."""
+    return {
+        "make_family": lambda: make_family(d, [[(0, 1)], [(2, 3)]]),
+        "DIntervalFamily": lambda: DIntervalFamily(d=d, edges=()),
+        "SubforestFamily": lambda: SubforestFamily(host=HostTree(3, PATH), d=d, edges=([0, 1], [2])),
+        "TwInstance": lambda: TwInstance(Graph(3, PATH), BAGS, ([0, 1], [2]), d=d),
+    }
+
+
+@pytest.mark.parametrize("d", D_VALUES, ids=repr)
+def test_every_family_a_constructor_accepts_round_trips_through_its_file(d):
+    # a family is refused where it is built, or its file reads back as it;
+    # before d was checked there, d = 2.5 or True was written and then refused
+    for name, build in _built_with(d).items():
+        try:
+            family = build()
+        except ValueError as exc:
+            assert type(d) is not int or d < 1, (name, exc)
+            continue
+        assert type(d) is int and d >= 1, name
+        assert loads_instance(dumps_instance(family)) == family, name
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, False, "2", None, Fraction(2)], ids=repr)
+def test_a_d_that_is_not_an_int_is_refused_as_its_file_is(d):
+    message = f"^d: expected an integer, got {re.escape(repr(d))}$"
+    for build in _built_with(d).values():
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match=message):
+        lift_family(Graph(3, PATH), BAGS, [[0, 1]], d=d)
+    if d is not None and not isinstance(d, Fraction):
+        text = json.dumps({"type": "d_intervals", "d": d, "edges": [[["0", "1"]]]})
+        with pytest.raises(InstanceFormatError, match="^d: expected an integer$"):
+            loads_instance(text)

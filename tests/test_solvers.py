@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import itertools
 import pickle
 import random
@@ -7,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -511,6 +513,29 @@ def test_fractional_pair_rejects_a_bad_certificate(monkeypatch, value, primal, d
     # a fresh instance per case, so that each case's forged solution is solved
     with pytest.raises(RuntimeError, match=reason):
         fractional_pair(inst(*GAP))
+
+
+# a triangle {0,1}, {1,2}, {0,2} with a pendant {2,3}: tau* = nu = 2, by 1/3
+# on points 0 and 3 and 2/3 on points 1 and 2 against 1 on the disjoint
+# {0,1} and {2,3}, over D = 3; edge {0,1} reaches D = 1 + 2 only as the sum
+# of the two weight groups, and {0,2} and {2,3} likewise
+TWO_GROUPS = ({0, 1}, {1, 2}, {0, 2}, {2, 3})
+TWO_GROUPS_PAIR = LPSolution(3, 6, (3, 0, 0, 3), (1, 2, 2, 1), 0)
+
+
+def test_the_certificate_sums_an_edge_over_every_weight_group():
+    instance = inst(*TWO_GROUPS)
+    ctx, edges, points = solvers._context(instance), _distinct_edges(instance), [0, 1, 2, 3]
+    assert solvers._certificate_problem(ctx, points, TWO_GROUPS_PAIR) is None
+    assert reference_certificate_problem(edges, points, TWO_GROUPS_PAIR) is None
+    # any one weight lowered by 1 leaves an edge at D - 1
+    for i in range(len(points)):
+        dual = list(TWO_GROUPS_PAIR.dual)
+        dual[i] -= 1
+        lowered = LPSolution(3, 6, TWO_GROUPS_PAIR.primal, tuple(dual), 0)
+        problem = solvers._certificate_problem(ctx, points, lowered)
+        assert problem == "fractional cover misses an edge constraint"
+        assert problem == reference_certificate_problem(edges, points, lowered)
 
 
 @pytest.mark.parametrize("den", [0, -1])
@@ -1120,6 +1145,128 @@ def test_pq_check_decides_planted_families_by_their_cover(monkeypatch):
             for family in (planted_pq_family(cfg, params), planted_pq_subforests(cfg, params)):
                 verdict = pq_check(to_incidence(family), params)
                 assert verdict.holds and not verdict.vacuous
+
+
+def _bound_campaign_instances(seed):
+    """The incidence instances and (p,q) pairs of one `bound_campaign` batch of perfbench."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bound_campaign_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for item in workloads.setup("bound_campaign", seed):
+        yield to_incidence(item.input), item.entry["pq"]
+
+
+# (p,q) pairs from t = 1 to t = 5: over the cases below they meet vacuous,
+# tau <= t and tau > t checks, each more than 200 times
+PQ_AFTER_SOLVE = ((2, 2), (3, 2), (4, 2), (4, 3), (6, 3), (6, 2), (9, 3))
+
+
+def _pq_after_solve_cases():
+    for instance in _pq_corpus():
+        yield instance, PQ_AFTER_SOLVE
+    for instance, pq in _bound_campaign_instances(1):
+        yield instance, PQ_AFTER_SOLVE + ((tuple(pq),) if pq else ())
+    for seed in range(200):
+        yield random_abstract_instance(seed + 4700), PQ_AFTER_SOLVE
+
+
+def test_pq_check_after_a_solve_equals_pq_check_before_one():
+    # the verdict read from tau's optimal cover, or from the packing search
+    # when tau > t, is the one the hitting-set search gives on a fresh copy
+    paths = Counter()
+    for instance, pairs in _pq_after_solve_cases():
+        fresh = _fresh(instance)
+        tau = solve(instance).tau.optimum
+        for p, q in pairs:
+            params = PQParameters(p, q)
+            verdict = pq_check(instance, params)
+            assert verdict == pq_check(fresh, params), (instance, p, q)
+            if verdict.vacuous:
+                paths["vacuous"] += 1
+            else:
+                paths["tau <= t" if tau <= params.pigeonhole_points else "tau > t"] += 1
+                assert verdict.holds or tau > params.pigeonhole_points
+        assert solvers._context(fresh).cover is None
+    assert set(paths) == {"vacuous", "tau <= t", "tau > t"}
+    assert min(paths.values()) > 200, paths
+
+
+def test_pq_check_runs_the_hitting_set_search_only_before_a_solve(monkeypatch):
+    real, calls = solvers._cover_at_most, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_cover_at_most", counted)
+    decided = Counter()
+    for instance, pairs in itertools.islice(_pq_after_solve_cases(), 300):
+        fresh = _fresh(instance)
+        solve(instance)
+        for p, q in pairs:
+            params = PQParameters(p, q)
+            calls.clear()
+            verdict = pq_check(fresh, params)
+            assert len(calls) == (not verdict.vacuous)
+            calls.clear()
+            assert pq_check(instance, params) == verdict
+            assert calls == []
+            decided[verdict.holds] += 1
+    assert set(decided) == {True, False}
+    # a bundle's (p,q) verdict adds no search to the bundle's one solve
+    family = planted_pq_family(GenConfig(seed=4800, n_edges=12, d=2), PQParameters(4, 3))
+    calls.clear()
+    solve(to_incidence(family))
+    solved = len(calls)
+    calls.clear()
+    [report] = verify_bundle(family, [BoundKind.DPQ_TAU], params=PQParameters(4, 3))
+    assert report.applicable and len(calls) == solved
+
+
+# a star through point 0 and an edge apart: tau = 2, so (3,2), with t = 2,
+# holds by pigeonhole on the optimal cover {0, 4}
+STAR_AND_EDGE = ({0, 1}, {0, 2}, {0, 3}, {4, 5})
+# three disjoint edges and one across two of them: (3,2) fails on the first three
+DISJOINT = ({0}, {1}, {2}, {0, 1})
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [[0], [1, 2, 3], [0, 0], [0, 4, 4]],
+    ids=["misses-an-edge", "misses-an-edge-with-more-than-t-points", "repeated", "repeated-t-plus-1"],
+)
+def test_a_forged_solved_cover_raises_and_never_holds(cover):
+    instance = inst(*STAR_AND_EDGE)
+    solve(instance)
+    solvers._context(instance).cover = cover
+    with pytest.raises(RuntimeError, match="optimal cover failed its re-check"):
+        pq_check(instance, PQParameters(3, 2))
+
+
+def test_a_solved_cover_of_more_than_t_points_leaves_the_verdict_to_the_packing_search(monkeypatch):
+    # a cover of more than t points is never taken for the pigeonhole
+    # certificate: read as tau > t, it hands the check to the exact packing
+    # search, which gives the verdict of a fresh copy, holding or failing
+    real, searched = solvers._packing_search, []
+
+    def counted(*args):
+        searched.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_packing_search", counted)
+    verdicts = []
+    # tau <= t, tau <= t, tau > t and holding, failing
+    for edges, p, q in ((STAR_AND_EDGE, 3, 2), (GAP, 4, 2), (GAP, 3, 2), (DISJOINT, 3, 2)):
+        instance = inst(*edges)
+        solve(instance)
+        ctx = solvers._context(instance)
+        ctx.cover = sorted(set().union(*edges))  # every point: a cover, not always optimal
+        searched.clear()
+        verdict = pq_check(instance, PQParameters(p, q))
+        assert searched and verdict == pq_check(inst(*edges), PQParameters(p, q))
+        verdicts.append((verdict.holds, verdict.counterexample))
+    assert verdicts == [(True, None)] * 3 + [(False, frozenset({0, 1, 2}))]
 
 
 # ---------------------------------------------------------------------------
